@@ -11,10 +11,11 @@ finite sum over state-action heads k = (s, a):
 
 with the per-sample Bellman residual c_k(s') = R_k + gamma*maxQ(s'; y) - Q_k(x).
 Because every per-sample drift is a scalar multiple of one of the K head
-gradients, Sigma + beta_bar has rank <= K; ``sigma_factors`` exploits that to
-apply the exact symmetric square root in O(d*K) per trajectory, which is what
-makes large ensembles affordable.  ``sigma_matrix`` builds the dense matrices
-for inspection and for the reconstruction checks.
+gradients G = (grad Q_k(x))_k, Sigma + beta_bar = G^T M G with a K x K core M
+that has the closed-form factor F F^T = M.  ``noise_cotangent`` applies F in
+O(K) per trajectory, so the simulator needs G only through one
+vector-Jacobian product per step.  ``sigma_matrix`` builds the dense matrices
+and the symmetric root for inspection and for the reconstruction checks.
 """
 
 from __future__ import annotations
@@ -73,6 +74,21 @@ class HeadStats:
     Ec2: np.ndarray
 
 
+def bellman_moments(spec: MdpSpec, Qx: np.ndarray,
+                    maxq_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ec, Ec2), each (N, K): first and second moments over s' of the residual.
+
+    Qx: (N, K) head values at x; maxq_y: (N, S) table of max_a Q(s, a; y_n).
+    """
+    p_flat = spec.p.reshape(-1, spec.n_states)  # (K, S)
+    mu1 = maxq_y @ p_flat.T
+    mu2 = (maxq_y ** 2) @ p_flat.T
+    base = spec.R.reshape(-1)[None, :] - Qx
+    Ec = base + spec.gamma * mu1
+    Ec2 = base ** 2 + 2.0 * spec.gamma * base * mu1 + spec.gamma ** 2 * mu2
+    return Ec, Ec2
+
+
 def head_stats(net: QNetSpec, spec: MdpSpec, q: np.ndarray, thetas_x: np.ndarray,
                maxq_y: np.ndarray, pair_enc: np.ndarray | None = None) -> HeadStats:
     """Compute HeadStats for a batch of points x given max-Q values at y.
@@ -81,14 +97,30 @@ def head_stats(net: QNetSpec, spec: MdpSpec, q: np.ndarray, thetas_x: np.ndarray
     """
     if pair_enc is None:
         pair_enc = net.encode_all_pairs()
-    p_flat = spec.p.reshape(-1, spec.n_states)  # (K, S)
     Qx, g = q_values_batch(net, thetas_x, pair_enc, with_grad=True)
-    mu1 = maxq_y @ p_flat.T  # (N, K)
-    mu2 = (maxq_y ** 2) @ p_flat.T
-    base = spec.R.reshape(-1)[None, :] - Qx
-    Ec = base + spec.gamma * mu1
-    Ec2 = base ** 2 + 2.0 * spec.gamma * base * mu1 + spec.gamma ** 2 * mu2
+    Ec, Ec2 = bellman_moments(spec, Qx, maxq_y)
     return HeadStats(np.asarray(q, dtype=np.float64).reshape(-1), g, Qx, Ec, Ec2)
+
+
+def noise_cotangent(q_flat: np.ndarray, Ec: np.ndarray, Ec2: np.ndarray,
+                    V_flat: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """F xi, (N, K), for the closed-form factor F F^T = M of the core.
+
+    Sigma + beta_bar = G^T M G with M = diag(q*(Ec2 + V^2)) - v v^T, v = q*Ec,
+    which is PSD by the weighted Cauchy-Schwarz inequality.  With
+    D = diag(q*(Ec2 + V^2)) and u = D^{-1/2} v, |u| <= 1, the factor is
+    F = D^{1/2}(I - s uhat uhat^T) with s = 1 - sqrt(1 - |u|^2), applied in
+    O(K) per row.  G^T F xi with xi ~ N(0, I_K) then has covariance
+    Sigma + beta_bar.
+    """
+    D = q_flat * (Ec2 + V_flat[None, :] ** 2)  # (N, K)
+    v = q_flat * Ec
+    Dh = np.sqrt(np.maximum(D, 0.0))
+    u = np.where(D > _TINY, v / np.maximum(Dh, _TINY), 0.0)
+    nu2 = np.einsum("nk,nk->n", u, u)
+    uhat = u / np.maximum(np.sqrt(nu2), _TINY)[:, None]
+    s = 1.0 - np.sqrt(1.0 - np.minimum(nu2, 1.0))
+    return Dh * (xi - (s * np.einsum("nk,nk->n", uhat, xi))[:, None] * uhat)
 
 
 def drift_from_stats(stats: HeadStats) -> np.ndarray:
@@ -177,78 +209,22 @@ def sigma_matrix(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     V2 = spec.V.reshape(-1) ** 2
     beta = (g * (stats.q_flat * V2)[:, None]).T @ g
     beta = 0.5 * (beta + beta.T)
-    d = net.d
-    S = Sigma + beta + (delta / eta) * np.eye(d)
-    w, v = np.linalg.eigh(S)
-    if w.min() < delta / eta + EIG_HARD_FLOOR:
-        raise CoefficientError(
-            f"Sigma + beta_bar has eigenvalue {w.min() - delta / eta:.6e} "
-            f"below the {EIG_HARD_FLOOR} floor")
-    sig = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    sig = 0.5 * (sig + sig.T)
+    S = Sigma + beta + (delta / eta) * np.eye(net.d)
+    sig = spd_sqrt(S, hard_floor=delta / eta + EIG_HARD_FLOOR)
     return CoefficientSet(b=b, Sigma=Sigma, beta_bar=beta, sigma=sig, eta=eta, delta=delta)
 
 
-@dataclass
-class SigmaFactors:
-    """Low-rank representation of sigma(x, y) for a batch of points.
-
-    sigma^2 = scale*I + U diag(lam) U^T with orthonormal U (N, d, K), so the
-    exact symmetric root applies as
-        sigma z = sqrt(scale) z + U (sqrt(lam + scale) - sqrt(scale)) U^T z.
-    Structurally lambda_min(sigma^2) >= scale = delta/eta.
-    """
-
-    scale: float
-    U: np.ndarray
-    lam: np.ndarray
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        uz = np.einsum("ndk,nd->nk", self.U, z)
-        fac = np.sqrt(self.lam + self.scale) - np.sqrt(self.scale)
-        return np.sqrt(self.scale) * z + np.einsum("ndk,nk->nd", self.U, fac * uz)
-
-    def dense(self) -> np.ndarray:
-        """(N, d, d) dense sigma matrices (for checks; O(d^2) memory)."""
-        n, d, _ = self.U.shape
-        eye = np.broadcast_to(np.eye(d), (n, d, d))
-        fac = np.sqrt(self.lam + self.scale) - np.sqrt(self.scale)
-        return np.sqrt(self.scale) * eye + np.einsum(
-            "ndk,nk,nek->nde", self.U, fac, self.U)
-
-
 def lowrank_ghat(stats: HeadStats, V_flat: np.ndarray) -> np.ndarray:
-    """Closed-form factor Ghat (N, d, K) with Ghat Ghat^T = Sigma + beta_bar.
+    """Dense factor G^T F, (N, d, K), with Ghat Ghat^T = Sigma + beta_bar.
 
-    Sigma + beta_bar = G^T M G with the K x K core
-    M = diag(q*(Ec2 + V^2)) - v v^T, v = q*Ec, which is PSD by the weighted
-    Cauchy-Schwarz inequality; M factors in closed form through
-    M = D^{1/2}(I - u u^T)D^{1/2}, |u| <= 1.
+    ``run_sdde`` never forms it (it applies F xi through noise_cotangent and
+    one vector-Jacobian product); ``sdde_euler_step`` builds its dense
+    symmetric root from it.
     """
-    n, K, d = stats.g.shape
-    D = stats.q_flat * (stats.Ec2 + V_flat[None, :] ** 2)  # (N, K)
-    v = stats.q_flat * stats.Ec
-    Dh = np.sqrt(np.clip(D, 0.0, None))
-    u = np.where(D > _TINY, v / np.maximum(Dh, _TINY), 0.0)
-    nu2 = (u * u).sum(axis=1)
-    uhat = u / np.maximum(np.sqrt(nu2), _TINY)[:, None]
-    s = 1.0 - np.sqrt(np.clip(1.0 - np.minimum(nu2, 1.0), 0.0, None))
-    F = np.eye(K)[None, :, :] - s[:, None, None] * uhat[:, :, None] * uhat[:, None, :]
-    F = Dh[:, :, None] * F
+    n, K, _ = stats.g.shape
+    F = np.stack([noise_cotangent(stats.q_flat, stats.Ec, stats.Ec2, V_flat,
+                                  np.broadcast_to(e, (n, K))) for e in np.eye(K)], axis=2)
     return stats.g.transpose(0, 2, 1) @ F
-
-
-def sigma_factors(stats: HeadStats, V_flat: np.ndarray, eta: float,
-                  delta: float) -> SigmaFactors:
-    """Eigendecompose the K x K Gram of Ghat to represent sigma exactly."""
-    ghat = lowrank_ghat(stats, V_flat)
-    gram = ghat.transpose(0, 2, 1) @ ghat
-    lam, vecs = np.linalg.eigh(gram)
-    lam = np.clip(lam, 0.0, None)
-    inv = np.where(lam > _TINY, 1.0 / np.sqrt(np.maximum(lam, _TINY)), 0.0)
-    U = (ghat @ vecs) * inv[:, None, :]
-    lam = np.where(lam > _TINY, lam, 0.0)
-    return SigmaFactors(scale=delta / eta, U=U, lam=lam)
 
 
 @dataclass

@@ -5,12 +5,16 @@ is a logistic sigmoid, and the output is squashed through
 ``bound * (2*sigmoid(z) - 1)``, so |Q| < bound everywhere and Q is smooth to
 all orders in theta.  Gradients are analytic reverse-mode accumulation
 written here (no external autodiff), vectorised over a batch of parameter
-vectors so each trajectory in an ensemble can carry its own theta.
+vectors so each trajectory in an ensemble can carry its own theta.  The one
+reverse pass is ``_vjp``: given an (N, K) cotangent over the K heads it
+returns sum_k cot_k grad Q_k in O(d) per trajectory.  Dense per-head
+gradients, where a caller needs them, are K passes with unit cotangents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,13 +53,13 @@ class QNetSpec:
     def input_dim(self) -> int:
         return self.n_states + self.n_actions
 
-    @property
-    def layer_shapes(self) -> list[tuple[int, int]]:
+    @cached_property
+    def layer_shapes(self) -> tuple[tuple[int, int], ...]:
         """(out, in) shapes of all weight matrices, output layer last."""
         dims = [self.input_dim, *self.hidden, 1]
-        return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
+        return tuple((dims[i + 1], dims[i]) for i in range(len(dims) - 1))
 
-    @property
+    @cached_property
     def d(self) -> int:
         return sum(o * i + o for (o, i) in self.layer_shapes)
 
@@ -97,7 +101,7 @@ def _forward(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray):
     """Batched forward pass.
 
     thetas: (N, d); x: (N, K, input_dim) inputs (K heads per trajectory).
-    Returns (q (N, K), cache) with cache holding activations for backward.
+    Returns (q (N, K), cache) with cache holding the activations for _vjp.
     """
     weights, biases = _unpack(spec, thetas)
     acts = [x]
@@ -111,37 +115,41 @@ def _forward(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray):
     # clip only the value, so |Q| < bound even where tanh saturates in float;
     # the derivative keeps the raw tanh (exactly 0 at float saturation)
     q = spec.bound * np.clip(t, -_SAT, _SAT)
-    return q, (weights, biases, acts, t)
+    return q, (weights, acts, t)
 
 
-def _backward(spec: QNetSpec, cache, n: int, k: int) -> np.ndarray:
-    """Gradient of every head's output w.r.t. theta, shape (N, K, d)."""
-    weights, _, acts, t = cache
-    grads = np.empty((n, k, spec.d))
+def _vjp(spec: QNetSpec, cache, cot: np.ndarray) -> np.ndarray:
+    """Vector-Jacobian product sum_k cot[n, k] grad_theta Q_k(theta_n), (N, d).
+
+    One reverse pass over the activations cached by _forward; cot is (N, K).
+    Each layer's weight gradient contracts the K heads in one matmul, so
+    no per-head gradient is ever formed.
+    """
+    weights, acts, t = cache
+    n = cot.shape[0]
+    out = np.empty((n, spec.d))
     # d/dz [bound * tanh(z/2)] = bound/2 * (1 - tanh(z/2)^2)
-    delta = 0.5 * spec.bound * (1.0 - t * t)  # (N, K)
+    dz = cot * (0.5 * spec.bound * (1.0 - t * t))  # (N, K)
     off = spec.d
     # output layer
     o, i = spec.layer_shapes[-1]
     off -= o
-    grads[:, :, off:off + o] = delta[..., None]
+    out[:, off] = dz.sum(axis=1)
     off -= o * i
-    gw = delta[..., None] * acts[-1]  # (N, K, in)
-    grads[:, :, off:off + o * i] = gw
-    dh = delta[..., None] * weights[-1][:, None, 0, :]  # (N, K, in)
+    out[:, off:off + i] = (dz[:, None, :] @ acts[-1])[:, 0, :]
+    dh = dz[..., None] * weights[-1][:, None, 0, :]  # (N, K, in)
     # hidden layers, last to first
     for l in range(len(weights) - 2, -1, -1):
         o, i = spec.layer_shapes[l]
         h = acts[l + 1]
         dz = dh * h * (1.0 - h)  # (N, K, o)
         off -= o
-        grads[:, :, off:off + o] = dz
+        out[:, off:off + o] = np.einsum("nko->no", dz)
         off -= o * i
-        gw = dz[..., :, None] * acts[l][:, :, None, :]  # (N, K, o, i)
-        grads[:, :, off:off + o * i] = gw.reshape(n, k, o * i)
+        out[:, off:off + o * i] = (dz.transpose(0, 2, 1) @ acts[l]).reshape(n, o * i)
         if l > 0:
             dh = dz @ weights[l]
-    return grads
+    return out
 
 
 def q_values_batch(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray,
@@ -149,6 +157,7 @@ def q_values_batch(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray,
     """Values (N, K) and optionally gradients (N, K, d) for batched inputs.
 
     x may be (K, input_dim) shared heads or (N, K, input_dim) per-trajectory.
+    The dense gradient is K reverse passes with unit cotangents.
     """
     thetas = np.atleast_2d(thetas)
     n = thetas.shape[0]
@@ -157,7 +166,9 @@ def q_values_batch(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray,
     q, cache = _forward(spec, thetas, x)
     if not with_grad:
         return q
-    return q, _backward(spec, cache, n, x.shape[1])
+    unit = np.eye(q.shape[1])
+    return q, np.stack([_vjp(spec, cache, np.broadcast_to(e, q.shape)) for e in unit],
+                       axis=1)
 
 
 def q_value(spec: QNetSpec, theta: np.ndarray, s: int, a: int) -> float:

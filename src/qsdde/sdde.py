@@ -8,12 +8,13 @@ multiples of m*eta (X_0 before the first boundary), matching the chain's
 frozen target.  Time is tracked as an integer count of substeps (rho per
 chain step of length eta) so grid tests never see floating-point drift.
 
-Coefficients are recomputed at every substep.  ``sdde_euler_step`` applies
-the literal symmetric square root sigma; the ensemble driver ``run_sdde``
-draws each Gaussian increment directly from its exact law
-N(0, eta*h*(Sigma + beta_bar + (delta/eta) I)) through the closed-form
-low-rank factor, which is the same distribution without the per-substep
-eigendecomposition.
+Coefficients are recomputed at every substep.  Both the unit step
+``sdde_euler_step`` and the ensemble driver ``run_sdde`` compute the drift as
+a vector-Jacobian product of the Q-net with cotangent h*q*Ec.  The unit step
+applies the dense symmetric root sigma.  ``run_sdde`` draws the same Gaussian
+law as sqrt(delta/eta) z + G^T F xi, with z ~ N(0, I_d), xi ~ N(0, I_K) and
+F from ``noise_cotangent``, and folds G^T F xi into the drift's reverse
+pass, so each substep costs one forward pass and one VJP.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from .chain import TrajectoryEnsemble
-from .coeffs import (HeadStats, drift_from_stats, head_stats, lowrank_ghat,
-                     sigma_factors)
+from .coeffs import (bellman_moments, head_stats, lowrank_ghat, noise_cotangent,
+                     spd_sqrt)
 from .mdp import MdpSpec
-from .qnet import QNetSpec, max_q_by_state, q_values_batch
+from .qnet import QNetSpec, _forward, _vjp, max_q_by_state
 from .rng import TrajectoryStreams, block_size
 
 
@@ -39,10 +40,8 @@ class SddeError(RuntimeError):
 class SddeConfig:
     """Horizon T*eta with rho internal Euler substeps per unit eta.
 
-    sigma_cache_tol > 0 enables the optional diffusion-factor cache: the
-    low-rank sigma factor is reused while no trajectory has moved farther
-    than the tolerance in any coordinate.  Off (0.0) by default so the
-    scheme stays unambiguous.
+    The delay argument refreshes every m chain steps; seed keys the
+    per-trajectory noise streams.
     """
 
     eta: float
@@ -51,7 +50,6 @@ class SddeConfig:
     T: int
     rho: int = 20
     seed: int = 0
-    sigma_cache_tol: float = 0.0
 
     def __post_init__(self):
         if not (self.eta > 0.0):
@@ -60,22 +58,14 @@ class SddeConfig:
             raise ValueError("delta must be positive")
         if self.m < 1 or self.T < 1 or self.rho < 1:
             raise ValueError("m, T and rho must all be >= 1")
-        if self.sigma_cache_tol < 0.0:
-            raise ValueError("sigma_cache_tol must be >= 0")
 
 
-def _delay_moments(spec: MdpSpec, maxq_delay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second moments of max-Q over the next state, per head."""
-    p_flat = spec.p.reshape(-1, spec.n_states)
-    return maxq_delay @ p_flat.T, (maxq_delay ** 2) @ p_flat.T
-
-
-def _stats_from_parts(spec: MdpSpec, q_flat: np.ndarray, g: np.ndarray,
-                      Qx: np.ndarray, mu1: np.ndarray, mu2: np.ndarray) -> HeadStats:
-    base = spec.R.reshape(-1)[None, :] - Qx
-    Ec = base + spec.gamma * mu1
-    Ec2 = base ** 2 + 2.0 * spec.gamma * base * mu1 + spec.gamma ** 2 * mu2
-    return HeadStats(q_flat, g, Qx, Ec, Ec2)
+def _drift_pass(net: QNetSpec, spec: MdpSpec, x: np.ndarray, maxq_delay: np.ndarray,
+                enc_n: np.ndarray):
+    """Forward pass at x (N, d) and the residual moments (Ec, Ec2) against the
+    delay; enc_n holds the (N, K, input_dim) head encodings."""
+    Qx, cache = _forward(net, x, enc_n)
+    return (cache, *bellman_moments(spec, Qx, maxq_delay))
 
 
 def sdde_euler_step(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
@@ -83,21 +73,26 @@ def sdde_euler_step(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
     """One Euler-Maruyama update x - b(x, x_delay) h + sqrt(eta) sigma sqrt(h) Z.
 
-    sigma is the symmetric PSD square root of Sigma + beta_bar + (delta/eta) I
-    at (x, x_delay); Z is a standard Gaussian in R^d.
+    sigma is the symmetric PSD square root of Ghat Ghat^T + (delta/eta) I at
+    (x, x_delay), where Ghat Ghat^T = Sigma + beta_bar is the low-rank factor;
+    Z is a standard Gaussian in R^d.  The drift goes through the same reverse
+    pass as ``run_sdde``.
     """
     if not (h > 0.0):
         raise ValueError("time increment h must be positive")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x_delay))):
         raise SddeError("non-finite state passed to the Euler step")
+    x2 = np.atleast_2d(x)
     enc = net.encode_all_pairs()
     maxq_delay = max_q_by_state(net, np.atleast_2d(x_delay), enc)
-    stats = head_stats(net, spec, q, np.atleast_2d(x), maxq_delay, enc)
-    b = drift_from_stats(stats)
-    fac = sigma_factors(stats, spec.V.reshape(-1), cfg.eta, cfg.delta)
+    cache, Ec, _ = _drift_pass(net, spec, x2, maxq_delay, enc[None])
+    # root of the factored form, not sigma_matrix's: its Sigma = E[b b^T] - b b^T
+    # keeps an indefinite rounding residue whose root is O(sqrt(machine eps))
+    ghat = lowrank_ghat(head_stats(net, spec, q, x2, maxq_delay, enc), spec.V.reshape(-1))[0]
+    sigma = spd_sqrt(ghat @ ghat.T + (cfg.delta / cfg.eta) * np.eye(net.d))
     z = rng.standard_normal(net.d)
-    out = (np.atleast_2d(x) - b * h
-           + np.sqrt(cfg.eta * h) * fac.apply(z[None, :]))[0]
+    hq = h * np.asarray(q, dtype=np.float64).reshape(-1)
+    out = (x2 + np.sqrt(cfg.eta * h) * (sigma @ z) + _vjp(net, cache, hq * Ec))[0]
     if not np.all(np.isfinite(out)):
         raise SddeError(f"non-finite state after Euler step of size {h}")
     return out
@@ -110,8 +105,10 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
 
     The internal step is h = eta/rho; the delay argument is the stored value
     of X at the most recent multiple of m*eta.  Checkpoint step j records X
-    at time j*eta, aligned with chain step j.  Increments are drawn from the
-    exact Gaussian law of sqrt(eta*h) * sigma Z via the low-rank factor.
+    at time j*eta, aligned with chain step j.  Each substep draws z (d) and
+    xi (K), in that order, from the trajectory's stream and moves
+    x -> x + sqrt(eta*h) sqrt(delta/eta) z + VJP(x; h*q*Ec + sqrt(eta*h) F xi),
+    whose increment has the exact law -b h + sqrt(eta*h) sigma Z.
     """
     checkpoints = tuple(int(c) for c in checkpoint_steps)
     if any(c < 0 or c > cfg.T for c in checkpoints):
@@ -119,9 +116,10 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
     d = net.d
     K = spec.n_states * spec.n_actions
     h = cfg.eta / cfg.rho
-    scale = np.sqrt(cfg.delta / cfg.eta)
     amp = np.sqrt(cfg.eta * h)
+    z_amp = amp * np.sqrt(cfg.delta / cfg.eta)
     q_flat = np.asarray(q, dtype=np.float64).reshape(-1)
+    hq = h * q_flat
     V_flat = spec.V.reshape(-1)
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim == 1:
@@ -132,38 +130,28 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
             raise ValueError(f"x0 must have shape ({n_traj}, {d})")
     streams = TrajectoryStreams(cfg.seed, stream_path, n_traj)
     enc = net.encode_all_pairs()
+    enc_n = np.broadcast_to(enc, (n_traj, *enc.shape))
     out = np.empty((n_traj, len(checkpoints), d))
     ck_pos = {c: i for i, c in enumerate(checkpoints)}
     if 0 in ck_pos:
         out[:, ck_pos[0], :] = x
     seg = cfg.m * cfg.rho  # substeps per delay segment
-    mu1 = mu2 = None
-    ghat_cache = None
-    x_at_cache = None
-    z_block = None
+    z_block = maxq_delay = None
     per_step = d + K
     n_sub = cfg.T * cfg.rho
     blk = block_size(n_traj, per_step)
     for u in range(n_sub):
         if u % seg == 0:
             maxq_delay = max_q_by_state(net, x, enc)
-            mu1, mu2 = _delay_moments(spec, maxq_delay)
-            ghat_cache = None
         j = u % blk
         if j == 0:
             nb = min(blk, n_sub - u)
             z_block = streams.normal_block(nb * per_step).reshape(n_traj, nb, per_step)
         z = z_block[:, j, :d]
         xi = z_block[:, j, d:]
-        Qx, g = q_values_batch(net, x, enc, with_grad=True)
-        stats = _stats_from_parts(spec, q_flat, g, Qx, mu1, mu2)
-        b = drift_from_stats(stats)
-        if ghat_cache is None or cfg.sigma_cache_tol == 0.0 or \
-                np.abs(x - x_at_cache).max() > cfg.sigma_cache_tol:
-            ghat_cache = lowrank_ghat(stats, V_flat)
-            x_at_cache = x
-        noise = scale * z + (ghat_cache @ xi[:, :, None])[:, :, 0]
-        x = x - b * h + amp * noise
+        cache, Ec, Ec2 = _drift_pass(net, spec, x, maxq_delay, enc_n)
+        cot = hq * Ec + amp * noise_cotangent(q_flat, Ec, Ec2, V_flat, xi)
+        x = x + z_amp * z + _vjp(net, cache, cot)
         if not np.all(np.isfinite(x)):
             bad = int(np.argwhere(~np.isfinite(x).all(axis=1))[0, 0])
             raise SddeError(f"non-finite state at substep {u + 1}, trajectory {bad}")

@@ -5,12 +5,12 @@ import pytest
 from scipy.optimize import brentq
 
 from qsdde.coeffs import (CoefficientError, estimate_constants, exact_drift_b,
-                          head_stats, lowrank_ghat, qbar, sample_drift_bn,
-                          sigma_factors, sigma_matrix, spd_sqrt, step_size_gate)
+                          qbar, sample_drift_bn, sigma_matrix, spd_sqrt,
+                          step_size_gate)
 from qsdde.mdp import IdealizedReplay, MdpSpec, Transition, sample_transition, uniform_q
-from qsdde.qnet import QNetSpec, init_theta, max_q, max_q_by_state, q_grad, q_value
+from qsdde.qnet import QNetSpec, init_theta, max_q, q_grad, q_value
 
-from conftest import make_mdp, saturated_theta
+from conftest import make_mdp, noise_matrix, saturated_theta
 
 
 def test_qbar_deterministic_transition(net, mdp, theta):
@@ -167,21 +167,15 @@ def test_sigma_matrix_rejects_bad_eta(net, mdp, q_table, theta):
 
 
 def test_lowrank_matches_dense(net, mdp, q_table):
+    # the engine's noise map A (columns at e_1..e_K) factors Sigma + beta_bar
     rng = np.random.default_rng(31)
-    enc = net.encode_all_pairs()
     for _ in range(10):
         x = rng.standard_normal(net.d)
         y = rng.standard_normal(net.d)
         eta, delta = 0.04, 0.3
         cs = sigma_matrix(net, mdp, q_table, x, y, eta, delta)
-        maxq_y = max_q_by_state(net, y[None, :], enc)
-        stats = head_stats(net, mdp, q_table, x[None, :], maxq_y, enc)
-        ghat = lowrank_ghat(stats, mdp.V.reshape(-1))[0]
-        assert np.allclose(ghat @ ghat.T, cs.Sigma + cs.beta_bar, atol=1e-11)
-        fac = sigma_factors(stats, mdp.V.reshape(-1), eta, delta)
-        assert np.allclose(fac.dense()[0], cs.sigma, atol=1e-10)
-        z = rng.standard_normal(net.d)
-        assert np.allclose(fac.apply(z[None, :])[0], cs.sigma @ z, atol=1e-10)
+        A = noise_matrix(net, mdp, q_table, x[None, :], y[None, :])[0]
+        assert np.allclose(A @ A.T, cs.Sigma + cs.beta_bar, atol=1e-11)
 
 
 def test_covariances_match_triple_enumeration_oracle():
@@ -243,20 +237,15 @@ def test_covariances_match_triple_enumeration_oracle():
         assert np.allclose(cs.Sigma, sigma_o, atol=1e-10 * scale)
         assert np.allclose(cs.beta_bar, beta_o, atol=1e-10 * scale)
 
-        enc = net.encode_all_pairs()
-        maxq_y = max_q_by_state(net, y[None, :], enc)
-        stats = head_stats(net, spec, qt, x[None, :], maxq_y, enc)
-        ghat = lowrank_ghat(stats, spec.V.reshape(-1))[0]
-        assert np.allclose(ghat @ ghat.T, sigma_o + beta_o, atol=1e-10 * scale)
+        A = noise_matrix(net, spec, qt, x[None, :], y[None, :])[0]
+        assert np.allclose(A @ A.T, sigma_o + beta_o, atol=1e-10 * scale)
 
 
 def test_sigma_floor_structural(net, mdp, q_table):
     rng = np.random.default_rng(5)
-    stats = head_stats(net, mdp, q_table, rng.standard_normal((6, net.d)),
-                       max_q_by_state(net, rng.standard_normal((6, net.d)),
-                                      net.encode_all_pairs()))
-    fac = sigma_factors(stats, mdp.V.reshape(-1), 0.02, 0.4)
-    sig2 = fac.dense() @ fac.dense().transpose(0, 2, 1)
+    A = noise_matrix(net, mdp, q_table, rng.standard_normal((6, net.d)),
+                     rng.standard_normal((6, net.d)))
+    sig2 = 0.4 / 0.02 * np.eye(net.d) + A @ A.transpose(0, 2, 1)
     for i in range(6):
         w = np.linalg.eigvalsh(sig2[i])
         assert w.min() >= 0.4 / 0.02 - 1e-10

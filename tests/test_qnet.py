@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qsdde.qnet import (DimensionError, GradCheckReport, QNetSpec, fd_grad,
-                        grad_check, init_theta, max_q, q_grad, q_value,
+from qsdde.qnet import (DimensionError, GradCheckReport, QNetSpec, _forward, _vjp,
+                        fd_grad, grad_check, init_theta, max_q, q_grad, q_value,
                         q_values_batch)
 
 from conftest import saturated_theta
@@ -48,6 +48,27 @@ def test_gradient_matches_finite_differences(net):
         g = q_grad(net, theta, s, a)
         g_fd = fd_grad(net, theta, s, a)
         assert np.linalg.norm(g_fd - g) / max(np.linalg.norm(g), 1e-12) < 1e-6
+
+
+def test_vjp_matches_jacobian_contraction():
+    # one reverse pass with a random cotangent equals the cotangent contracted
+    # with the dense per-head Jacobian; unit cotangents reproduce grad Q
+    rng = np.random.default_rng(12)
+    for S, A, hidden in ((3, 2, (4,)), (2, 3, (3, 5)), (1, 1, (1,))):
+        net = QNetSpec(n_states=S, n_actions=A, hidden=hidden, bound=7.0)
+        thetas = rng.standard_normal((16, net.d))
+        enc = net.encode_all_pairs()
+        _, jac = q_values_batch(net, thetas, enc, with_grad=True)
+        _, cache = _forward(net, thetas, np.broadcast_to(enc, (16, *enc.shape)))
+        cot = rng.standard_normal((16, enc.shape[0]))
+        got = _vjp(net, cache, cot)
+        want = np.einsum("nk,nkd->nd", cot, jac)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        for j in range(4):
+            s, a = j % S, j % A
+            g_fd = fd_grad(net, thetas[j], s, a)
+            g = jac[j, s * A + a]
+            assert np.linalg.norm(g_fd - g) / max(np.linalg.norm(g), 1e-12) < 1e-6
 
 
 def test_saturated_gradient_vanishes(net):

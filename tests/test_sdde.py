@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsdde.coeffs import exact_drift_b, sigma_matrix
+from qsdde.coeffs import drift_from_stats, exact_drift_b, head_stats, sigma_matrix
 from qsdde.mdp import MdpSpec
-from qsdde.qnet import QNetSpec, init_theta
+from qsdde.qnet import QNetSpec, init_theta, max_q_by_state
+from qsdde.rng import TrajectoryStreams, block_size
 from qsdde.sdde import SddeConfig, SddeError, moment_check_X, run_sdde, sdde_euler_step
 
 from conftest import make_mdp, saturated_theta
@@ -22,8 +23,6 @@ def test_sdde_config_validation():
         _cfg(eta=0.0)
     with pytest.raises(ValueError):
         _cfg(rho=0)
-    with pytest.raises(ValueError):
-        _cfg(sigma_cache_tol=-1.0)
 
 
 def test_euler_step_saturated_collapses_to_scaled_brownian(net, mdp, q_table):
@@ -119,6 +118,55 @@ def test_engine_substep_matches_unit_step_drift():
     assert np.array_equal(ens.at(1)[0], step)
 
 
+def _dense_substep_run(net, spec, q, x0, cfg, n_traj, stream_path=(0,)):
+    """Reference substep built from dense parts, returning X at step T.
+
+    x - b h + amp (sqrt(delta/eta) z + G^T F xi) with the dense (N, K, d)
+    Jacobian G and the dense (N, K, K) factor F = D^{1/2}(I - s uhat uhat^T),
+    fed from the same stream blocks as run_sdde.
+    """
+    d, K = net.d, spec.n_states * spec.n_actions
+    h = cfg.eta / cfg.rho
+    scale, amp = np.sqrt(cfg.delta / cfg.eta), np.sqrt(cfg.eta * h)
+    V_flat = spec.V.reshape(-1)
+    x = np.repeat(x0[None, :], n_traj, axis=0)
+    streams = TrajectoryStreams(cfg.seed, stream_path, n_traj)
+    enc = net.encode_all_pairs()
+    n_sub, per_step = cfg.T * cfg.rho, d + K
+    blk = block_size(n_traj, per_step)
+    for u in range(n_sub):
+        if u % (cfg.m * cfg.rho) == 0:
+            maxq = max_q_by_state(net, x, enc)
+        if u % blk == 0:
+            nb = min(blk, n_sub - u)
+            block = streams.normal_block(nb * per_step).reshape(n_traj, nb, per_step)
+        z, xi = block[:, u % blk, :d], block[:, u % blk, d:]
+        st = head_stats(net, spec, q, x, maxq, enc)
+        D = st.q_flat * (st.Ec2 + V_flat ** 2)
+        Dh = np.sqrt(np.clip(D, 0.0, None))
+        uu = np.where(D > 1e-300, st.q_flat * st.Ec / np.maximum(Dh, 1e-300), 0.0)
+        nu2 = (uu * uu).sum(axis=1)
+        uhat = uu / np.maximum(np.sqrt(nu2), 1e-300)[:, None]
+        sh = 1.0 - np.sqrt(np.clip(1.0 - np.minimum(nu2, 1.0), 0.0, None))
+        F = Dh[:, :, None] * (np.eye(K) - sh[:, None, None] * uhat[:, :, None] * uhat[:, None, :])
+        ghat = st.g.transpose(0, 2, 1) @ F  # (N, d, K)
+        noise = scale * z + (ghat @ xi[:, :, None])[:, :, 0]
+        x = x - drift_from_stats(st) * h + amp * noise
+    return x
+
+
+def test_engine_matches_dense_substep_under_shared_noise(net, mdp, q_table, theta):
+    # 70 substeps: a 64-step Philox block plus a ragged 6-step one, and four
+    # delay segments (m = 2, rho = 10)
+    cfg = _cfg(eta=0.05, delta=0.5, m=2, T=7, rho=10, seed=71)
+    n = 16
+    assert block_size(n, net.d + 6) == 64
+    ens = run_sdde(net, mdp, q_table, theta, cfg, n, [cfg.T])
+    ref = _dense_substep_run(net, mdp, q_table, theta, cfg, n)
+    assert np.abs(ens.at(cfg.T) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert not np.allclose(ens.at(cfg.T), theta, atol=1e-3)  # noise and drift acted
+
+
 def test_pure_sde_when_delay_window_covers_horizon(net, mdp, q_table, theta):
     a = run_sdde(net, mdp, q_table, theta, _cfg(m=20, T=12), 8, [12])
     b = run_sdde(net, mdp, q_table, theta, _cfg(m=10 ** 6, T=12), 8, [12])
@@ -161,15 +209,6 @@ def test_segment_markov_conditional_resampling(net, mdp, q_table, theta):
     a, b = full.at(10), again.at(5)
     se = np.sqrt((a.var(axis=0) + b.var(axis=0)) / n)
     assert np.all(np.abs(a.mean(0) - b.mean(0)) < 5 * se)
-
-
-def test_sigma_cache_mode_close_to_exact(net, mdp, q_table, theta):
-    # loose cache tolerance must still track the exact scheme in law
-    n = 2000
-    exact = run_sdde(net, mdp, q_table, theta, _cfg(T=10, seed=51), n, [10])
-    cached = run_sdde(net, mdp, q_table, theta,
-                      _cfg(T=10, seed=51, sigma_cache_tol=1e-7), n, [10])
-    assert np.allclose(exact.at(10).mean(0), cached.at(10).mean(0), atol=1e-3)
 
 
 def test_checkpoint_alignment_and_bounds(net, mdp, q_table, theta):
