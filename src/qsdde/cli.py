@@ -34,7 +34,8 @@ def _config_options(fn):
     fn = click.option("--force", is_flag=True,
                       help="Downgrade the step-size gate to a warning.")(fn)
     fn = click.option("--threads", type=int, default=1,
-                      help="Worker threads for independent experiment arms.")(fn)
+                      help="Worker threads for independent experiment arms; used by "
+                           "rate-sweep and variance-study only.")(fn)
     return fn
 
 
@@ -155,11 +156,17 @@ def dump_coefficients_cmd(config_path, seed_override, force, threads, out_file, 
 @click.option("--out", "out_file", type=click.Path(), default=None)
 def estimate_w1_cmd(file_a, file_b, checkpoint, method, n_proj, cap, seed, out_file):
     """Wasserstein-1 between two ensemble CSVs at a shared checkpoint."""
-    _, by_a = read_ensemble_csv(Path(file_a))
-    _, by_b = read_ensemble_csv(Path(file_b))
+    try:
+        _, by_a = read_ensemble_csv(Path(file_a), [checkpoint])
+        _, by_b = read_ensemble_csv(Path(file_b), [checkpoint])
+    except ValueError as err:
+        raise click.ClickException(str(err)) from err
     if checkpoint not in by_a or checkpoint not in by_b:
         raise click.ClickException(f"checkpoint {checkpoint} missing from an input")
     A, B = by_a[checkpoint], by_b[checkpoint]
+    if A.shape[1] != B.shape[1]:
+        raise click.ClickException(f"dimension mismatch: {file_a} has d = {A.shape[1]}, "
+                                   f"{file_b} has d = {B.shape[1]}")
     result = {}
     if method in ("sliced", "both"):
         est = w1_sliced(A, B, n_proj, spawn_generator(seed, (3, 0)))

@@ -168,6 +168,51 @@ def test_simulate_sdde_and_estimate_w1(tmp_path, config_file):
     assert res2.exit_code != 0
 
 
+def _two_chains(tmp_path, config_file) -> tuple[Path, Path]:
+    runner = CliRunner()
+    paths = []
+    for tag, seed in (("a", "1"), ("b", "2")):
+        out = tmp_path / tag
+        res = runner.invoke(main, ["simulate-dqn", "--config", str(config_file),
+                                   "--seed", seed, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        paths.append(out / "chain.csv")
+    return paths[0], paths[1]
+
+
+def test_estimate_w1_malformed_row_names_file_and_line(tmp_path, config_file):
+    path_a, path_b = _two_chains(tmp_path, config_file)
+    lines = path_b.read_text().split("\n")
+    lines[3] = lines[3].rsplit(",", 1)[0]  # line 4: trajectory 0 at step 12, one field short
+    path_b.write_text("\n".join(lines))
+    res = CliRunner().invoke(main, ["estimate-w1", "--a", str(path_a), "--b", str(path_b),
+                                    "--checkpoint", "12"])
+    assert res.exit_code == 1
+    assert f"{path_b}, line 4:" in res.output and "fields" in res.output
+    assert not isinstance(res.exception, ValueError)
+    lines = path_a.read_text().split("\n")
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",abc"
+    path_a.write_text("\n".join(lines))
+    res = CliRunner().invoke(main, ["estimate-w1", "--a", str(path_a), "--b", str(path_a),
+                                    "--checkpoint", "12"])
+    assert res.exit_code == 1
+    assert f"{path_a}, line 4," in res.output and "'abc' is not a number" in res.output
+
+
+def test_estimate_w1_dimension_mismatch(tmp_path, config_file):
+    path_a, path_b = _two_chains(tmp_path, config_file)
+    d = load_config(config_file).net.d
+    lines = path_b.read_text().rstrip("\n").split("\n")
+    lines[0] += f",theta_{d}"
+    lines[1:] = [line + ",0.5" for line in lines[1:]]
+    path_b.write_text("\n".join(lines) + "\n")
+    res = CliRunner().invoke(main, ["estimate-w1", "--a", str(path_a), "--b", str(path_b),
+                                    "--checkpoint", "12"])
+    assert res.exit_code == 1
+    assert f"d = {d}" in res.output and f"d = {d + 1}" in res.output
+    assert "dimension mismatch" in res.output
+
+
 def test_dump_coefficients_json(tmp_path, config_file):
     res = CliRunner().invoke(main, ["dump-coefficients", "--config",
                                     str(config_file)])

@@ -1,0 +1,110 @@
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from qsdde.chain import TrajectoryEnsemble
+from qsdde.manifest import atomic_write_text, ensemble_to_csv, read_ensemble_csv
+
+
+def oracle_ensemble_csv(path, ensemble) -> None:
+    """The per-element writer: the byte format ensemble_to_csv must keep."""
+    d = ensemble.samples.shape[2]
+    lines = ["traj_id,step," + ",".join(f"theta_{i}" for i in range(d))]
+    for i in range(ensemble.samples.shape[0]):
+        for j, step in enumerate(ensemble.checkpoints):
+            vals = ",".join(repr(float(v)) for v in ensemble.samples[i, j])
+            lines.append(f"{i},{step},{vals}")
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1e300,
+           -1e300, 0.1 + 0.2, 1 / 3, -2.718281828459045, 1.7976931348623157e308]
+
+
+@st.composite
+def ensembles(draw):
+    n, C, d = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    elems = st.one_of(st.sampled_from(SPECIAL),
+                      st.floats(allow_nan=False, allow_infinity=False, width=64))
+    samples = draw(arrays(np.float64, (n, C, d), elements=elems))
+    steps = draw(st.lists(st.integers(0, 10_000), min_size=C, max_size=C, unique=True))
+    return TrajectoryEnsemble(checkpoints=tuple(sorted(steps)), samples=samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ens=ensembles())
+def test_csv_round_trip_is_bitwise(tmp_path_factory, ens):
+    tmp = tmp_path_factory.mktemp("csv")
+    ensemble_to_csv(tmp / "new.csv", ens)
+    oracle_ensemble_csv(tmp / "oracle.csv", ens)
+    assert (tmp / "new.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+    steps, by_step = read_ensemble_csv(tmp / "new.csv")
+    assert steps == list(ens.checkpoints)
+    for j, step in enumerate(ens.checkpoints):
+        want = np.ascontiguousarray(ens.samples[:, j])
+        assert by_step[step].dtype == np.float64
+        assert by_step[step].shape == want.shape
+        assert by_step[step].tobytes() == want.tobytes()
+        only_steps, only = read_ensemble_csv(tmp / "new.csv", [step])
+        assert only_steps == steps and list(only) == [step]
+        assert only[step].tobytes() == by_step[step].tobytes()
+
+
+def _write_small(path) -> None:
+    samples = np.arange(2 * 3 * 2, dtype=np.float64).reshape(2, 3, 2) / 7.0
+    ensemble_to_csv(path, TrajectoryEnsemble(checkpoints=(0, 5, 10), samples=samples))
+
+
+def _replace_line(path, line_no: int, text: str) -> None:
+    lines = path.read_text().split("\n")
+    lines[line_no - 1] = text
+    path.write_text("\n".join(lines))
+
+
+def test_restricted_read_omits_absent_steps(tmp_path):
+    path = tmp_path / "e.csv"
+    _write_small(path)
+    steps, by_step = read_ensemble_csv(path, [5, 7])
+    assert steps == [0, 5, 10]
+    assert list(by_step) == [5]
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("1,10,0.5", "line 7: 3 fields, the header has 4"),
+    ("1,10,0.5,0.25,0.125", "line 7: 5 fields, the header has 4"),
+    ("1,ten,0.5,0.25", "line 7: step 'ten' is not an integer"),
+    ("1,1.5,0.5,0.25", "line 7: step '1.5' is not an integer"),
+])
+def test_structure_checked_at_unrequested_steps(tmp_path, bad_row, message):
+    path = tmp_path / "e.csv"
+    _write_small(path)
+    _replace_line(path, 7, bad_row)  # line 7: trajectory 1 at step 10
+    for checkpoints in (None, [0], [5]):
+        with pytest.raises(ValueError) as err:
+            read_ensemble_csv(path, checkpoints)
+        assert str(path) in str(err.value) and message in str(err.value)
+
+
+def test_non_numeric_value_rejected_only_where_parsed(tmp_path):
+    path = tmp_path / "e.csv"
+    _write_small(path)
+    _replace_line(path, 7, "1,10,0.5,oops")
+    with pytest.raises(ValueError) as err:
+        read_ensemble_csv(path, [10])
+    assert f"{path}, line 7, field 4: 'oops' is not a number" in str(err.value)
+    with pytest.raises(ValueError):
+        read_ensemble_csv(path)
+    # floats of unrequested steps are not parsed, so this file reads at step 5
+    steps, by_step = read_ensemble_csv(path, [5])
+    assert steps == [0, 5, 10] and by_step[5].shape == (2, 2)
+
+
+def test_rejects_non_ensemble_header(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_text("x,y\n1,2\n")
+    with pytest.raises(ValueError, match="not an ensemble CSV"):
+        read_ensemble_csv(path)
