@@ -4,7 +4,7 @@ stochastic delay-diffusion approximations."""
 __version__ = "0.1.0"
 
 from .mdp import (IdealizedReplay, MdpSpec, OnlineBufferReplay, Transition,
-                  enumerate_support, load_mdp, sample_transition, uniform_q,
+                  enumerate_support, load_mdp, sample_pairs, uniform_q,
                   validate_mdp)
 from .qnet import QNetSpec, grad_check, init_theta, max_q, q_grad, q_value
 from .coeffs import (AssumptionEstimates, CoefficientSet, estimate_constants,
@@ -29,7 +29,7 @@ __all__ = [
     "generator_theta", "grad_check", "init_theta", "load_config", "load_mdp",
     "max_q", "moment_check_X", "moment_check_theta", "moment_suite", "q_grad",
     "q_value", "qbar", "rate_sweep", "run_algorithm1", "run_dqn", "run_sdde",
-    "sample_drift_bn", "sample_transition", "sdde_euler_step", "sigma_matrix",
+    "sample_drift_bn", "sample_pairs", "sdde_euler_step", "sigma_matrix",
     "step_size_gate", "uniform_q", "validate_mdp", "variance_study",
     "w1_assignment", "w1_bound_shape", "w1_exact_1d", "w1_sliced",
 ]

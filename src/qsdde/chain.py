@@ -11,23 +11,23 @@ with the target argument frozen at the last multiple of m steps; the two
 noise pieces are exactly the split of the sampled-reward update, so the
 increment is identical in law to the raw update that uses r ~ N(R, V^2)
 directly.  ``run_algorithm1`` is the fully faithful loop: epsilon-greedy
-actions, an online FIFO buffer, uniform minibatch sampling (H = 1), and the
-same injected exploration noise.
+actions, an online FIFO buffer, uniform single-sample minibatches, and the
+same injected exploration noise.  Both draw transitions through
+``mdp.sample_pairs`` / ``mdp.next_states`` from per-trajectory Philox streams.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .mdp import MdpSpec, OnlineBufferReplay, sample_transition, IdealizedReplay
+from .mdp import MdpSpec, OnlineBufferReplay, next_states, sample_pairs
 from .qnet import QNetSpec, q_values_batch
-from .rng import TrajectoryStreams, block_size
+from .rng import step_noise
 
-H_MINIBATCH = 1  # single-sample minibatches throughout
+_BUFFER_PATH = 5  # run_algorithm1 streams: (seed, 5, kind, trajectory)
 
 
 class ChainError(RuntimeError):
@@ -43,7 +43,6 @@ class AlgoConfig:
     m: int
     T: int
     seed: int = 0
-    H: int = H_MINIBATCH
 
     def __post_init__(self):
         # eta = 0 is admitted as the degenerate identity step
@@ -55,8 +54,6 @@ class AlgoConfig:
             raise ValueError("m must be >= 1")
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if self.H != H_MINIBATCH:
-            raise ValueError("minibatch size is fixed to 1")
 
 
 @dataclass
@@ -108,35 +105,44 @@ def chain_increment(net: QNetSpec, spec: MdpSpec, theta: np.ndarray,
     return theta + eta * bracket[:, None] * g + np.sqrt(eta * delta) * W
 
 
+def cumulative_tables(spec: MdpSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cumulative q over flattened pairs, (S*A, S) cumulative rows of p)."""
+    return (np.cumsum(np.asarray(q, dtype=np.float64).reshape(-1)),
+            np.cumsum(spec.p.reshape(-1, spec.n_states), axis=1))
+
+
+def replay_step(net: QNetSpec, spec: MdpSpec, tables, theta: np.ndarray,
+                target: np.ndarray, u: np.ndarray, z: np.ndarray, eta: float,
+                delta: float) -> np.ndarray:
+    """One idealized-replay update per row from its noise words.
+
+    theta, target: (N, d); u: (N, 2) uniforms for (s, a) and s'; z: (N, 1+d)
+    standard normals, the reward noise xi then W.  tables from
+    ``cumulative_tables``.
+    """
+    q_cum, p_cum = tables
+    s, a, sp, k = sample_pairs(q_cum, p_cum, u[:, 0], u[:, 1], spec.n_actions)
+    r = spec.R.reshape(-1)[k] + spec.V.reshape(-1)[k] * z[:, 0]
+    return chain_increment(net, spec, theta, target, s, a, sp, r, z[:, 1:], eta, delta)
+
+
 def dqn_step(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta: np.ndarray,
              theta_target: np.ndarray, cfg: AlgoConfig,
              rng: np.random.Generator) -> np.ndarray:
     """One noisy update from theta with a frozen target parameter.
 
-    Draws one transition (its Gaussian reward carries the reward noise
-    V*xi routed along grad Q) and one standard Gaussian W in R^d.
+    Draws two uniforms (the pair (s, a), then s') and 1 + d standard normals
+    (the reward noise V*xi routed along grad Q, then W), in that order.
     """
-    t = sample_transition(spec, IdealizedReplay(q), rng)
-    W = rng.standard_normal(net.d)
-    out = chain_increment(net, spec, theta[None, :], theta_target[None, :],
-                          np.array([t.s]), np.array([t.a]), np.array([t.s_next]),
-                          np.array([t.r]), W[None, :], cfg.eta, cfg.delta)[0]
+    u = rng.uniform(size=2)
+    z = rng.standard_normal(1 + net.d)
+    out = replay_step(net, spec, cumulative_tables(spec, q), theta[None, :],
+                      theta_target[None, :], u[None, :], z[None, :], cfg.eta,
+                      cfg.delta)[0]
     if not np.all(np.isfinite(out)):
         raise ChainError(f"non-finite parameter after dqn_step from |theta|="
-                         f"{np.linalg.norm(theta):.3e}, transition {t}")
+                         f"{np.linalg.norm(theta):.3e}, uniforms {u.tolist()}")
     return out
-
-
-def _sample_pairs_batch(spec: MdpSpec, q_flat_cum: np.ndarray, p_cum: np.ndarray,
-                        u1: np.ndarray, u2: np.ndarray, n_actions: int):
-    """Vectorised (s, a) ~ q then s' ~ p(.|s,a) from uniforms."""
-    k = np.searchsorted(q_flat_cum, u1 * q_flat_cum[-1], side="right")
-    k = np.minimum(k, q_flat_cum.shape[0] - 1)
-    rows = p_cum[k]  # (N, S)
-    sp = (u2[:, None] * rows[:, -1:] > rows).sum(axis=1)
-    sp = np.minimum(sp, rows.shape[1] - 1)
-    s, a = k // n_actions, k % n_actions
-    return s, a, sp, k
 
 
 def run_dqn(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
@@ -160,34 +166,16 @@ def run_dqn(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
         if theta.shape != (n_traj, d):
             raise ValueError(f"theta0 must have shape ({n_traj}, {d})")
     target = theta.copy()
-    # one stream per kind so blocking never changes which word feeds which step
-    streams_u = TrajectoryStreams(cfg.seed, (*stream_path, 0), n_traj)
-    streams_z = TrajectoryStreams(cfg.seed, (*stream_path, 1), n_traj)
-    q_cum = np.cumsum(np.asarray(q, dtype=np.float64).reshape(-1))
-    p_cum = np.cumsum(spec.p.reshape(-1, spec.n_states), axis=1)
-    R_flat = spec.R.reshape(-1)
-    V_flat = spec.V.reshape(-1)
+    tables = cumulative_tables(spec, q)
     out = np.empty((n_traj, len(checkpoints), d))
     ck_pos = {c: i for i, c in enumerate(checkpoints)}
     if 0 in ck_pos:
         out[:, ck_pos[0], :] = theta
-    blk = block_size(n_traj, 3 + d)
-    u_block = z_block = None
-    for n in range(cfg.T):
+    noise = step_noise(cfg.seed, stream_path, n_traj, cfg.T, 2, 1 + d)
+    for n, (u, z) in enumerate(noise):
         if n % cfg.m == 0:
             target = theta.copy()
-        j = n % blk
-        if j == 0:
-            nb = min(blk, cfg.T - n)
-            u_block = streams_u.uniform_block(2 * nb).reshape(n_traj, nb, 2)
-            z_block = streams_z.normal_block((1 + d) * nb).reshape(n_traj, nb, 1 + d)
-        s, a, sp, k = _sample_pairs_batch(spec, q_cum, p_cum, u_block[:, j, 0],
-                                          u_block[:, j, 1], spec.n_actions)
-        xi = z_block[:, j, 0]
-        W = z_block[:, j, 1:]
-        r = R_flat[k] + V_flat[k] * xi
-        theta = chain_increment(net, spec, theta, target, s, a, sp, r, W,
-                                cfg.eta, cfg.delta)
+        theta = replay_step(net, spec, tables, theta, target, u, z, cfg.eta, cfg.delta)
         if not np.all(np.isfinite(theta)):
             bad = int(np.argwhere(~np.isfinite(theta).all(axis=1))[0, 0])
             raise ChainError(f"non-finite parameter at step {n + 1}, trajectory {bad}")
@@ -200,60 +188,66 @@ def run_dqn(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
 
 def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
                    cfg: AlgoConfig, n_traj: int, checkpoints: Sequence[int],
-                   theta0: np.ndarray, s0: int = 0,
-                   master_seed: int | None = None) -> TrajectoryEnsemble:
+                   theta0: np.ndarray, s0: int = 0) -> TrajectoryEnsemble:
     """Faithful experience-replay loop with an online FIFO buffer.
 
     Per step: epsilon-greedy action at the current state, environment step,
     buffer store, uniform minibatch of size 1, gradient step with the sampled
     reward, injected sqrt(eta*delta) W noise, target sync every m steps.  The
     first step stores before sampling, so the buffer is never empty.
+
+    Trajectory i draws 4 uniforms per step from the Philox stream keyed
+    (cfg.seed, 5, 0, i) -- explore?, random action, s', buffer slot -- and
+    1 + d normals from (cfg.seed, 5, 1, i) -- reward noise xi, then W.  All
+    buffers hold min(n + 1, capacity) transitions at step n, so they share
+    one ring index and live in (n_traj, min(capacity, T)) arrays.
     """
     checkpoints = tuple(int(c) for c in checkpoints)
     if any(c < 0 or c > cfg.T for c in checkpoints):
         raise ValueError("checkpoints must lie in [0, T]")
-    if master_seed is None:
-        master_seed = cfg.seed
-    d = net.d
+    d, A = net.d, net.n_actions
+    rows = np.arange(n_traj)
+    theta = np.repeat(np.asarray(theta0, dtype=np.float64)[None, :], n_traj, axis=0)
+    target = theta.copy()
+    state = np.full(n_traj, s0, dtype=np.intp)
+    cap = min(replay.capacity, cfg.T)
+    buf_k = np.empty((n_traj, cap), dtype=np.intp)  # pair index s * A + a
+    buf_sp = np.empty((n_traj, cap), dtype=np.intp)
+    buf_r = np.empty((n_traj, cap))
+    action_counts = np.zeros((n_traj, A), dtype=np.int64)
+    enc = net.encode_all_pairs().reshape(spec.n_states, A, -1)
+    p_cum = np.cumsum(spec.p.reshape(-1, spec.n_states), axis=1)
+    R_flat, V_flat = spec.R.reshape(-1), spec.V.reshape(-1)
     out = np.empty((n_traj, len(checkpoints), d))
     ck_pos = {c: i for i, c in enumerate(checkpoints)}
-    enc = net.encode_all_pairs()
-    A = net.n_actions
-    action_counts = np.zeros((n_traj, A), dtype=np.int64)
-    for i in range(n_traj):
-        gen = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=master_seed, spawn_key=(1, i))))
-        theta = np.asarray(theta0, dtype=np.float64).copy()
-        target = theta.copy()
-        buffer: deque = deque(maxlen=replay.capacity)
-        state = s0
-        if 0 in ck_pos:
-            out[i, ck_pos[0], :] = theta
-        for n in range(cfg.T):
-            if n % cfg.m == 0:
-                target = theta.copy()
-            if gen.uniform() < replay.epsilon:
-                action = int(gen.integers(A))
-            else:
-                qvals = q_values_batch(net, theta[None, :], enc[state * A:(state + 1) * A])
-                action = int(np.argmax(qvals[0]))
-            action_counts[i, action] += 1
-            cp = np.cumsum(spec.p[state, action])
-            s_next = min(int(np.searchsorted(cp, gen.uniform() * cp[-1], side="right")),
-                         spec.n_states - 1)
-            r = spec.R[state, action] + spec.V[state, action] * gen.standard_normal()
-            buffer.append((state, action, float(r), s_next))
-            j = int(gen.integers(len(buffer)))
-            bs, ba, br, bsp = buffer[j]
-            W = gen.standard_normal(d)
-            theta = chain_increment(net, spec, theta[None, :], target[None, :],
-                                    np.array([bs]), np.array([ba]), np.array([bsp]),
-                                    np.array([br]), W[None, :], cfg.eta, cfg.delta)[0]
-            if not np.all(np.isfinite(theta)):
-                raise ChainError(f"non-finite parameter at step {n + 1}, trajectory {i}")
-            state = s_next
-            if (n + 1) in ck_pos:
-                out[i, ck_pos[n + 1], :] = theta
+    if 0 in ck_pos:
+        out[:, ck_pos[0], :] = theta
+    noise = step_noise(cfg.seed, (_BUFFER_PATH,), n_traj, cfg.T, 4, 1 + d)
+    for n, (u, z) in enumerate(noise):
+        if n % cfg.m == 0:
+            target = theta.copy()
+        action = np.minimum((u[:, 1] * A).astype(np.intp), A - 1)
+        greedy = u[:, 0] >= replay.epsilon
+        if greedy.any():
+            qvals = q_values_batch(net, theta[greedy], enc[state[greedy]])
+            action[greedy] = np.argmax(qvals, axis=1)
+        action_counts[rows, action] += 1
+        k = state * A + action
+        s_next = next_states(p_cum[k], u[:, 2])
+        slot = n % cap
+        buf_k[:, slot], buf_sp[:, slot] = k, s_next
+        buf_r[:, slot] = R_flat[k] + V_flat[k] * z[:, 0]
+        pick = np.minimum((u[:, 3] * min(n + 1, cap)).astype(np.intp), cap - 1)
+        bk = buf_k[rows, pick]
+        theta = chain_increment(net, spec, theta, target, bk // A, bk % A,
+                                buf_sp[rows, pick], buf_r[rows, pick], z[:, 1:],
+                                cfg.eta, cfg.delta)
+        if not np.all(np.isfinite(theta)):
+            bad = int(np.argwhere(~np.isfinite(theta).all(axis=1))[0, 0])
+            raise ChainError(f"non-finite parameter at step {n + 1}, trajectory {bad}")
+        state = s_next
+        if (n + 1) in ck_pos:
+            out[:, ck_pos[n + 1], :] = theta
     meta = {"kind": "algorithm1", "cfg": cfg, "theta0": np.asarray(theta0).copy(),
             "replay": replay, "n_traj": n_traj, "s0": s0,
             "action_counts": action_counts}

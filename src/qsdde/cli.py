@@ -33,10 +33,11 @@ def _config_options(fn):
                       help="Override the config master seed.")(fn)
     fn = click.option("--force", is_flag=True,
                       help="Downgrade the step-size gate to a warning.")(fn)
-    fn = click.option("--threads", type=int, default=1,
-                      help="Worker threads for independent experiment arms; used by "
-                           "rate-sweep and variance-study only.")(fn)
     return fn
+
+
+_threads_option = click.option("--threads", type=int, default=1,
+                                help="Worker threads for independent experiment arms.")
 
 
 def _load(config_path, seed_override, force) -> ExperimentConfig:
@@ -84,7 +85,7 @@ def validate_mdp_cmd(file):
 @main.command("simulate-dqn")
 @_config_options
 @click.option("--out", "out_dir", required=True, type=click.Path())
-def simulate_dqn_cmd(config_path, seed_override, force, threads, out_dir):
+def simulate_dqn_cmd(config_path, seed_override, force, out_dir):
     """Simulate the noisy parameter chain; write manifest plus checkpoint CSV."""
     cfg = _load(config_path, seed_override, force)
     out = Path(out_dir)
@@ -102,7 +103,7 @@ def simulate_dqn_cmd(config_path, seed_override, force, threads, out_dir):
 @main.command("simulate-sdde")
 @_config_options
 @click.option("--out", "out_dir", required=True, type=click.Path())
-def simulate_sdde_cmd(config_path, seed_override, force, threads, out_dir):
+def simulate_sdde_cmd(config_path, seed_override, force, out_dir):
     """Integrate the delay diffusion; write manifest plus checkpoint CSV."""
     from .sdde import run_sdde
     cfg = _load(config_path, seed_override, force)
@@ -120,7 +121,7 @@ def simulate_sdde_cmd(config_path, seed_override, force, threads, out_dir):
               help="Output JSON path (stdout when omitted).")
 @click.option("--points", "points_file", type=click.Path(exists=True), default=None,
               help="JSON {\"x\": [...], \"y\": [...]}; defaults to x = y = theta0.")
-def dump_coefficients_cmd(config_path, seed_override, force, threads, out_file, points_file):
+def dump_coefficients_cmd(config_path, seed_override, force, out_file, points_file):
     """Emit (b, Sigma, beta_bar, sigma, eigenvalues) at a point pair as JSON."""
     cfg = _load(config_path, seed_override, force)
     x = y = cfg.theta0
@@ -189,7 +190,7 @@ def estimate_w1_cmd(file_a, file_b, checkpoint, method, n_proj, cap, seed, out_f
 @click.option("--points", "points_file", required=True, type=click.Path(exists=True),
               help="JSON {\"points\": [[...], ...], \"target\": [...], \"n_mc\": n}.")
 @click.option("--out", "out_file", type=click.Path(), default=None)
-def generator_gap_cmd(config_path, seed_override, force, threads, points_file, out_file):
+def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
     """Pointwise |eta A_X f - A_theta f| for quadratic f at probe points."""
     cfg = _load(config_path, seed_override, force)
     with open(points_file, "r", encoding="utf-8") as fh:
@@ -215,7 +216,7 @@ def generator_gap_cmd(config_path, seed_override, force, threads, points_file, o
 @main.command("check-assumptions")
 @_config_options
 @click.option("--out", "out_file", type=click.Path(), default=None)
-def check_assumptions_cmd(config_path, seed_override, force, threads, out_file):
+def check_assumptions_cmd(config_path, seed_override, force, out_file):
     """Estimate regularity constants and report the step-size gate."""
     cfg = _load(config_path, seed_override, force)
     rng = spawn_generator(cfg.seed, (9, 1))
@@ -240,6 +241,7 @@ def _sweep_params(cfg: ExperimentConfig) -> dict:
 
 @main.command("rate-sweep")
 @_config_options
+@_threads_option
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def rate_sweep_cmd(config_path, seed_override, force, threads, out_dir):
     """W1 scaling study across a step-size grid at fixed horizon T*eta."""
@@ -270,6 +272,7 @@ def rate_sweep_cmd(config_path, seed_override, force, threads, out_dir):
 
 @main.command("variance-study")
 @_config_options
+@_threads_option
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def variance_study_cmd(config_path, seed_override, force, threads, out_dir):
     """Delayed vs undelayed trace-of-covariance comparison table."""
@@ -299,7 +302,7 @@ def variance_study_cmd(config_path, seed_override, force, threads, out_dir):
 @main.command("moment-suite")
 @_config_options
 @click.option("--out", "out_dir", required=True, type=click.Path())
-def moment_suite_cmd(config_path, seed_override, force, threads, out_dir):
+def moment_suite_cmd(config_path, seed_override, force, out_dir):
     """Moment-bound suite over initial conditions {0, e1, 5 e1}."""
     cfg = _load(config_path, seed_override, force)
     block = cfg.raw.get("moment_suite", {})

@@ -244,9 +244,8 @@ class AssumptionEstimates:
                 "n_pairs": self.n_pairs, "radius": self.radius}
 
 
-def estimate_constants(net: QNetSpec, spec: MdpSpec, q: np.ndarray, eta: float,
-                       delta: float, n_pairs: int, radius: float,
-                       rng: np.random.Generator) -> AssumptionEstimates:
+def estimate_constants(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_pairs: int,
+                       radius: float, rng: np.random.Generator) -> AssumptionEstimates:
     """Probe-based estimates of the Lipschitz and growth constants.
 
     L_hat is the max drift difference ratio over sampled point pairs; K_hat

@@ -144,8 +144,7 @@ def load_config(source: str | Path | dict, seed_override: int | None = None,
         rng = spawn_generator(int(doc["seed"]), _GATE_PATH)
         q = replay.q if isinstance(replay, IdealizedReplay) \
             else uniform_q(spec.n_states, spec.n_actions)
-        est = estimate_constants(net, spec, q, algo.eta, algo.delta,
-                                 n_pairs=100, radius=5.0, rng=rng)
+        est = estimate_constants(net, spec, q, n_pairs=100, radius=5.0, rng=rng)
         gate = step_size_gate(est, algo.delta)
         if not gate.passes(algo.eta):
             msg = (f"eta = {algo.eta} rejected by the step-size gate "

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coeffs import (AssumptionEstimates, GateResult, estimate_constants,
                      sigma_matrix, step_size_gate)
-from .chain import AlgoConfig, chain_increment
+from .chain import AlgoConfig, cumulative_tables, replay_step
 from .mdp import MdpSpec
 from .qnet import QNetSpec
 
@@ -95,26 +95,17 @@ def generator_theta(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarra
     if n_mc < 1000:
         raise ValueError("n_mc must be >= 1e3")
     d = net.d
-    q_flat = np.asarray(q, dtype=np.float64).reshape(-1)
-    cum_q = np.cumsum(q_flat)
-    p_cum = np.cumsum(spec.p.reshape(-1, spec.n_states), axis=1)
+    tables = cumulative_tables(spec, q)
     fx = float(f.value(x[None, :])[0])
     total, total2, done = 0.0, 0.0, 0
     while done < n_mc:
         nb = min(batch, n_mc - done)
         u = rng.uniform(size=(nb, 2))
-        k = np.minimum(np.searchsorted(cum_q, u[:, 0] * cum_q[-1], side="right"),
-                       q_flat.shape[0] - 1)
-        rows = p_cum[k]
-        sp = np.minimum((u[:, 1, None] * rows[:, -1:] > rows).sum(axis=1),
-                        spec.n_states - 1)
-        s, a = k // spec.n_actions, k % spec.n_actions
         xi = rng.standard_normal(nb)
         W = rng.standard_normal((nb, d))
-        r = spec.R.reshape(-1)[k] + spec.V.reshape(-1)[k] * xi
-        theta1 = chain_increment(net, spec, np.broadcast_to(x, (nb, d)),
-                                 np.broadcast_to(target, (nb, d)),
-                                 s, a, sp, r, W, cfg.eta, cfg.delta)
+        theta1 = replay_step(net, spec, tables, np.broadcast_to(x, (nb, d)),
+                             np.broadcast_to(target, (nb, d)), u,
+                             np.column_stack([xi, W]), cfg.eta, cfg.delta)
         vals = f.value(theta1) - fx
         total += vals.sum()
         total2 += (vals ** 2).sum()
@@ -223,7 +214,7 @@ def assumption_report(net: QNetSpec, spec: MdpSpec, q: np.ndarray, cfg: AlgoConf
                       rng: np.random.Generator, n_pairs: int = 200,
                       radius: float = 5.0) -> AssumptionReport:
     """Estimate regularity constants and evaluate the step-size gate for cfg."""
-    est = estimate_constants(net, spec, q, cfg.eta, cfg.delta, n_pairs, radius, rng)
+    est = estimate_constants(net, spec, q, n_pairs, radius, rng)
     gate = step_size_gate(est, cfg.delta)
     passes = gate.passes(cfg.eta)
     warnings = []

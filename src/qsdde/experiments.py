@@ -99,7 +99,7 @@ def check_gate(net: QNetSpec, spec: MdpSpec, q: np.ndarray, etas, delta: float,
                force: bool = False) -> dict:
     """Estimate constants once and gate every requested eta."""
     rng = spawn_generator(seed, (_GATE_ARM,))
-    est = estimate_constants(net, spec, q, float(min(etas)), delta, n_pairs, radius, rng)
+    est = estimate_constants(net, spec, q, n_pairs, radius, rng)
     gate = step_size_gate(est, delta)
     failures = [float(e) for e in etas if not gate.passes(float(e))]
     if failures and not force:

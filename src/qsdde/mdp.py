@@ -19,10 +19,6 @@ import numpy as np
 PROB_TOL = 1e-12
 
 
-class ReplayModeError(ValueError):
-    """Raised when an operation is called with the wrong replay mode."""
-
-
 @dataclass(frozen=True)
 class MdpSpec:
     """Finite MDP with rewards r(s,a) ~ Normal(R(s,a), V(s,a)^2).
@@ -160,24 +156,28 @@ def validate_replay(replay: ReplayModel, n_states: int, n_actions: int) -> Valid
     return ValidationReport(not fails, fails)
 
 
-def sample_transition(spec: MdpSpec, replay: ReplayModel, rng: np.random.Generator) -> Transition:
-    """One i.i.d. transition: (s,a) ~ q, s' ~ p(.|s,a), r ~ Normal(R, V^2).
+def next_states(p_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """s' from (N, S) cumulative weight rows and (N,) uniforms in [0, 1).
 
-    Draw order is (uniform for (s,a), uniform for s', standard normal for r);
-    the online buffer mode samples through the full algorithm loop instead.
+    Counts the cumulative weights <= u * total (``searchsorted(side="right")``
+    row by row), so a zero-probability state is never returned, not even at
+    u = 0.
     """
-    if not isinstance(replay, IdealizedReplay):
-        raise ReplayModeError("sample_transition requires idealized replay")
-    S, A = spec.n_states, spec.n_actions
-    cq = np.cumsum(replay.q.reshape(-1))
-    k = int(np.searchsorted(cq, rng.uniform() * cq[-1], side="right"))
-    k = min(k, S * A - 1)
-    s, a = divmod(k, A)
-    cp = np.cumsum(spec.p[s, a])
-    s_next = int(np.searchsorted(cp, rng.uniform() * cp[-1], side="right"))
-    s_next = min(s_next, S - 1)
-    r = spec.R[s, a] + spec.V[s, a] * rng.standard_normal()
-    return Transition(s, a, float(r), s_next)
+    sp = (p_rows <= u[:, None] * p_rows[:, -1:]).sum(axis=1)
+    return np.minimum(sp, p_rows.shape[1] - 1)
+
+
+def sample_pairs(q_cum: np.ndarray, p_cum: np.ndarray, u1: np.ndarray,
+                 u2: np.ndarray, n_actions: int):
+    """Batched (s, a) ~ q, then s' ~ p(.|s,a), from two (N,) uniform vectors.
+
+    q_cum: cumulative q over the flattened pairs k = s * n_actions + a;
+    p_cum: (S*A, S) cumulative rows of p.  Returns (s, a, s', k).
+    """
+    k = np.searchsorted(q_cum, u1 * q_cum[-1], side="right")
+    k = np.minimum(k, q_cum.shape[0] - 1)
+    sp = next_states(p_cum[k], u2)
+    return k // n_actions, k % n_actions, sp, k
 
 
 def enumerate_support(spec: MdpSpec, q: np.ndarray) -> list[tuple[int, int, int, float]]:

@@ -49,6 +49,25 @@ class TrajectoryStreams:
         return out
 
 
+def step_noise(master_seed: int, path: tuple[int, ...], n: int, T: int,
+               n_uniform: int, n_normal: int):
+    """Yield T per-step pairs (u (n, n_uniform), z (n, n_normal)).
+
+    Uniforms come from the streams keyed (*path, 0, i), normals from
+    (*path, 1, i), step-major, so blocking never changes which word feeds
+    which step.
+    """
+    streams_u = TrajectoryStreams(master_seed, (*path, 0), n)
+    streams_z = TrajectoryStreams(master_seed, (*path, 1), n)
+    blk = block_size(n, n_uniform + n_normal)
+    for start in range(0, T, blk):
+        nb = min(blk, T - start)
+        u = streams_u.uniform_block(n_uniform * nb).reshape(n, nb, n_uniform)
+        z = streams_z.normal_block(n_normal * nb).reshape(n, nb, n_normal)
+        for j in range(nb):
+            yield u[:, j], z[:, j]
+
+
 def block_size(n_traj: int, per_step: int, cap: int = 64,
                budget: int = 16_000_000) -> int:
     """Steps of noise to pre-draw per block, bounded by a memory budget."""

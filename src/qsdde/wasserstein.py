@@ -57,10 +57,11 @@ def _sorted_coupling(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _match_counts(a: np.ndarray, b: np.ndarray, rng: np.random.Generator | None,
-                  compute) -> tuple[float, float, dict]:
+                  compute) -> tuple:
     """Run `compute` on equal-count samples, bootstrapping the larger set down.
 
-    Returns (value, spread stderr over repeats, meta).
+    Returns (value, spread stderr over repeats, meta); value and stderr are
+    taken along axis 0 of the repeats, so `compute` may return an array.
     """
     n = min(len(a), len(b))
     if len(a) == len(b):
@@ -72,7 +73,7 @@ def _match_counts(a: np.ndarray, b: np.ndarray, rng: np.random.Generator | None,
         aa = a if len(a) == n else a[rng.integers(0, len(a), n)]
         bb = b if len(b) == n else b[rng.integers(0, len(b), n)]
         vals.append(compute(aa, bb))
-    return float(np.mean(vals)), float(np.std(vals) / math.sqrt(len(vals))), \
+    return np.mean(vals, axis=0), np.std(vals, axis=0) / math.sqrt(len(vals)), \
         {"resampled_to": n, "repeats": BOOTSTRAP_REPEATS}
 
 
@@ -120,6 +121,7 @@ def w1_sliced(A: np.ndarray, B: np.ndarray, n_proj: int,
 
     stderr comes from the spread over projection directions; the baseline is
     the sliced self-distance of A split in half, under the same directions.
+    Unequal counts are bootstrapped from rng after the directions are drawn.
     """
     if n_proj < 1:
         raise ValueError("n_proj must be >= 1")
@@ -137,19 +139,7 @@ def w1_sliced(A: np.ndarray, B: np.ndarray, n_proj: int,
         py = np.sort(Y @ dirs.T, axis=0)
         return np.abs(px - py).mean(axis=0)
 
-    n = min(A.shape[0], B.shape[0])
-    meta: dict = {}
-    if A.shape[0] == B.shape[0]:
-        per_dir = per_direction(A, B)
-    else:
-        boot = np.random.default_rng(0)
-        reps = []
-        for _ in range(BOOTSTRAP_REPEATS):
-            aa = A if A.shape[0] == n else A[boot.integers(0, A.shape[0], n)]
-            bb = B if B.shape[0] == n else B[boot.integers(0, B.shape[0], n)]
-            reps.append(per_direction(aa, bb))
-        per_dir = np.mean(reps, axis=0)
-        meta = {"resampled_to": n, "repeats": BOOTSTRAP_REPEATS}
+    per_dir, _, meta = _match_counts(A, B, rng, per_direction)
     value = scale * float(per_dir.mean())
     stderr = scale * float(per_dir.std() / math.sqrt(n_proj))
     half = A.shape[0] // 2

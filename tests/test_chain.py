@@ -6,9 +6,10 @@ import pytest
 from qsdde.chain import (AlgoConfig, ChainError, TrajectoryEnsemble, dqn_step,
                          moment_check_theta, run_algorithm1, run_dqn)
 from qsdde.coeffs import exact_drift_b
-from qsdde.mdp import (IdealizedReplay, MdpSpec, OnlineBufferReplay,
-                       enumerate_support, sample_transition, uniform_q)
+from qsdde.mdp import (MdpSpec, OnlineBufferReplay, enumerate_support,
+                       sample_pairs, uniform_q)
 from qsdde.qnet import QNetSpec, init_theta, max_q, q_grad, q_value
+from qsdde.rng import spawn_generator
 
 from conftest import make_mdp, saturated_theta
 
@@ -28,8 +29,6 @@ def test_algo_config_validation():
         _cfg(m=0)
     with pytest.raises(ValueError):
         _cfg(T=0)
-    with pytest.raises(ValueError):
-        AlgoConfig(eta=0.1, delta=0.5, m=1, T=1, H=2)
 
 
 def test_ensemble_checkpoints_strictly_increasing():
@@ -64,13 +63,17 @@ def test_dqn_step_hand_unrolled(net, mdp, q_table):
     target = init_theta(net, np.random.default_rng(2))
     out = dqn_step(net, mdp, q_table, theta, target, cfg, np.random.default_rng(55))
     rng = np.random.default_rng(55)
-    t = sample_transition(mdp, IdealizedReplay(q_table), rng)
-    W = rng.standard_normal(net.d)
-    bracket = (t.r + mdp.gamma * max(q_value(net, target, t.s_next, a)
-                                     for a in range(mdp.n_actions))
-               - q_value(net, theta, t.s, t.a))
-    expected = theta + cfg.eta * bracket * q_grad(net, theta, t.s, t.a) \
-        + np.sqrt(cfg.eta * cfg.delta) * W
+    u = rng.uniform(size=2)
+    z = rng.standard_normal(1 + net.d)
+    s, a, sp, _ = (int(v[0]) for v in sample_pairs(
+        np.cumsum(q_table.reshape(-1)), np.cumsum(mdp.p.reshape(-1, mdp.n_states), axis=1),
+        u[:1], u[1:], mdp.n_actions))
+    r = mdp.R[s, a] + mdp.V[s, a] * z[0]
+    bracket = (r + mdp.gamma * max(q_value(net, target, sp, b)
+                                   for b in range(mdp.n_actions))
+               - q_value(net, theta, s, a))
+    expected = theta + cfg.eta * bracket * q_grad(net, theta, s, a) \
+        + np.sqrt(cfg.eta * cfg.delta) * z[1:]
     assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -217,6 +220,61 @@ def test_run_algorithm1_capacity_one_uses_latest_transition(net, mdp):
     theta0 = init_theta(net, np.random.default_rng(1))
     ens = run_algorithm1(net, mdp, replay, cfg, 2, [50], theta0)
     assert np.all(np.isfinite(ens.samples))
+
+
+def _algorithm1_by_hand(net, mdp, replay, cfg, theta0, i, s0=0):
+    """Trajectory i of run_algorithm1 from its two documented streams, with a
+    FIFO list for the buffer (the ring matches it when capacity is 1 or >= T)."""
+    gu = spawn_generator(cfg.seed, (5, 0, i))
+    gz = spawn_generator(cfg.seed, (5, 1, i))
+    A = mdp.n_actions
+    theta, state, buffer = theta0.copy(), s0, []
+    path, counts = [theta], np.zeros(A, dtype=np.int64)
+    for n in range(cfg.T):
+        if n % cfg.m == 0:
+            target = theta.copy()
+        u = gu.random(4)  # explore?, random action, s', buffer slot
+        z = gz.standard_normal(1 + net.d)  # reward noise xi, then W
+        if u[0] < replay.epsilon:
+            a = int(u[1] * A)
+        else:
+            a = int(np.argmax([q_value(net, theta, state, b) for b in range(A)]))
+        counts[a] += 1
+        cp = np.cumsum(mdp.p[state, a])
+        sp = int(np.searchsorted(cp, u[2] * cp[-1], side="right"))
+        buffer.append((state, a, mdp.R[state, a] + mdp.V[state, a] * z[0], sp))
+        buffer = buffer[-replay.capacity:]
+        bs, ba, br, bsp = buffer[int(u[3] * len(buffer))]
+        bracket = (br + mdp.gamma * max(q_value(net, target, bsp, b) for b in range(A))
+                   - q_value(net, theta, bs, ba))
+        theta = theta + cfg.eta * bracket * q_grad(net, theta, bs, ba) \
+            + np.sqrt(cfg.eta * cfg.delta) * z[1:]
+        state = sp
+        path.append(theta)
+    return np.array(path), counts
+
+
+@pytest.mark.parametrize("capacity", [1, 100_000])
+def test_run_algorithm1_hand_unrolled(net, mdp, capacity):
+    replay = OnlineBufferReplay(capacity=capacity, epsilon=0.5)
+    cfg = AlgoConfig(eta=0.1, delta=0.3, m=3, T=20, seed=17)
+    theta0 = init_theta(net, np.random.default_rng(4))
+    ens = run_algorithm1(net, mdp, replay, cfg, 3, range(cfg.T + 1), theta0, s0=1)
+    for i in range(3):
+        path, counts = _algorithm1_by_hand(net, mdp, replay, cfg, theta0, i, s0=1)
+        assert np.allclose(ens.samples[i], path, rtol=0.0, atol=1e-12)
+        assert np.array_equal(ens.meta["action_counts"][i], counts)
+        assert 0 < counts[0] < cfg.T  # both actions taken
+
+
+def test_run_algorithm1_order_independent(net, mdp):
+    replay = OnlineBufferReplay(capacity=4, epsilon=0.5)
+    cfg = AlgoConfig(eta=0.05, delta=0.2, m=3, T=30, seed=8)
+    theta0 = init_theta(net, np.random.default_rng(5))
+    one = run_algorithm1(net, mdp, replay, cfg, 1, [10, 30], theta0)
+    five = run_algorithm1(net, mdp, replay, cfg, 5, [10, 30], theta0)
+    assert np.array_equal(one.samples[0], five.samples[0])
+    assert np.array_equal(one.meta["action_counts"][0], five.meta["action_counts"][0])
 
 
 def test_online_vs_idealized_checkpoint_means_agree():

@@ -138,6 +138,14 @@ def test_seed_override_changes_outputs(tmp_path, config_file):
     assert (out1 / "chain.csv").read_bytes() != (out2 / "chain.csv").read_bytes()
 
 
+def test_threads_only_on_study_commands(tmp_path, config_file):
+    result = CliRunner().invoke(main, ["simulate-dqn", "--config", str(config_file),
+                                       "--out", str(tmp_path / "run"), "--threads", "2"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_rerun_byte_identical(tmp_path, config_file):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     runner = CliRunner()

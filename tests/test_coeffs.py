@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from qsdde.coeffs import (CoefficientError, estimate_constants, exact_drift_b,
                           qbar, sample_drift_bn, sigma_matrix, spd_sqrt,
                           step_size_gate)
-from qsdde.mdp import IdealizedReplay, MdpSpec, Transition, sample_transition, uniform_q
+from qsdde.mdp import MdpSpec, Transition, sample_pairs, uniform_q
 from qsdde.qnet import QNetSpec, init_theta, max_q, q_grad, q_value
 
 from conftest import make_mdp, noise_matrix, saturated_theta
@@ -98,10 +98,12 @@ def test_exact_drift_matches_monte_carlo(net, mdp, q_table):
     x, y = init_theta(net, rng), init_theta(net, rng)
     b = exact_drift_b(net, mdp, q_table, x, y)
     draws = np.empty((20_000, net.d))
-    mc_rng = np.random.default_rng(99)
+    u = np.random.default_rng(99).uniform(size=(draws.shape[0], 2))
+    s, a, sp, _ = sample_pairs(np.cumsum(q_table.reshape(-1)),
+                               np.cumsum(mdp.p.reshape(-1, mdp.n_states), axis=1),
+                               u[:, 0], u[:, 1], mdp.n_actions)
     for i in range(draws.shape[0]):
-        t = sample_transition(mdp, IdealizedReplay(q_table), mc_rng)
-        draws[i] = sample_drift_bn(net, mdp, x, y, t)
+        draws[i] = sample_drift_bn(net, mdp, x, y, Transition(s[i], a[i], 0.0, sp[i]))
     se = draws.std(axis=0) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - b) < 4 * np.maximum(se, 1e-14))
 
@@ -256,35 +258,35 @@ def test_estimate_constants_saturated_all_zero(net, mdp, q_table):
     # instead use a network forced flat by a tiny bound
     flat = QNetSpec(n_states=mdp.n_states, n_actions=mdp.n_actions,
                     hidden=(4,), bound=1e-300)
-    est = estimate_constants(flat, mdp, q_table, 0.05, 0.5, 100, 2.0,
+    est = estimate_constants(flat, mdp, q_table, 100, 2.0,
                              np.random.default_rng(0))
     assert est.L_hat < 1e-150 and est.K_hat < 1e-150
     assert est.beta_max_hat < 1e-150 and est.b00_norm < 1e-150
 
 
 def test_estimate_constants_monotone_in_pairs(net, mdp, q_table):
-    small = estimate_constants(net, mdp, q_table, 0.05, 0.5, 100, 3.0,
+    small = estimate_constants(net, mdp, q_table, 100, 3.0,
                                np.random.default_rng(12))
-    large = estimate_constants(net, mdp, q_table, 0.05, 0.5, 200, 3.0,
+    large = estimate_constants(net, mdp, q_table, 200, 3.0,
                                np.random.default_rng(12))
     assert large.L_hat >= small.L_hat
     assert large.K_hat >= small.K_hat
 
 
 def test_estimate_constants_deterministic(net, mdp, q_table):
-    a = estimate_constants(net, mdp, q_table, 0.05, 0.5, 150, 5.0,
+    a = estimate_constants(net, mdp, q_table, 150, 5.0,
                            np.random.default_rng(3))
-    b = estimate_constants(net, mdp, q_table, 0.05, 0.5, 150, 5.0,
+    b = estimate_constants(net, mdp, q_table, 150, 5.0,
                            np.random.default_rng(3))
     assert a.as_dict() == b.as_dict()
     with pytest.raises(ValueError):
-        estimate_constants(net, mdp, q_table, 0.05, 0.5, 99, 5.0,
+        estimate_constants(net, mdp, q_table, 99, 5.0,
                            np.random.default_rng(3))
 
 
 def test_empirical_lipschitz_generalizes(net, mdp, q_table):
     # L_hat from one sample bounds ratios on a fresh sample within 5% slack
-    est = estimate_constants(net, mdp, q_table, 0.05, 0.5, 400, 3.0,
+    est = estimate_constants(net, mdp, q_table, 400, 3.0,
                              np.random.default_rng(100))
     rng = np.random.default_rng(200)
     pts = 3.0 * rng.uniform(-1.0, 1.0, (200, 4, net.d))
@@ -299,7 +301,7 @@ def test_empirical_lipschitz_generalizes(net, mdp, q_table):
 def test_step_size_gate_saturated_passes_any_eta_below_delta():
     est_zero = estimate_constants(
         QNetSpec(n_states=2, n_actions=2, hidden=(2,), bound=1e-300),
-        make_mdp(n_states=2, n_actions=2), uniform_q(2, 2), 0.05, 0.5, 100, 2.0,
+        make_mdp(n_states=2, n_actions=2), uniform_q(2, 2), 100, 2.0,
         np.random.default_rng(0))
     gate = step_size_gate(est_zero, delta=0.5)
     assert gate.passes(0.5) and gate.passes(1e-9)
@@ -308,7 +310,7 @@ def test_step_size_gate_saturated_passes_any_eta_below_delta():
 
 
 def test_step_size_gate_binding_constraint(net, mdp, q_table):
-    est = estimate_constants(net, mdp, q_table, 0.05, 0.5, 100, 5.0,
+    est = estimate_constants(net, mdp, q_table, 100, 5.0,
                              np.random.default_rng(0))
     gate = step_size_gate(est, delta=0.5)
     assert gate.eta_max < 0.5

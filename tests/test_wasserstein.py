@@ -139,6 +139,23 @@ def test_sliced_translation_recovers_shift():
     assert est.value == pytest.approx(np.linalg.norm(v), rel=0.08)
 
 
+def test_sliced_unequal_counts_bootstrap_from_caller_rng(monkeypatch):
+    rng = np.random.default_rng(21)
+    A = rng.normal(0, 1, (600, 2))
+    v = np.array([2.0, 1.0])
+    B = rng.normal(0, 1, (400, 2)) + v
+    rng_a, rng_b = np.random.default_rng(22), np.random.default_rng(22)
+
+    def no_default_rng(*args, **kwargs):
+        raise AssertionError("w1_sliced must bootstrap from the caller's rng")
+
+    monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+    est = w1_sliced(A, B, 128, rng_a)
+    assert est.meta == {"resampled_to": 400, "repeats": 16}
+    assert est.value == pytest.approx(np.linalg.norm(v), rel=0.08)
+    assert w1_sliced(A, B, 128, rng_b).value == est.value
+
+
 def test_sliced_below_assignment_with_noise_allowance():
     rng = np.random.default_rng(13)
     A = rng.normal(0, 1, (256, 2))
