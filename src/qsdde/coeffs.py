@@ -74,19 +74,31 @@ class HeadStats:
     Ec2: np.ndarray
 
 
+def delay_moments(spec: MdpSpec, maxq_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu1, mu2), each (K, N): the p-weighted first and second moments over s'
+    of the delay table maxq_y (N, S) of max_a Q(s, a; y_n)."""
+    p_flat = spec.p.reshape(-1, spec.n_states)  # (K, S)
+    return p_flat @ maxq_y.T, p_flat @ (maxq_y ** 2).T
+
+
+def residual_moments(spec: MdpSpec, Qx: np.ndarray, mu1: np.ndarray,
+                     mu2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ec, Ec2), each (K, N), of the residual R_k + gamma*maxQ(s') - Q_k(x)
+    from head values Qx (K, N) and the delay moments of ``delay_moments``."""
+    base = spec.R.reshape(-1, 1) - Qx
+    Ec = base + spec.gamma * mu1
+    Ec2 = base ** 2 + 2.0 * spec.gamma * base * mu1 + spec.gamma ** 2 * mu2
+    return Ec, Ec2
+
+
 def bellman_moments(spec: MdpSpec, Qx: np.ndarray,
                     maxq_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Ec, Ec2), each (N, K): first and second moments over s' of the residual.
 
     Qx: (N, K) head values at x; maxq_y: (N, S) table of max_a Q(s, a; y_n).
     """
-    p_flat = spec.p.reshape(-1, spec.n_states)  # (K, S)
-    mu1 = maxq_y @ p_flat.T
-    mu2 = (maxq_y ** 2) @ p_flat.T
-    base = spec.R.reshape(-1)[None, :] - Qx
-    Ec = base + spec.gamma * mu1
-    Ec2 = base ** 2 + 2.0 * spec.gamma * base * mu1 + spec.gamma ** 2 * mu2
-    return Ec, Ec2
+    Ec, Ec2 = residual_moments(spec, Qx.T, *delay_moments(spec, maxq_y))
+    return Ec.T, Ec2.T
 
 
 def head_stats(net: QNetSpec, spec: MdpSpec, q: np.ndarray, thetas_x: np.ndarray,
@@ -104,23 +116,29 @@ def head_stats(net: QNetSpec, spec: MdpSpec, q: np.ndarray, thetas_x: np.ndarray
 
 def noise_cotangent(q_flat: np.ndarray, Ec: np.ndarray, Ec2: np.ndarray,
                     V_flat: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """F xi, (N, K), for the closed-form factor F F^T = M of the core.
+    """F xi, (K, N), for the closed-form factor F F^T = M of the core.
 
-    Sigma + beta_bar = G^T M G with M = diag(q*(Ec2 + V^2)) - v v^T, v = q*Ec,
-    which is PSD by the weighted Cauchy-Schwarz inequality.  With
-    D = diag(q*(Ec2 + V^2)) and u = D^{-1/2} v, |u| <= 1, the factor is
-    F = D^{1/2}(I - s uhat uhat^T) with s = 1 - sqrt(1 - |u|^2), applied in
-    O(K) per row.  G^T F xi with xi ~ N(0, I_K) then has covariance
-    Sigma + beta_bar.
+    Ec, Ec2, xi are head-major (K, N).  Sigma + beta_bar = G^T M G with
+    M = diag(q*(Ec2 + V^2)) - v v^T, v = q*Ec, which is PSD by the weighted
+    Cauchy-Schwarz inequality.  With D = diag(q*(Ec2 + V^2)) and
+    u = D^{-1/2} v, |u| <= 1, the factor D^{1/2}(I - s uhat uhat^T) with
+    s = 1 - sqrt(1 - |u|^2) applies as
+
+        F xi = D^{1/2} (xi - u (u . xi) / (1 + sqrt(1 - |u|^2))),
+
+    O(K) per column and free of the cancellation in s.  D^{1/2} u stands for
+    v, and u is pulled back onto the unit ball when rounding puts it outside,
+    so F xi is exactly 0 where M = 0: a single head with one reachable next
+    state and no reward noise.  G^T F xi with xi ~ N(0, I_K) then has
+    covariance Sigma + beta_bar.
     """
-    D = q_flat * (Ec2 + V_flat[None, :] ** 2)  # (N, K)
-    v = q_flat * Ec
+    q_col = q_flat[:, None]
+    D = q_col * (Ec2 + V_flat[:, None] ** 2)
     Dh = np.sqrt(np.maximum(D, 0.0))
-    u = np.where(D > _TINY, v / np.maximum(Dh, _TINY), 0.0)
-    nu2 = np.einsum("nk,nk->n", u, u)
-    uhat = u / np.maximum(np.sqrt(nu2), _TINY)[:, None]
-    s = 1.0 - np.sqrt(1.0 - np.minimum(nu2, 1.0))
-    return Dh * (xi - (s * np.einsum("nk,nk->n", uhat, xi))[:, None] * uhat)
+    u = np.where(D > _TINY, q_col * Ec / np.maximum(Dh, _TINY), 0.0)
+    nu2 = (u * u).sum(axis=0)
+    u = u / np.sqrt(np.maximum(nu2, 1.0))  # rounding can put u just outside the unit ball
+    return Dh * (xi - u * ((u * xi).sum(axis=0) / (1.0 + np.sqrt(1.0 - np.minimum(nu2, 1.0)))))
 
 
 def drift_from_stats(stats: HeadStats) -> np.ndarray:
@@ -222,8 +240,10 @@ def lowrank_ghat(stats: HeadStats, V_flat: np.ndarray) -> np.ndarray:
     symmetric root from it.
     """
     n, K, _ = stats.g.shape
-    F = np.stack([noise_cotangent(stats.q_flat, stats.Ec, stats.Ec2, V_flat,
-                                  np.broadcast_to(e, (n, K))) for e in np.eye(K)], axis=2)
+    Ec, Ec2 = stats.Ec.T, stats.Ec2.T
+    F = np.stack([noise_cotangent(stats.q_flat, Ec, Ec2, V_flat,
+                                  np.broadcast_to(e[:, None], (K, n))).T
+                  for e in np.eye(K)], axis=2)
     return stats.g.transpose(0, 2, 1) @ F
 
 

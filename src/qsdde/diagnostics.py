@@ -46,7 +46,7 @@ class Quadratic:
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
-        return np.einsum("ni,ij,nj->n", x, self.A, x) + x @ self.b + self.c
+        return ((x @ self.A) * x).sum(axis=1) + x @ self.b + self.c
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * self.A @ x + self.b

@@ -4,11 +4,18 @@ The input is the concatenated one-hot encoding of (s, a), every hidden unit
 is a logistic sigmoid, and the output is squashed through
 ``bound * (2*sigmoid(z) - 1)``, so |Q| < bound everywhere and Q is smooth to
 all orders in theta.  Gradients are analytic reverse-mode accumulation
-written here (no external autodiff), vectorised over a batch of parameter
-vectors so each trajectory in an ensemble can carry its own theta.  The one
-reverse pass is ``_vjp``: given an (N, K) cotangent over the K heads it
-returns sum_k cot_k grad Q_k in O(d) per trajectory.  Dense per-head
-gradients, where a caller needs them, are K passes with unit cotangents.
+written here (no external autodiff).
+
+The one implementation is a kernel over parameter-major batches: thetas is
+(d, N), one column per trajectory, and heads are (s, a) index pairs.  The
+one-hot first layer is the column gather W1[:, s] + W1[:, S + a] + b1 and
+its weight gradient a scatter-add into those two columns; deeper layers are
+elementwise products summed over the layer input, vectorised along N.
+``_forward`` returns the (K, N) head values and a cache, ``_vjp`` turns a
+(K, N) cotangent into sum_k cot_k grad Q_k, (d, N), in one reverse pass.
+``q_values_batch`` keeps the trajectory-major interface, (N, d) parameters
+and one-hot inputs, by decoding the inputs to head indices; its dense
+per-head gradients are K passes with unit cotangents.
 """
 
 from __future__ import annotations
@@ -63,6 +70,15 @@ class QNetSpec:
     def d(self) -> int:
         return sum(o * i + o for (o, i) in self.layer_shapes)
 
+    @cached_property
+    def _decoder(self) -> np.ndarray:
+        """(input_dim, 4) map of a one-hot row to (s, a, state sum, action sum)."""
+        S = self.n_states
+        m = np.zeros((self.input_dim, 4))
+        m[:S, 0], m[S:, 1] = np.arange(S), np.arange(self.n_actions)
+        m[:S, 2], m[S:, 3] = 1.0, 1.0
+        return m
+
     def encode(self, s: int, a: int) -> np.ndarray:
         x = np.zeros(self.input_dim)
         x[s] = 1.0
@@ -84,91 +100,159 @@ def init_theta(spec: QNetSpec, rng: np.random.Generator, stddev: float = 0.5) ->
     return stddev * rng.standard_normal(spec.d)
 
 
-def _unpack(spec: QNetSpec, thetas: np.ndarray):
-    """Views of a (N, d) parameter batch as per-layer (N, out, in) / (N, out)."""
-    weights, biases = [], []
-    off = 0
-    n = thetas.shape[0]
+def pair_heads(spec: QNetSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(s, a) index arrays of all S*A heads, pair k = (k // A, k % A)."""
+    k = np.arange(spec.n_states * spec.n_actions)
+    return k // spec.n_actions, k % spec.n_actions
+
+
+def _layers(spec: QNetSpec, thetas: np.ndarray):
+    """Views of a (d, N) parameter batch as per-layer ((out, in, N), (out, N))."""
+    layers, off = [], 0
+    n = thetas.shape[1]
     for (o, i) in spec.layer_shapes:
-        weights.append(thetas[:, off:off + o * i].reshape(n, o, i))
+        w = thetas[off:off + o * i].reshape(o, i, n)
         off += o * i
-        biases.append(thetas[:, off:off + o].reshape(n, o))
+        layers.append((w, thetas[off:off + o]))
         off += o
-    return weights, biases
+    return layers
 
 
-def _forward(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray):
-    """Batched forward pass.
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), computed in place in z."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
-    thetas: (N, d); x: (N, K, input_dim) inputs (K heads per trajectory).
-    Returns (q (N, K), cache) with cache holding the activations for _vjp.
+
+def _forward(spec: QNetSpec, thetas: np.ndarray, heads):
+    """Forward pass over parameter-major thetas (d, N), trajectories last.
+
+    heads: (s, a) integer arrays, both (K,) shared by every trajectory or
+    both (K, N) per trajectory.  The one-hot first layer is the column
+    gather W1[:, s] + W1[:, S + a] + b1.  Returns (q (K, N), cache for _vjp).
     """
-    weights, biases = _unpack(spec, thetas)
-    acts = [x]
-    h = x
-    for l in range(len(weights) - 1):
-        z = h @ weights[l].transpose(0, 2, 1) + biases[l][:, None, :]
-        h = 1.0 / (1.0 + np.exp(-z))
-        acts.append(h)
-    z_out = (h @ weights[-1].transpose(0, 2, 1))[..., 0] + biases[-1]
-    t = np.tanh(0.5 * z_out)
+    layers = _layers(spec, thetas)
+    s, a = heads
+    w1, b1 = layers[0]
+    if s.ndim == 1:
+        z = w1[:, s]
+        z += w1[:, spec.n_states + a]
+    else:  # column c of trajectory j sits at c*N + j of the flattened layer
+        n = thetas.shape[1]
+        flat, traj = w1.reshape(w1.shape[0], -1), np.arange(n)
+        z = np.take(flat, s * n + traj, axis=1)
+        z += np.take(flat, (spec.n_states + a) * n + traj, axis=1)
+    z += b1[:, None, :]
+    acts = [_sigmoid(z)]  # (out, K, N) per hidden layer
+    for w, b in layers[1:]:
+        h = acts[-1]
+        z = w[:, 0, None, :] * h[0]
+        for i in range(1, h.shape[0]):
+            z += w[:, i, None, :] * h[i]
+        z += b[:, None, :]
+        acts.append(z)
+        if len(acts) <= len(spec.hidden):
+            _sigmoid(z)
+    t = np.tanh(0.5 * acts.pop()[0])  # (K, N)
     # clip only the value, so |Q| < bound even where tanh saturates in float;
     # the derivative keeps the raw tanh (exactly 0 at float saturation)
     q = spec.bound * np.clip(t, -_SAT, _SAT)
-    return q, (weights, acts, t)
+    return q, (layers, heads, acts, t)
 
 
 def _vjp(spec: QNetSpec, cache, cot: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product sum_k cot[n, k] grad_theta Q_k(theta_n), (N, d).
+    """Vector-Jacobian product sum_k cot[k, n] grad_theta Q_k(theta_n), (d, N).
 
-    One reverse pass over the activations cached by _forward; cot is (N, K).
-    Each layer's weight gradient contracts the K heads in one matmul, so
-    no per-head gradient is ever formed.
+    One reverse pass over the activations cached by _forward; cot is (K, N).
+    Each weight gradient contracts the K heads, so no per-head gradient is
+    formed; the first layer's is a scatter-add of its pre-activation
+    gradient into the two columns s and S + a of each head.  Every sum over
+    heads or units is an explicit loop of elementwise updates, so a
+    trajectory's result does not depend on how many share the batch.
     """
-    weights, acts, t = cache
-    n = cot.shape[0]
-    out = np.empty((n, spec.d))
+    layers, (s, a), acts, t = cache
+    K, n = cot.shape
+    out = np.empty((spec.d, n))
     # d/dz [bound * tanh(z/2)] = bound/2 * (1 - tanh(z/2)^2)
-    dz = cot * (0.5 * spec.bound * (1.0 - t * t))  # (N, K)
+    dz = 1.0 - t * t
+    dz *= 0.5 * spec.bound
+    dz *= cot
+    dz = dz[None]  # (1, K, N)
     off = spec.d
-    # output layer
-    o, i = spec.layer_shapes[-1]
-    off -= o
-    out[:, off] = dz.sum(axis=1)
-    off -= o * i
-    out[:, off:off + i] = (dz[:, None, :] @ acts[-1])[:, 0, :]
-    dh = dz[..., None] * weights[-1][:, None, 0, :]  # (N, K, in)
-    # hidden layers, last to first
-    for l in range(len(weights) - 2, -1, -1):
-        o, i = spec.layer_shapes[l]
-        h = acts[l + 1]
-        dz = dh * h * (1.0 - h)  # (N, K, o)
+    for l in range(len(layers) - 1, -1, -1):
+        (o, i), (w, _) = spec.layer_shapes[l], layers[l]
         off -= o
-        out[:, off:off + o] = np.einsum("nko->no", dz)
+        gb = out[off:off + o]
+        gb[:] = dz[:, 0]
+        for k in range(1, K):
+            gb += dz[:, k]
         off -= o * i
-        out[:, off:off + o * i] = (dz.transpose(0, 2, 1) @ acts[l]).reshape(n, o * i)
-        if l > 0:
-            dh = dz @ weights[l]
+        gw = out[off:off + o * i].reshape(o, i, n)
+        if l == 0:
+            S = spec.n_states
+            if s.ndim == 1:  # shared heads: each adds into its two columns
+                gw[:] = 0.0
+                for k in range(K):
+                    gw[:, s[k]] += dz[:, k]
+                    gw[:, S + a[k]] += dz[:, k]
+            else:  # per-trajectory heads: through their (in, K, N) 0/1 incidence
+                c = np.arange(i)[:, None, None]
+                hit = (c == s) | (c == S + a)
+                np.multiply(dz[:, None, 0], hit[:, 0], out=gw)
+                for k in range(1, K):
+                    gw += dz[:, None, k] * hit[:, k]
+            break
+        h = acts[l - 1]
+        gw[:] = dz[:, None, 0] * h[None, :, 0]
+        for k in range(1, K):
+            gw += dz[:, None, k] * h[None, :, k]
+        dh = w[0, :, None, :] * dz[0]  # (in, K, N), then through the sigmoid
+        for j in range(1, o):
+            dh += w[j, :, None, :] * dz[j]
+        dh *= h
+        dh -= dh * h
+        dz = dh
     return out
+
+
+def _decode(spec: QNetSpec, x: np.ndarray):
+    """(s, a) head indices of one-hot (K, input_dim) or (N, K, input_dim) rows.
+
+    Each block of a row must sum to 1, and the rows must hold two nonzeros
+    each in total, so every row is exactly one (s, a) encoding.
+    """
+    if x.shape[-1] != spec.input_dim:
+        raise DimensionError(f"inputs must have {spec.input_dim} columns, got {x.shape}")
+    y = (x.reshape(-1, spec.input_dim) @ spec._decoder).reshape(*x.shape[:-1], 4)
+    if not (np.all(y[..., 2:] == 1.0) and np.count_nonzero(x) == 2 * y[..., 0].size):
+        raise ValueError("inputs must be one-hot (s, a) encodings")
+    s, a = y[..., 0].astype(np.intp), y[..., 1].astype(np.intp)
+    return (s, a) if x.ndim == 2 else (s.T, a.T)
 
 
 def q_values_batch(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray,
                    with_grad: bool = False):
     """Values (N, K) and optionally gradients (N, K, d) for batched inputs.
 
-    x may be (K, input_dim) shared heads or (N, K, input_dim) per-trajectory.
-    The dense gradient is K reverse passes with unit cotangents.
+    thetas: (N, d).  x holds one-hot (s, a) encodings, (K, input_dim) shared
+    heads or (N, K, input_dim) per trajectory; they are decoded to the head
+    indices of ``_forward``.  The dense gradient is K reverse passes with
+    unit cotangents.
     """
-    thetas = np.atleast_2d(thetas)
-    n = thetas.shape[0]
-    if x.ndim == 2:
-        x = np.broadcast_to(x, (n, *x.shape))
-    q, cache = _forward(spec, thetas, x)
+    thetas = np.ascontiguousarray(np.atleast_2d(thetas).T)
+    q, cache = _forward(spec, thetas, _decode(spec, x))
     if not with_grad:
-        return q
-    unit = np.eye(q.shape[1])
-    return q, np.stack([_vjp(spec, cache, np.broadcast_to(e, q.shape)) for e in unit],
-                       axis=1)
+        return q.T
+    K, n = q.shape
+    g = np.empty((n, K, spec.d))
+    cot = np.zeros((K, n))
+    for k in range(K):
+        cot[k] = 1.0
+        g[:, k] = _vjp(spec, cache, cot).T
+        cot[k] = 0.0
+    return q.T, g
 
 
 def q_value(spec: QNetSpec, theta: np.ndarray, s: int, a: int) -> float:

@@ -8,13 +8,114 @@ parallel execution: trajectory i sees the same noise whether the ensemble
 holds 10 or 10000 trajectories, and adding arms to an experiment never
 perturbs existing ones.
 
+``TrajectoryStreams`` derives all n Philox keys in one vectorised pass of
+the ``SeedSequence`` hash (``stream_keys``): the words shared by every
+trajectory are mixed once, and only the final index word is mixed per
+trajectory.  Each key equals ``SeedSequence(...).generate_state(2,
+np.uint64)`` bit for bit and reaches ``Philox`` through ``_PhiloxKey``, so
+the streams and their draws are exactly those of the per-trajectory
+``SeedSequence`` construction, at a fraction of its cost.
+
 Draws are served in blocks (one generator call per trajectory per block) to
 amortise per-call overhead; block size only affects speed, never values.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+# constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _words(v) -> list[int]:
+    """The uint32 words of a nonnegative integer, least significant first."""
+    v = operator.index(v)
+    if v < 0:
+        raise ValueError(f"seed and path entries must be nonnegative, got {v}")
+    out = [v & _MASK32]
+    v >>= 32
+    while v:
+        out.append(v & _MASK32)
+        v >>= 32
+    return out
+
+
+def _hashmix(value, hc: int):
+    """SeedSequence's hashmix on an int or a uint64 array; returns (value, next hc)."""
+    value = value ^ hc
+    hc = (hc * _MULT_A) & _MASK32
+    value = (value * hc) & _MASK32
+    return value ^ (value >> 16), hc
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def stream_keys(master_seed: int, path: tuple[int, ...], n: int) -> np.ndarray:
+    """(n, 2) uint64 Philox keys; row i is
+    ``SeedSequence(master_seed, spawn_key=(*path, i)).generate_state(2, np.uint64)``.
+
+    The entropy is the seed's words (zero-padded to the pool size, since the
+    spawn key is never empty), then the path's words, then the index i, one
+    word for every i < 2**32.  Everything before the index is mixed once on
+    Python ints; the index word is mixed into all n pools at once.
+    """
+    if not 0 <= n <= 2 ** 32:
+        raise ValueError(f"stream count must lie in [0, 2**32], got {n}")
+    run = _words(master_seed)
+    entropy = run + [0] * (_POOL - len(run)) + [w for p in path for w in _words(p)]
+    hc = _INIT_A
+    pool = []
+    for i in range(_POOL):
+        v, hc = _hashmix(entropy[i], hc)
+        pool.append(v)
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                v, hc = _hashmix(pool[i_src], hc)
+                pool[i_dst] = _mix(pool[i_dst], v)
+    for word in [*entropy[_POOL:], np.arange(n, dtype=np.uint64)]:
+        for i_dst in range(_POOL):
+            v, hc = _hashmix(word, hc)
+            pool[i_dst] = _mix(pool[i_dst], v)
+    # generate_state(2, uint64): four uint32 words, paired little-endian
+    hc = _INIT_B
+    words = []
+    for v in pool:
+        v = v ^ hc
+        hc = (hc * _MULT_B) & _MASK32
+        v = (v * hc) & _MASK32
+        words.append(v ^ (v >> 16))
+    return np.stack([words[0] | (words[1] << np.uint64(32)),
+                     words[2] | (words[3] << np.uint64(32))], axis=1)
+
+
+class _PhiloxKey(ISeedSequence):
+    """A precomputed key handed to ``Philox`` in place of its SeedSequence.
+
+    Philox asks its seed sequence for exactly one state, ``(2, uint64)``;
+    any other request means the bit generator changed and is refused.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key: np.ndarray):
+        self._key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key serves only (2, uint64), not ({n_words}, {dtype})")
+        return self._key
 
 
 def spawn_generator(master_seed: int, path: tuple[int, ...]) -> np.random.Generator:
@@ -28,11 +129,8 @@ class TrajectoryStreams:
 
     def __init__(self, master_seed: int, path: tuple[int, ...], n: int):
         self.n = n
-        self._gens = [
-            np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(entropy=master_seed, spawn_key=(*path, i))))
-            for i in range(n)
-        ]
+        self._gens = [np.random.Generator(np.random.Philox(_PhiloxKey(k)))
+                      for k in stream_keys(master_seed, path, n)]
 
     def normal_block(self, count: int) -> np.ndarray:
         """(n, count) standard normals, advancing every stream by count."""

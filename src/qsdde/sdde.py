@@ -10,11 +10,15 @@ chain step of length eta) so grid tests never see floating-point drift.
 
 Coefficients are recomputed at every substep.  Both the unit step
 ``sdde_euler_step`` and the ensemble driver ``run_sdde`` compute the drift as
-a vector-Jacobian product of the Q-net with cotangent h*q*Ec.  The unit step
-applies the dense symmetric root sigma.  ``run_sdde`` draws the same Gaussian
-law as sqrt(delta/eta) z + G^T F xi, with z ~ N(0, I_d), xi ~ N(0, I_K) and
-F from ``noise_cotangent``, and folds G^T F xi into the drift's reverse
-pass, so each substep costs one forward pass and one VJP.
+a vector-Jacobian product of the Q-net's parameter-major kernel with
+cotangent h*q*Ec, from the same residual moments.  The unit step applies
+the dense symmetric root sigma.  ``run_sdde`` draws the same Gaussian law as
+sqrt(delta/eta) z + G^T F xi, with z ~ N(0, I_d), xi ~ N(0, I_K) and F from
+``noise_cotangent``, and folds G^T F xi into the drift's reverse pass, so
+each substep costs one forward pass and one VJP.  It holds its state as
+(d, n_traj) for the whole run, and forms the p-weighted moments of the delay
+max-Q table once per delay segment, since they change only when the delay
+argument does.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from .chain import TrajectoryEnsemble
-from .coeffs import (bellman_moments, head_stats, lowrank_ghat, noise_cotangent,
-                     spd_sqrt)
+from .coeffs import (delay_moments, head_stats, lowrank_ghat, noise_cotangent,
+                     residual_moments, spd_sqrt)
 from .mdp import MdpSpec
-from .qnet import QNetSpec, _forward, _vjp, max_q_by_state
+from .qnet import QNetSpec, _forward, _vjp, max_q_by_state, pair_heads
 from .rng import TrajectoryStreams, block_size
 
 
@@ -60,12 +64,11 @@ class SddeConfig:
             raise ValueError("m, T and rho must all be >= 1")
 
 
-def _drift_pass(net: QNetSpec, spec: MdpSpec, x: np.ndarray, maxq_delay: np.ndarray,
-                enc_n: np.ndarray):
-    """Forward pass at x (N, d) and the residual moments (Ec, Ec2) against the
-    delay; enc_n holds the (N, K, input_dim) head encodings."""
-    Qx, cache = _forward(net, x, enc_n)
-    return (cache, *bellman_moments(spec, Qx, maxq_delay))
+def _drift_pass(net: QNetSpec, spec: MdpSpec, x: np.ndarray, heads, mu):
+    """Forward pass at parameter-major x (d, N) and the residual moments
+    (Ec, Ec2), each (K, N), against the delay moments mu = (mu1, mu2)."""
+    Qx, cache = _forward(net, x, heads)
+    return (cache, *residual_moments(spec, Qx, *mu))
 
 
 def sdde_euler_step(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
@@ -75,8 +78,8 @@ def sdde_euler_step(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
 
     sigma is the symmetric PSD square root of Ghat Ghat^T + (delta/eta) I at
     (x, x_delay), where Ghat Ghat^T = Sigma + beta_bar is the low-rank factor;
-    Z is a standard Gaussian in R^d.  The drift goes through the same reverse
-    pass as ``run_sdde``.
+    Z is a standard Gaussian in R^d.  The drift goes through the same kernel
+    and the same residual moments as ``run_sdde``.
     """
     if not (h > 0.0):
         raise ValueError("time increment h must be positive")
@@ -85,14 +88,15 @@ def sdde_euler_step(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     x2 = np.atleast_2d(x)
     enc = net.encode_all_pairs()
     maxq_delay = max_q_by_state(net, np.atleast_2d(x_delay), enc)
-    cache, Ec, _ = _drift_pass(net, spec, x2, maxq_delay, enc[None])
+    cache, Ec, _ = _drift_pass(net, spec, x2.T.copy(), pair_heads(net),
+                               delay_moments(spec, maxq_delay))
     # root of the factored form, not sigma_matrix's: its Sigma = E[b b^T] - b b^T
     # keeps an indefinite rounding residue whose root is O(sqrt(machine eps))
     ghat = lowrank_ghat(head_stats(net, spec, q, x2, maxq_delay, enc), spec.V.reshape(-1))[0]
     sigma = spd_sqrt(ghat @ ghat.T + (cfg.delta / cfg.eta) * np.eye(net.d))
     z = rng.standard_normal(net.d)
-    hq = h * np.asarray(q, dtype=np.float64).reshape(-1)
-    out = (x2 + np.sqrt(cfg.eta * h) * (sigma @ z) + _vjp(net, cache, hq * Ec))[0]
+    hq = h * np.asarray(q, dtype=np.float64).reshape(-1, 1)
+    out = x2[0] + np.sqrt(cfg.eta * h) * (sigma @ z) + _vjp(net, cache, hq * Ec)[:, 0]
     if not np.all(np.isfinite(out)):
         raise SddeError(f"non-finite state after Euler step of size {h}")
     return out
@@ -108,7 +112,9 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
     at time j*eta, aligned with chain step j.  Each substep draws z (d) and
     xi (K), in that order, from the trajectory's stream and moves
     x -> x + sqrt(eta*h) sqrt(delta/eta) z + VJP(x; h*q*Ec + sqrt(eta*h) F xi),
-    whose increment has the exact law -b h + sqrt(eta*h) sigma Z.
+    whose increment has the exact law -b h + sqrt(eta*h) sigma Z.  The state
+    is held parameter-major, (d, n_traj), and the p-weighted moments of the
+    delay max-Q table are formed once per delay segment.
     """
     checkpoints = tuple(int(c) for c in checkpoint_steps)
     if any(c < 0 or c > cfg.T for c in checkpoints):
@@ -119,44 +125,48 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
     amp = np.sqrt(cfg.eta * h)
     z_amp = amp * np.sqrt(cfg.delta / cfg.eta)
     q_flat = np.asarray(q, dtype=np.float64).reshape(-1)
-    hq = h * q_flat
+    hq = h * q_flat[:, None]
     V_flat = spec.V.reshape(-1)
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim == 1:
-        x = np.repeat(x0[None, :], n_traj, axis=0)
+        x = np.repeat(x0[:, None], n_traj, axis=1)
     else:  # one initial condition per trajectory
-        x = x0.copy()
-        if x.shape != (n_traj, d):
+        if x0.shape != (n_traj, d):
             raise ValueError(f"x0 must have shape ({n_traj}, {d})")
+        x = x0.T.copy()
     streams = TrajectoryStreams(cfg.seed, stream_path, n_traj)
     enc = net.encode_all_pairs()
-    enc_n = np.broadcast_to(enc, (n_traj, *enc.shape))
+    heads = pair_heads(net)
     out = np.empty((n_traj, len(checkpoints), d))
     ck_pos = {c: i for i, c in enumerate(checkpoints)}
     if 0 in ck_pos:
-        out[:, ck_pos[0], :] = x
+        out[:, ck_pos[0], :] = x.T
     seg = cfg.m * cfg.rho  # substeps per delay segment
-    z_block = maxq_delay = None
+    z_block = mu = None
     per_step = d + K
+    noise = np.empty((per_step, n_traj))  # this substep's z, then xi
     n_sub = cfg.T * cfg.rho
     blk = block_size(n_traj, per_step)
     for u in range(n_sub):
         if u % seg == 0:
-            maxq_delay = max_q_by_state(net, x, enc)
+            mu = delay_moments(spec, max_q_by_state(net, x.T, enc))
         j = u % blk
         if j == 0:
             nb = min(blk, n_sub - u)
             z_block = streams.normal_block(nb * per_step).reshape(n_traj, nb, per_step)
-        z = z_block[:, j, :d]
-        xi = z_block[:, j, d:]
-        cache, Ec, Ec2 = _drift_pass(net, spec, x, maxq_delay, enc_n)
-        cot = hq * Ec + amp * noise_cotangent(q_flat, Ec, Ec2, V_flat, xi)
-        x = x + z_amp * z + _vjp(net, cache, cot)
+        for i0 in range(0, n_traj, 512):  # in chunks, so the strided reads stay in cache
+            np.copyto(noise[:, i0:i0 + 512], z_block[i0:i0 + 512, j].T)
+        cache, Ec, Ec2 = _drift_pass(net, spec, x, heads, mu)
+        cot = hq * Ec + amp * noise_cotangent(q_flat, Ec, Ec2, V_flat, noise[d:])
+        step = _vjp(net, cache, cot)  # before x moves: the cache holds views of x
+        noise[:d] *= z_amp
+        x += noise[:d]
+        x += step
         if not np.all(np.isfinite(x)):
-            bad = int(np.argwhere(~np.isfinite(x).all(axis=1))[0, 0])
+            bad = int(np.argwhere(~np.isfinite(x).all(axis=0))[0, 0])
             raise SddeError(f"non-finite state at substep {u + 1}, trajectory {bad}")
         if (u + 1) % cfg.rho == 0 and (u + 1) // cfg.rho in ck_pos:
-            out[:, ck_pos[(u + 1) // cfg.rho], :] = x
+            out[:, ck_pos[(u + 1) // cfg.rho], :] = x.T
     meta = {"kind": "sdde", "cfg": cfg, "theta0": np.asarray(x0).copy(),
             "stream_path": stream_path, "n_traj": n_traj,
             "checkpoint_times": [c * cfg.eta for c in checkpoints]}

@@ -3,9 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsdde.coeffs import bellman_moments, noise_cotangent
 from qsdde.mdp import IdealizedReplay, MdpSpec, uniform_q
-from qsdde.qnet import QNetSpec, _forward, _vjp, init_theta, max_q_by_state
+from qsdde.qnet import QNetSpec, init_theta
 
 
 def make_mdp(seed: int = 42, n_states: int = 3, n_actions: int = 2,
@@ -23,23 +22,6 @@ def saturated_theta(net: QNetSpec) -> np.ndarray:
     theta = np.zeros(net.d)
     theta[-1] = 120.0  # output bias; |pre-squash| >> 40 for every input
     return theta
-
-
-def noise_matrix(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
-    """(N, d, K) columns of run_sdde's noise map xi -> VJP(x; F xi) at e_1..e_K.
-
-    x, y: (N, d) points and delay points.  A A^T must equal Sigma + beta_bar.
-    """
-    enc = net.encode_all_pairs()
-    n, K = x.shape[0], enc.shape[0]
-    Qx, cache = _forward(net, x, np.broadcast_to(enc, (n, *enc.shape)))
-    Ec, Ec2 = bellman_moments(spec, Qx, max_q_by_state(net, y, enc))
-    q_flat = np.asarray(q, dtype=np.float64).reshape(-1)
-    cols = [_vjp(net, cache, noise_cotangent(q_flat, Ec, Ec2, spec.V.reshape(-1),
-                                             np.broadcast_to(e, (n, K))))
-            for e in np.eye(K)]
-    return np.stack(cols, axis=2)
 
 
 @pytest.fixture

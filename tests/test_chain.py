@@ -3,21 +3,49 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsdde.chain import (AlgoConfig, ChainError, TrajectoryEnsemble, dqn_step,
-                         moment_check_theta, run_algorithm1, run_dqn)
+from qsdde.chain import (AlgoConfig, ChainError, TrajectoryEnsemble, cumulative_tables,
+                         dqn_step, moment_check_theta, replay_step, run_algorithm1,
+                         run_dqn)
 from qsdde.coeffs import exact_drift_b
 from qsdde.mdp import (MdpSpec, OnlineBufferReplay, enumerate_support,
                        sample_pairs, uniform_q)
 from qsdde.qnet import QNetSpec, init_theta, max_q, q_grad, q_value
-from qsdde.rng import spawn_generator
+from qsdde.rng import spawn_generator, step_noise
 
 from conftest import make_mdp, saturated_theta
+from oracles import dense_forward, dense_jacobian
 
 
 def _cfg(**kw):
     base = dict(eta=0.05, delta=0.5, m=5, T=20, seed=3)
     base.update(kw)
     return AlgoConfig(**base)
+
+
+def _dqn_steps(net, mdp, q_table, theta, target, cfg, rng, n, check=(0, 1, -1)):
+    """n dqn_step increments from (theta, target) in one replay_step call.
+
+    Draws what n successive dqn_step calls would draw from rng, in the same
+    order: uniform(size=2), then standard_normal(1 + d), per step.  The rows
+    named in check are recomputed by dqn_step from the saved generator state
+    and must agree bitwise.
+    """
+    u, z = np.empty((n, 2)), np.empty((n, 1 + net.d))
+    check = {i % n for i in check}
+    states = {}
+    for i in range(n):
+        if i in check:
+            states[i] = rng.bit_generator.state
+        u[i] = rng.uniform(size=2)
+        z[i] = rng.standard_normal(1 + net.d)
+    out = replay_step(net, mdp, cumulative_tables(mdp, q_table),
+                      np.repeat(theta[None, :], n, axis=0),
+                      np.repeat(target[None, :], n, axis=0), u, z, cfg.eta, cfg.delta)
+    for i, state in states.items():
+        g = np.random.default_rng()
+        g.bit_generator.state = state
+        assert np.array_equal(dqn_step(net, mdp, q_table, theta, target, cfg, g), out[i])
+    return out - theta
 
 
 def test_algo_config_validation():
@@ -47,10 +75,7 @@ def test_dqn_step_saturated_is_gaussian_walk(net, mdp, q_table):
     cfg = _cfg(eta=0.08, delta=0.5)
     th = saturated_theta(net)
     n = 4000
-    incs = np.empty((n, net.d))
-    rng = np.random.default_rng(10)
-    for i in range(n):
-        incs[i] = dqn_step(net, mdp, q_table, th, th, cfg, rng) - th
+    incs = _dqn_steps(net, mdp, q_table, th, th, cfg, np.random.default_rng(10), n)
     scale = np.sqrt(cfg.eta * cfg.delta)
     assert np.abs(incs.mean(axis=0)).max() < 4 * scale / np.sqrt(n)
     assert np.allclose(incs.var(axis=0), scale ** 2, rtol=0.2)
@@ -107,10 +132,7 @@ def test_split_and_raw_noise_forms_agree_in_moments(net, mdp, q_table):
     target = 0.6 * init_theta(net, rng)
     n = 100_000
 
-    raw = np.empty((n, net.d))
-    step_rng = np.random.default_rng(100)
-    for i in range(n):
-        raw[i] = dqn_step(net, mdp, q_table, theta, target, cfg, step_rng) - theta
+    raw = _dqn_steps(net, mdp, q_table, theta, target, cfg, np.random.default_rng(100), n)
 
     # split form: b_n with mean reward, reward noise eta*V*xi*grad, exploration
     triples = enumerate_support(mdp, q_table)
@@ -136,6 +158,40 @@ def test_split_and_raw_noise_forms_agree_in_moments(net, mdp, q_table):
     se_cov = np.sqrt((np.outer(np.diag(cov_r), np.diag(cov_r)) + cov_r ** 2
                       + np.outer(np.diag(cov_s), np.diag(cov_s)) + cov_s ** 2) / n)
     assert np.all(np.abs(cov_r - cov_s) < 4 * se_cov)
+
+
+def test_run_dqn_matches_dense_oracle_replay(mdp, q_table):
+    # replay run_dqn's stream words through the batched-matmul oracle network;
+    # the parameter-major kernel agrees to rounding, for one and two hidden layers
+    for hidden in ((4,), (3, 2)):
+        net = QNetSpec(n_states=mdp.n_states, n_actions=mdp.n_actions, hidden=hidden,
+                       bound=10.0)
+        theta0 = init_theta(net, np.random.default_rng(8))
+        cfg = _cfg(eta=0.1, delta=0.3, m=3, T=14, seed=17)
+        n, S, A = 12, mdp.n_states, mdp.n_actions
+        ens = run_dqn(net, mdp, q_table, theta0, cfg, n, [0, 7, 14], stream_path=(2,))
+        q_cum, p_cum = cumulative_tables(mdp, q_table)
+        rows, acts = np.arange(n), np.arange(A)
+        theta = np.repeat(theta0[None, :], n, axis=0)
+        ref = {0: theta}
+        for step, (u, z) in enumerate(step_noise(cfg.seed, (2,), n, cfg.T, 2, 1 + net.d)):
+            if step % cfg.m == 0:
+                target = theta.copy()
+            s, a, sp, k = sample_pairs(q_cum, p_cum, u[:, 0], u[:, 1], A)
+            x = np.zeros((n, 1, net.input_dim))
+            x[rows, 0, s], x[rows, 0, S + a] = 1.0, 1.0
+            Qx, g = dense_jacobian(net, theta, x)
+            x_next = np.zeros((n, A, net.input_dim))
+            x_next[rows[:, None], acts[None, :], sp[:, None]] = 1.0
+            x_next[:, acts, S + acts] = 1.0
+            maxq = dense_forward(net, target, x_next)[0].max(axis=1)
+            r = mdp.R.reshape(-1)[k] + mdp.V.reshape(-1)[k] * z[:, 0]
+            theta = (theta + cfg.eta * (r + mdp.gamma * maxq - Qx[:, 0])[:, None] * g[:, 0]
+                     + np.sqrt(cfg.eta * cfg.delta) * z[:, 1:])
+            ref[step + 1] = theta
+        for c in ens.checkpoints:
+            assert np.abs(ens.at(c) - ref[c]).max() <= 1e-12 * np.abs(ref[c]).max()
+        assert not np.allclose(ens.at(14), ens.at(0), atol=1e-2)
 
 
 def test_run_dqn_target_never_updates_when_m_exceeds_T(net, mdp, q_table, theta):

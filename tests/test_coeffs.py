@@ -10,7 +10,8 @@ from qsdde.coeffs import (CoefficientError, estimate_constants, exact_drift_b,
 from qsdde.mdp import MdpSpec, Transition, sample_pairs, uniform_q
 from qsdde.qnet import QNetSpec, init_theta, max_q, q_grad, q_value
 
-from conftest import make_mdp, noise_matrix, saturated_theta
+from conftest import make_mdp, saturated_theta
+from oracles import noise_matrix
 
 
 def test_qbar_deterministic_transition(net, mdp, theta):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from qsdde.qnet import (DimensionError, GradCheckReport, QNetSpec, _forward, _vjp,
-                        fd_grad, grad_check, init_theta, max_q, q_grad, q_value,
-                        q_values_batch)
+                        fd_grad, grad_check, init_theta, max_q, pair_heads, q_grad,
+                        q_value, q_values_batch)
 
 from conftest import saturated_theta
+from oracles import dense_jacobian, pair_inputs
 
 
 def test_zero_theta_gives_zero_output(net):
@@ -51,17 +52,17 @@ def test_gradient_matches_finite_differences(net):
 
 
 def test_vjp_matches_jacobian_contraction():
-    # one reverse pass with a random cotangent equals the cotangent contracted
-    # with the dense per-head Jacobian; unit cotangents reproduce grad Q
+    # one reverse pass of the parameter-major kernel with a random cotangent
+    # equals the cotangent contracted with the dense oracle's per-head
+    # Jacobian; unit cotangents reproduce grad Q
     rng = np.random.default_rng(12)
-    for S, A, hidden in ((3, 2, (4,)), (2, 3, (3, 5)), (1, 1, (1,))):
+    for S, A, hidden in ((3, 2, (4,)), (2, 3, (3, 5)), (1, 1, (1,)), (3, 2, (3, 2))):
         net = QNetSpec(n_states=S, n_actions=A, hidden=hidden, bound=7.0)
         thetas = rng.standard_normal((16, net.d))
-        enc = net.encode_all_pairs()
-        _, jac = q_values_batch(net, thetas, enc, with_grad=True)
-        _, cache = _forward(net, thetas, np.broadcast_to(enc, (16, *enc.shape)))
-        cot = rng.standard_normal((16, enc.shape[0]))
-        got = _vjp(net, cache, cot)
+        _, jac = dense_jacobian(net, thetas, pair_inputs(net, 16))
+        _, cache = _forward(net, np.ascontiguousarray(thetas.T), pair_heads(net))
+        cot = rng.standard_normal((16, S * A))
+        got = _vjp(net, cache, np.ascontiguousarray(cot.T)).T
         want = np.einsum("nk,nkd->nd", cot, jac)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         for j in range(4):
@@ -69,6 +70,34 @@ def test_vjp_matches_jacobian_contraction():
             g_fd = fd_grad(net, thetas[j], s, a)
             g = jac[j, s * A + a]
             assert np.linalg.norm(g_fd - g) / max(np.linalg.norm(g), 1e-12) < 1e-6
+
+
+def test_per_trajectory_heads_match_dense_oracle():
+    # (N, K, input_dim) inputs, a different head set per trajectory and
+    # repeated columns within a row, through q_values_batch
+    rng = np.random.default_rng(13)
+    for hidden in ((4,), (3, 2)):
+        net = QNetSpec(n_states=3, n_actions=2, hidden=hidden, bound=7.0)
+        n, K = 9, 4
+        thetas = rng.standard_normal((n, net.d))
+        x = np.zeros((n, K, net.input_dim))
+        idx = np.arange(n)[:, None], np.arange(K)[None, :]
+        x[(*idx, rng.integers(3, size=(n, K)))] = 1.0
+        x[(*idx, 3 + rng.integers(2, size=(n, K)))] = 1.0
+        q, g = q_values_batch(net, thetas, x, with_grad=True)
+        q_ref, g_ref = dense_jacobian(net, thetas, x)
+        assert np.abs(q - q_ref).max() <= 1e-13 * np.abs(q_ref).max()
+        assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
+
+
+def test_q_values_batch_rejects_non_one_hot_inputs(net):
+    thetas = np.zeros((2, net.d))
+    x = net.encode_all_pairs()
+    for bad in (0.5 * x, x[:, ::-1] * 0.0, np.clip(x + x[::-1], 0.0, 1.0)):
+        with pytest.raises(ValueError):
+            q_values_batch(net, thetas, bad)
+    with pytest.raises(DimensionError):
+        q_values_batch(net, thetas, x[:, :-1])
 
 
 def test_saturated_gradient_vanishes(net):

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from qsdde.rng import TrajectoryStreams, block_size, spawn_generator
+from qsdde.rng import TrajectoryStreams, _PhiloxKey, block_size, spawn_generator, stream_keys
 
 
 def test_streams_reproducible():
@@ -49,3 +50,43 @@ def test_block_size_bounds():
     assert block_size(1, 1) == 64
     assert block_size(10 ** 9, 35) == 1
     assert 1 <= block_size(4096, 35) <= 64
+
+
+@pytest.mark.parametrize("seed", [0, 2024, 2 ** 32 + 5, 2 ** 64 - 1, 2 ** 96 + 7])
+def test_stream_keys_equal_seed_sequence(seed):
+    # multi-word seeds, paths of length 0-3 (one entry >= 2**32), first and last index
+    n = 70
+    for path in ((), (3,), (1, 2 ** 32 + 9), (5, 1, 0)):
+        keys = stream_keys(seed, path, n)
+        assert keys.shape == (n, 2) and keys.dtype == np.uint64
+        for i in (0, 1, n - 1):
+            want = np.random.SeedSequence(seed, spawn_key=(*path, i)).generate_state(
+                2, np.uint64)
+            assert np.array_equal(keys[i], want)
+
+
+def test_stream_draws_equal_spawned_generators():
+    for seed, path in ((2024, (0,)), (2 ** 64 - 1, (5, 1)), (7, ())):
+        n = 40
+        streams = TrajectoryStreams(seed, path, n)
+        z, u = streams.normal_block(9), streams.uniform_block(4)
+        for i in (0, 1, n - 1):
+            g = spawn_generator(seed, (*path, i))
+            assert np.array_equal(z[i], g.standard_normal(9))
+            assert np.array_equal(u[i], g.random(4))
+
+
+def test_philox_key_serves_only_its_key():
+    key = stream_keys(1, (0,), 1)[0]
+    shim = _PhiloxKey(key)
+    assert shim.generate_state(2, np.uint64) is key
+    for args in ((2,), (4, np.uint32), (2, np.uint32), (1, np.uint64), (4, np.uint64)):
+        with pytest.raises(ValueError):
+            shim.generate_state(*args)
+
+
+def test_stream_keys_reject_negative_entries():
+    with pytest.raises(ValueError):
+        stream_keys(-1, (0,), 2)
+    with pytest.raises(ValueError):
+        stream_keys(1, (0, -2), 2)

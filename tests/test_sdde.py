@@ -3,13 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsdde.coeffs import drift_from_stats, exact_drift_b, head_stats, sigma_matrix
+from qsdde.coeffs import bellman_moments, exact_drift_b, sigma_matrix
 from qsdde.mdp import MdpSpec
-from qsdde.qnet import QNetSpec, init_theta, max_q_by_state
+from qsdde.qnet import QNetSpec, init_theta
 from qsdde.rng import TrajectoryStreams, block_size
 from qsdde.sdde import SddeConfig, SddeError, moment_check_X, run_sdde, sdde_euler_step
 
 from conftest import make_mdp, saturated_theta
+from oracles import dense_jacobian, dense_max_q, pair_inputs
 
 
 def _cfg(**kw):
@@ -122,36 +123,37 @@ def _dense_substep_run(net, spec, q, x0, cfg, n_traj, stream_path=(0,)):
     """Reference substep built from dense parts, returning X at step T.
 
     x - b h + amp (sqrt(delta/eta) z + G^T F xi) with the dense (N, K, d)
-    Jacobian G and the dense (N, K, K) factor F = D^{1/2}(I - s uhat uhat^T),
-    fed from the same stream blocks as run_sdde.
+    Jacobian G of the batched-matmul oracle and the dense (N, K, K) factor
+    F = D^{1/2}(I - s uhat uhat^T), fed from the same stream blocks as run_sdde.
     """
     d, K = net.d, spec.n_states * spec.n_actions
     h = cfg.eta / cfg.rho
     scale, amp = np.sqrt(cfg.delta / cfg.eta), np.sqrt(cfg.eta * h)
-    V_flat = spec.V.reshape(-1)
+    q_flat, V_flat = q.reshape(-1), spec.V.reshape(-1)
     x = np.repeat(x0[None, :], n_traj, axis=0)
     streams = TrajectoryStreams(cfg.seed, stream_path, n_traj)
-    enc = net.encode_all_pairs()
     n_sub, per_step = cfg.T * cfg.rho, d + K
     blk = block_size(n_traj, per_step)
     for u in range(n_sub):
         if u % (cfg.m * cfg.rho) == 0:
-            maxq = max_q_by_state(net, x, enc)
+            maxq = dense_max_q(net, x)
         if u % blk == 0:
             nb = min(blk, n_sub - u)
             block = streams.normal_block(nb * per_step).reshape(n_traj, nb, per_step)
         z, xi = block[:, u % blk, :d], block[:, u % blk, d:]
-        st = head_stats(net, spec, q, x, maxq, enc)
-        D = st.q_flat * (st.Ec2 + V_flat ** 2)
+        Qx, g = dense_jacobian(net, x, pair_inputs(net, n_traj))
+        Ec, Ec2 = bellman_moments(spec, Qx, maxq)
+        D = q_flat * (Ec2 + V_flat ** 2)
         Dh = np.sqrt(np.clip(D, 0.0, None))
-        uu = np.where(D > 1e-300, st.q_flat * st.Ec / np.maximum(Dh, 1e-300), 0.0)
+        uu = np.where(D > 1e-300, q_flat * Ec / np.maximum(Dh, 1e-300), 0.0)
         nu2 = (uu * uu).sum(axis=1)
         uhat = uu / np.maximum(np.sqrt(nu2), 1e-300)[:, None]
         sh = 1.0 - np.sqrt(np.clip(1.0 - np.minimum(nu2, 1.0), 0.0, None))
         F = Dh[:, :, None] * (np.eye(K) - sh[:, None, None] * uhat[:, :, None] * uhat[:, None, :])
-        ghat = st.g.transpose(0, 2, 1) @ F  # (N, d, K)
+        ghat = g.transpose(0, 2, 1) @ F  # (N, d, K)
         noise = scale * z + (ghat @ xi[:, :, None])[:, :, 0]
-        x = x - drift_from_stats(st) * h + amp * noise
+        drift = -((q_flat * Ec)[:, None, :] @ g)[:, 0, :]
+        x = x - drift * h + amp * noise
     return x
 
 
@@ -165,6 +167,20 @@ def test_engine_matches_dense_substep_under_shared_noise(net, mdp, q_table, thet
     ref = _dense_substep_run(net, mdp, q_table, theta, cfg, n)
     assert np.abs(ens.at(cfg.T) - ref).max() <= 1e-12 * np.abs(ref).max()
     assert not np.allclose(ens.at(cfg.T), theta, atol=1e-3)  # noise and drift acted
+
+
+def test_engine_matches_dense_substep_two_hidden_layers(mdp, q_table):
+    # the same comparison through a (3, 2) network, whose middle layer is a
+    # dense weight gradient and whose first is the one-hot scatter-add
+    net = QNetSpec(n_states=mdp.n_states, n_actions=mdp.n_actions, hidden=(3, 2),
+                   bound=10.0)
+    theta = init_theta(net, np.random.default_rng(7))
+    cfg = _cfg(eta=0.05, delta=0.5, m=2, T=7, rho=10, seed=72)
+    n = 16
+    ens = run_sdde(net, mdp, q_table, theta, cfg, n, [cfg.T])
+    ref = _dense_substep_run(net, mdp, q_table, theta, cfg, n)
+    assert np.abs(ens.at(cfg.T) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert not np.allclose(ens.at(cfg.T), theta, atol=1e-3)
 
 
 def test_pure_sde_when_delay_window_covers_horizon(net, mdp, q_table, theta):
