@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .mdp import MdpSpec, OnlineBufferReplay, next_states, sample_pairs
-from .qnet import QNetSpec, q_values_batch
+from .qnet import QNetSpec, _forward, _vjp
 from .rng import step_noise
 
 _BUFFER_PATH = 5  # run_algorithm1 streams: (seed, 5, kind, trajectory)
@@ -81,28 +81,35 @@ class TrajectoryEnsemble:
         return self.samples[:, self.checkpoints.index(checkpoint), :]
 
 
+def parameter_major(theta0, n_traj: int, d: int) -> np.ndarray:
+    """(d, n_traj) start from one shared (d,) theta0 or per-trajectory (n_traj, d) rows."""
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    if theta0.shape not in ((d,), (n_traj, d)):
+        raise ValueError(f"initial condition must have shape ({d},) or ({n_traj}, {d})")
+    return np.broadcast_to(theta0, (n_traj, d)).T.copy()
+
+
+def _all_actions(net: QNetSpec, states: np.ndarray):
+    """Per-trajectory heads (s_n, a) for every action a, both (A, N)."""
+    return np.broadcast_arrays(states[None, :], np.arange(net.n_actions)[:, None])
+
+
 def chain_increment(net: QNetSpec, spec: MdpSpec, theta: np.ndarray,
                     target: np.ndarray, s, a, s_next, r, W, eta: float,
                     delta: float) -> np.ndarray:
-    """Shared update kernel, batched over trajectories.
+    """Shared update kernel, batched over trajectories, parameter-major.
 
-    theta, target: (N, d); s, a, s_next: (N,) int; r: (N,) sampled rewards;
-    W: (N, d) standard normals.  Returns theta_next (N, d).
+    theta, target: (d, N); s, a, s_next: (N,) int; r: (N,) sampled rewards;
+    W: (d, N) standard normals.  Returns theta_next (d, N): theta plus the
+    VJP of Q(s, a; theta) with cotangent eta * bracket, then sqrt(eta*delta) W.
     """
-    n = theta.shape[0]
-    enc_rows = np.zeros((n, 1, net.input_dim))
-    enc_rows[np.arange(n), 0, s] = 1.0
-    enc_rows[np.arange(n), 0, net.n_states + a] = 1.0
-    Qx, g = q_values_batch(net, theta, enc_rows, with_grad=True)
-    Qx, g = Qx[:, 0], g[:, 0, :]
-    # max_a Q(s', a; target): all-action heads at each trajectory's s'
-    act_rows = np.zeros((n, net.n_actions, net.input_dim))
-    act_rows[np.arange(n)[:, None], np.arange(net.n_actions)[None, :],
-             np.asarray(s_next)[:, None]] = 1.0
-    act_rows[:, np.arange(net.n_actions), net.n_states + np.arange(net.n_actions)] = 1.0
-    maxq = q_values_batch(net, target, act_rows).max(axis=1)
-    bracket = r + spec.gamma * maxq - Qx
-    return theta + eta * bracket[:, None] * g + np.sqrt(eta * delta) * W
+    Qx, cache = _forward(net, theta, (s[None, :], a[None, :]))
+    maxq = _forward(net, target, _all_actions(net, s_next))[0].max(axis=0)
+    bracket = r + spec.gamma * maxq - Qx[0]
+    out = _vjp(net, cache, eta * bracket[None, :])
+    out += theta
+    out += np.sqrt(eta * delta) * W
+    return out
 
 
 def cumulative_tables(spec: MdpSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,14 +123,14 @@ def replay_step(net: QNetSpec, spec: MdpSpec, tables, theta: np.ndarray,
                 delta: float) -> np.ndarray:
     """One idealized-replay update per row from its noise words.
 
-    theta, target: (N, d); u: (N, 2) uniforms for (s, a) and s'; z: (N, 1+d)
+    theta, target: (d, N); u: (N, 2) uniforms for (s, a) and s'; z: (N, 1+d)
     standard normals, the reward noise xi then W.  tables from
-    ``cumulative_tables``.
+    ``cumulative_tables``.  Returns theta_next (d, N).
     """
     q_cum, p_cum = tables
     s, a, sp, k = sample_pairs(q_cum, p_cum, u[:, 0], u[:, 1], spec.n_actions)
     r = spec.R.reshape(-1)[k] + spec.V.reshape(-1)[k] * z[:, 0]
-    return chain_increment(net, spec, theta, target, s, a, sp, r, z[:, 1:], eta, delta)
+    return chain_increment(net, spec, theta, target, s, a, sp, r, z[:, 1:].T, eta, delta)
 
 
 def dqn_step(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta: np.ndarray,
@@ -136,9 +143,9 @@ def dqn_step(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta: np.ndarray,
     """
     u = rng.uniform(size=2)
     z = rng.standard_normal(1 + net.d)
-    out = replay_step(net, spec, cumulative_tables(spec, q), theta[None, :],
-                      theta_target[None, :], u[None, :], z[None, :], cfg.eta,
-                      cfg.delta)[0]
+    out = replay_step(net, spec, cumulative_tables(spec, q), theta[:, None],
+                      theta_target[:, None], u[None, :], z[None, :], cfg.eta,
+                      cfg.delta)[:, 0]
     if not np.all(np.isfinite(out)):
         raise ChainError(f"non-finite parameter after dqn_step from |theta|="
                          f"{np.linalg.norm(theta):.3e}, uniforms {u.tolist()}")
@@ -153,34 +160,28 @@ def run_dqn(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
     The target parameter is frozen at theta_{floor(n/m) m} within each window
     of m steps (refreshed at the pre-step index).  Each trajectory owns a
     counter-based stream keyed by (cfg.seed, *stream_path, trajectory index).
+    The parameters are held parameter-major, (d, n_traj), for the whole run.
     """
     checkpoints = tuple(int(c) for c in checkpoints)
     if any(c < 0 or c > cfg.T for c in checkpoints):
         raise ValueError("checkpoints must lie in [0, T]")
     d = net.d
-    theta0 = np.asarray(theta0, dtype=np.float64)
-    if theta0.ndim == 1:
-        theta = np.repeat(theta0[None, :], n_traj, axis=0)
-    else:  # one initial condition per trajectory
-        theta = theta0.copy()
-        if theta.shape != (n_traj, d):
-            raise ValueError(f"theta0 must have shape ({n_traj}, {d})")
-    target = theta.copy()
+    theta = parameter_major(theta0, n_traj, d)
     tables = cumulative_tables(spec, q)
     out = np.empty((n_traj, len(checkpoints), d))
     ck_pos = {c: i for i, c in enumerate(checkpoints)}
     if 0 in ck_pos:
-        out[:, ck_pos[0], :] = theta
+        out[:, ck_pos[0], :] = theta.T
     noise = step_noise(cfg.seed, stream_path, n_traj, cfg.T, 2, 1 + d)
     for n, (u, z) in enumerate(noise):
-        if n % cfg.m == 0:
-            target = theta.copy()
+        if n % cfg.m == 0:  # replay_step returns a new array, so alias the target
+            target = theta
         theta = replay_step(net, spec, tables, theta, target, u, z, cfg.eta, cfg.delta)
         if not np.all(np.isfinite(theta)):
-            bad = int(np.argwhere(~np.isfinite(theta).all(axis=1))[0, 0])
+            bad = int(np.argwhere(~np.isfinite(theta).all(axis=0))[0, 0])
             raise ChainError(f"non-finite parameter at step {n + 1}, trajectory {bad}")
         if (n + 1) in ck_pos:
-            out[:, ck_pos[n + 1], :] = theta
+            out[:, ck_pos[n + 1], :] = theta.T
     meta = {"kind": "dqn_chain", "cfg": cfg, "theta0": np.asarray(theta0).copy(),
             "stream_path": stream_path, "n_traj": n_traj}
     return TrajectoryEnsemble(checkpoints=checkpoints, samples=out, meta=meta)
@@ -207,30 +208,28 @@ def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
         raise ValueError("checkpoints must lie in [0, T]")
     d, A = net.d, net.n_actions
     rows = np.arange(n_traj)
-    theta = np.repeat(np.asarray(theta0, dtype=np.float64)[None, :], n_traj, axis=0)
-    target = theta.copy()
+    theta = parameter_major(theta0, n_traj, d)
     state = np.full(n_traj, s0, dtype=np.intp)
     cap = min(replay.capacity, cfg.T)
     buf_k = np.empty((n_traj, cap), dtype=np.intp)  # pair index s * A + a
     buf_sp = np.empty((n_traj, cap), dtype=np.intp)
     buf_r = np.empty((n_traj, cap))
     action_counts = np.zeros((n_traj, A), dtype=np.int64)
-    enc = net.encode_all_pairs().reshape(spec.n_states, A, -1)
     p_cum = np.cumsum(spec.p.reshape(-1, spec.n_states), axis=1)
     R_flat, V_flat = spec.R.reshape(-1), spec.V.reshape(-1)
     out = np.empty((n_traj, len(checkpoints), d))
     ck_pos = {c: i for i, c in enumerate(checkpoints)}
     if 0 in ck_pos:
-        out[:, ck_pos[0], :] = theta
+        out[:, ck_pos[0], :] = theta.T
     noise = step_noise(cfg.seed, (_BUFFER_PATH,), n_traj, cfg.T, 4, 1 + d)
     for n, (u, z) in enumerate(noise):
-        if n % cfg.m == 0:
-            target = theta.copy()
+        if n % cfg.m == 0:  # chain_increment returns a new array, so alias the target
+            target = theta
         action = np.minimum((u[:, 1] * A).astype(np.intp), A - 1)
         greedy = u[:, 0] >= replay.epsilon
         if greedy.any():
-            qvals = q_values_batch(net, theta[greedy], enc[state[greedy]])
-            action[greedy] = np.argmax(qvals, axis=1)
+            qvals = _forward(net, theta[:, greedy], _all_actions(net, state[greedy]))[0]
+            action[greedy] = np.argmax(qvals, axis=0)
         action_counts[rows, action] += 1
         k = state * A + action
         s_next = next_states(p_cum[k], u[:, 2])
@@ -240,14 +239,14 @@ def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
         pick = np.minimum((u[:, 3] * min(n + 1, cap)).astype(np.intp), cap - 1)
         bk = buf_k[rows, pick]
         theta = chain_increment(net, spec, theta, target, bk // A, bk % A,
-                                buf_sp[rows, pick], buf_r[rows, pick], z[:, 1:],
+                                buf_sp[rows, pick], buf_r[rows, pick], z[:, 1:].T,
                                 cfg.eta, cfg.delta)
         if not np.all(np.isfinite(theta)):
-            bad = int(np.argwhere(~np.isfinite(theta).all(axis=1))[0, 0])
+            bad = int(np.argwhere(~np.isfinite(theta).all(axis=0))[0, 0])
             raise ChainError(f"non-finite parameter at step {n + 1}, trajectory {bad}")
         state = s_next
         if (n + 1) in ck_pos:
-            out[:, ck_pos[n + 1], :] = theta
+            out[:, ck_pos[n + 1], :] = theta.T
     meta = {"kind": "algorithm1", "cfg": cfg, "theta0": np.asarray(theta0).copy(),
             "replay": replay, "n_traj": n_traj, "s0": s0,
             "action_counts": action_counts}

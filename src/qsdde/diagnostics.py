@@ -103,10 +103,10 @@ def generator_theta(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarra
         u = rng.uniform(size=(nb, 2))
         xi = rng.standard_normal(nb)
         W = rng.standard_normal((nb, d))
-        theta1 = replay_step(net, spec, tables, np.broadcast_to(x, (nb, d)),
-                             np.broadcast_to(target, (nb, d)), u,
+        theta1 = replay_step(net, spec, tables, np.broadcast_to(x[:, None], (d, nb)),
+                             np.broadcast_to(target[:, None], (d, nb)), u,
                              np.column_stack([xi, W]), cfg.eta, cfg.delta)
-        vals = f.value(theta1) - fx
+        vals = f.value(theta1.T) - fx
         total += vals.sum()
         total2 += (vals ** 2).sum()
         done += nb

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import TrajectoryEnsemble
+from .chain import TrajectoryEnsemble, parameter_major
 from .coeffs import (delay_moments, head_stats, lowrank_ghat, noise_cotangent,
                      residual_moments, spd_sqrt)
 from .mdp import MdpSpec
@@ -127,13 +127,7 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
     q_flat = np.asarray(q, dtype=np.float64).reshape(-1)
     hq = h * q_flat[:, None]
     V_flat = spec.V.reshape(-1)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim == 1:
-        x = np.repeat(x0[:, None], n_traj, axis=1)
-    else:  # one initial condition per trajectory
-        if x0.shape != (n_traj, d):
-            raise ValueError(f"x0 must have shape ({n_traj}, {d})")
-        x = x0.T.copy()
+    x = parameter_major(x0, n_traj, d)
     streams = TrajectoryStreams(cfg.seed, stream_path, n_traj)
     enc = net.encode_all_pairs()
     heads = pair_heads(net)

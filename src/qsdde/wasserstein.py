@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 ASSIGNMENT_CAP = 512
 BOOTSTRAP_REPEATS = 16
@@ -91,11 +90,19 @@ def w1_exact_1d(a: np.ndarray, b: np.ndarray,
                       n_a=len(a), n_b=len(b), baseline=baseline, meta=meta)
 
 
+def _cost_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(n_a, n_b) Euclidean distances, summed one coordinate at a time."""
+    cost, diff = np.zeros((len(A), len(B))), np.empty((len(A), len(B)))
+    for j in range(A.shape[1]):
+        cost += np.square(np.subtract(A[:, j, None], B[None, :, j], out=diff), out=diff)
+    return np.sqrt(cost, out=cost)
+
+
 def _assignment_cost(A: np.ndarray, B: np.ndarray) -> float:
-    diff = A[:, None, :] - B[None, :, :]
-    cost = np.sqrt((diff ** 2).sum(axis=2))
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+    # scipy.optimize takes about 0.5 s to import; load it at the first solve only
+    from scipy.optimize import linear_sum_assignment
+    cost = _cost_matrix(A, B)
+    return float(cost[linear_sum_assignment(cost)].mean())
 
 
 def w1_assignment(A: np.ndarray, B: np.ndarray, cap: int = ASSIGNMENT_CAP,

@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsdde.chain import (AlgoConfig, ChainError, TrajectoryEnsemble, cumulative_tables,
-                         dqn_step, moment_check_theta, replay_step, run_algorithm1,
-                         run_dqn)
+from qsdde.chain import (AlgoConfig, ChainError, TrajectoryEnsemble, chain_increment,
+                         cumulative_tables, dqn_step, moment_check_theta, replay_step,
+                         run_algorithm1, run_dqn)
 from qsdde.coeffs import exact_drift_b
 from qsdde.mdp import (MdpSpec, OnlineBufferReplay, enumerate_support,
                        sample_pairs, uniform_q)
@@ -39,8 +39,8 @@ def _dqn_steps(net, mdp, q_table, theta, target, cfg, rng, n, check=(0, 1, -1)):
         u[i] = rng.uniform(size=2)
         z[i] = rng.standard_normal(1 + net.d)
     out = replay_step(net, mdp, cumulative_tables(mdp, q_table),
-                      np.repeat(theta[None, :], n, axis=0),
-                      np.repeat(target[None, :], n, axis=0), u, z, cfg.eta, cfg.delta)
+                      np.repeat(theta[:, None], n, axis=1),
+                      np.repeat(target[:, None], n, axis=1), u, z, cfg.eta, cfg.delta).T
     for i, state in states.items():
         g = np.random.default_rng()
         g.bit_generator.state = state
@@ -158,6 +158,33 @@ def test_split_and_raw_noise_forms_agree_in_moments(net, mdp, q_table):
     se_cov = np.sqrt((np.outer(np.diag(cov_r), np.diag(cov_r)) + cov_r ** 2
                       + np.outer(np.diag(cov_s), np.diag(cov_s)) + cov_s ** 2) / n)
     assert np.all(np.abs(cov_r - cov_s) < 4 * se_cov)
+
+
+def test_chain_increment_matches_dense_oracle_step(mdp):
+    # the parameter-major kernel against theta + eta*bracket*grad Q + sqrt(eta*delta) W
+    # through the batched-matmul oracle, with per-trajectory (s, a, s') and parameters
+    rng = np.random.default_rng(21)
+    n, S, A = 64, mdp.n_states, mdp.n_actions
+    rows, acts = np.arange(n), np.arange(A)
+    eta, delta = 0.07, 0.3
+    for hidden in ((4,), (3, 2)):
+        net = QNetSpec(n_states=S, n_actions=A, hidden=hidden, bound=10.0)
+        theta = rng.normal(0.0, 0.8, (n, net.d))
+        target = rng.normal(0.0, 0.8, (n, net.d))
+        s, a, sp = rng.integers(S, size=n), rng.integers(A, size=n), rng.integers(S, size=n)
+        r, W = rng.standard_normal(n), rng.standard_normal((n, net.d))
+        out = chain_increment(net, mdp, theta.T.copy(), target.T.copy(), s, a, sp, r,
+                              W.T, eta, delta).T
+        x = np.zeros((n, 1, net.input_dim))
+        x[rows, 0, s], x[rows, 0, S + a] = 1.0, 1.0
+        Qx, g = dense_jacobian(net, theta, x)
+        x_next = np.zeros((n, A, net.input_dim))
+        x_next[rows[:, None], acts[None, :], sp[:, None]] = 1.0
+        x_next[:, acts, S + acts] = 1.0
+        bracket = r + mdp.gamma * dense_forward(net, target, x_next)[0].max(axis=1) - Qx[:, 0]
+        ref = theta + eta * bracket[:, None] * g[:, 0] + np.sqrt(eta * delta) * W
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(ref - theta - np.sqrt(eta * delta) * W).max() > 1e-3  # the step moves
 
 
 def test_run_dqn_matches_dense_oracle_replay(mdp, q_table):

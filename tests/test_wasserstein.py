@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsdde.wasserstein import (projection_scale, w1_assignment, w1_exact_1d,
-                               w1_sliced)
+from qsdde.wasserstein import (_cost_matrix, projection_scale, w1_assignment,
+                               w1_exact_1d, w1_sliced)
 
 
 def brute_force_w1(A: np.ndarray, B: np.ndarray) -> float:
@@ -70,6 +70,23 @@ def test_assignment_matches_factorial_brute_force():
         A = rng.normal(0, 1, (8, 2))
         B = rng.normal(0.5, 1.2, (8, 2))
         assert w1_assignment(A, B).value == pytest.approx(brute_force_w1(A, B), rel=1e-12)
+
+
+def test_cost_matrix_matches_broadcast_formula():
+    # the coordinate-by-coordinate sum agrees with the (n, n, d) broadcast to
+    # rounding, and the assignment solve picks the same matching from both
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(31)
+    for n_a, n_b, d in ((1, 1, 1), (7, 7, 3), (64, 64, 29), (40, 25, 5)):
+        A = rng.normal(0.0, 2.0, (n_a, d))
+        B = rng.normal(0.5, 1.0, (n_b, d))
+        cost = _cost_matrix(A, B)
+        ref = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))
+        assert cost.shape == ref.shape
+        assert np.all(np.abs(cost - ref) <= 1e-14 * ref)
+        rows, cols = linear_sum_assignment(cost)
+        ref_rows, ref_cols = linear_sum_assignment(ref)
+        assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
 
 
 def test_assignment_cap_enforced():
