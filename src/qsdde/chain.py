@@ -133,25 +133,6 @@ def replay_step(net: QNetSpec, spec: MdpSpec, tables, theta: np.ndarray,
     return chain_increment(net, spec, theta, target, s, a, sp, r, z[:, 1:].T, eta, delta)
 
 
-def dqn_step(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta: np.ndarray,
-             theta_target: np.ndarray, cfg: AlgoConfig,
-             rng: np.random.Generator) -> np.ndarray:
-    """One noisy update from theta with a frozen target parameter.
-
-    Draws two uniforms (the pair (s, a), then s') and 1 + d standard normals
-    (the reward noise V*xi routed along grad Q, then W), in that order.
-    """
-    u = rng.uniform(size=2)
-    z = rng.standard_normal(1 + net.d)
-    out = replay_step(net, spec, cumulative_tables(spec, q), theta[:, None],
-                      theta_target[:, None], u[None, :], z[None, :], cfg.eta,
-                      cfg.delta)[:, 0]
-    if not np.all(np.isfinite(out)):
-        raise ChainError(f"non-finite parameter after dqn_step from |theta|="
-                         f"{np.linalg.norm(theta):.3e}, uniforms {u.tolist()}")
-    return out
-
-
 def run_dqn(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
             cfg: AlgoConfig, n_traj: int, checkpoints: Sequence[int],
             stream_path: tuple[int, ...] = (0,)) -> TrajectoryEnsemble:

@@ -23,7 +23,9 @@ from .manifest import (atomic_write_text, ensemble_to_csv, read_ensemble_csv,
                        rows_to_csv, write_manifest)
 from .mdp import OnlineBufferReplay, load_mdp, validate_mdp
 from .rng import spawn_generator
-from .wasserstein import w1_assignment, w1_sliced
+from .wasserstein import w1_assignment_subsampled, w1_sliced
+
+_SNAPSHOT_PATH = (9, 1)  # assumption report in manifests and check-assumptions
 
 
 def _config_options(fn):
@@ -50,8 +52,32 @@ def _load(config_path, seed_override, force) -> ExperimentConfig:
     return cfg
 
 
+def _json_object(path) -> dict:
+    """The JSON object in path, else a ClickException naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise click.ClickException(f"{path}: JSON parse error at line {err.lineno}, "
+                                       f"column {err.colno}: {err.msg}") from None
+    if not isinstance(doc, dict):
+        raise click.ClickException(f"{path}: expected a JSON object")
+    return doc
+
+
+def _vector(path, value, name: str, d: int) -> np.ndarray:
+    """value as a (d,) float vector, else a ClickException naming the file."""
+    try:
+        v = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.shape != (d,):
+        raise click.ClickException(f"{path}: {name} must be a list of d = {d} numbers")
+    return v
+
+
 def _snapshot(cfg: ExperimentConfig) -> dict:
-    rng = spawn_generator(cfg.seed, (9, 1))
+    rng = spawn_generator(cfg.seed, _SNAPSHOT_PATH)
     return assumption_report(cfg.net, cfg.mdp, cfg.q, cfg.algo, rng).as_dict()
 
 
@@ -64,12 +90,7 @@ def main():
 @click.argument("file", type=click.Path(exists=True))
 def validate_mdp_cmd(file):
     """Validate an MDP JSON document (or the mdp section of a config)."""
-    with open(file, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise click.ClickException(
-                f"JSON parse error at line {err.lineno}, column {err.colno}: {err.msg}")
+    doc = _json_object(file)
     if "mdp" in doc:
         doc = doc["mdp"]
     try:
@@ -126,10 +147,9 @@ def dump_coefficients_cmd(config_path, seed_override, force, out_file, points_fi
     cfg = _load(config_path, seed_override, force)
     x = y = cfg.theta0
     if points_file:
-        with open(points_file, "r", encoding="utf-8") as fh:
-            pts = json.load(fh)
-        x = np.asarray(pts["x"], dtype=np.float64)
-        y = np.asarray(pts.get("y", pts["x"]), dtype=np.float64)
+        pts = _json_object(points_file)
+        x = _vector(points_file, pts.get("x"), "x", cfg.net.d)
+        y = _vector(points_file, pts.get("y", x), "y", cfg.net.d)
     cs = sigma_matrix(cfg.net, cfg.mdp, cfg.q, x, y, cfg.algo.eta, cfg.algo.delta)
     payload = {
         "eta": cs.eta, "delta": cs.delta,
@@ -151,8 +171,8 @@ def dump_coefficients_cmd(config_path, seed_override, force, out_file, points_fi
 @click.option("--checkpoint", required=True, type=int)
 @click.option("--method", type=click.Choice(["sliced", "assignment", "both"]),
               default="both")
-@click.option("--n-proj", type=int, default=64)
-@click.option("--cap", type=int, default=512)
+@click.option("--n-proj", type=click.IntRange(min=1), default=64)
+@click.option("--cap", type=click.IntRange(min=1), default=512)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_file", type=click.Path(), default=None)
 def estimate_w1_cmd(file_a, file_b, checkpoint, method, n_proj, cap, seed, out_file):
@@ -173,11 +193,8 @@ def estimate_w1_cmd(file_a, file_b, checkpoint, method, n_proj, cap, seed, out_f
         est = w1_sliced(A, B, n_proj, spawn_generator(seed, (3, 0)))
         result["sliced"] = est.as_dict()
     if method in ("assignment", "both"):
-        rng = spawn_generator(seed, (3, 1))
-        n = min(len(A), len(B), cap)
-        ia = rng.choice(len(A), n, replace=False)
-        ib = rng.choice(len(B), n, replace=False)
-        result["assignment"] = w1_assignment(A[ia], B[ib], cap=cap).as_dict()
+        est = w1_assignment_subsampled(A, B, cap, spawn_generator(seed, (3, 1)))
+        result["assignment"] = est.as_dict()
     text = json.dumps(result, indent=2) + "\n"
     if out_file:
         atomic_write_text(Path(out_file), text)
@@ -193,19 +210,26 @@ def estimate_w1_cmd(file_a, file_b, checkpoint, method, n_proj, cap, seed, out_f
 def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
     """Pointwise |eta A_X f - A_theta f| for quadratic f at probe points."""
     cfg = _load(config_path, seed_override, force)
-    with open(points_file, "r", encoding="utf-8") as fh:
-        probes = json.load(fh)
-    points = [np.asarray(p, dtype=np.float64) for p in probes["points"]]
-    target = np.asarray(probes.get("target", cfg.theta0), dtype=np.float64)
-    n_mc = int(probes.get("n_mc", 100000))
-    etas = tuple(probes.get("etas", [cfg.algo.eta, cfg.algo.eta / 2, cfg.algo.eta / 4]))
-    f = Quadratic(A=np.eye(cfg.net.d), b=np.zeros(cfg.net.d))
+    probes = _json_object(points_file)
+    d = cfg.net.d
+    if not isinstance(probes.get("points"), list):
+        raise click.ClickException(f'{points_file}: "points" must be a list of '
+                                   f"points of d = {d} numbers")
+    points = [_vector(points_file, p, f"points[{i}]", d)
+              for i, p in enumerate(probes["points"])]
+    target = _vector(points_file, probes.get("target", cfg.theta0), "target", d)
+    f = Quadratic(A=np.eye(d), b=np.zeros(d))
     reports = []
-    for i, x in enumerate(points):
-        rng = spawn_generator(cfg.seed, (4, i))
-        rep = generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target, cfg.algo,
-                            n_mc, rng, etas=etas)
-        reports.append(rep.as_dict())
+    try:  # n_mc below 1e3 or a non-positive eta
+        n_mc = int(probes.get("n_mc", 100000))
+        etas = tuple(probes.get("etas", [cfg.algo.eta, cfg.algo.eta / 2, cfg.algo.eta / 4]))
+        for i, x in enumerate(points):
+            rng = spawn_generator(cfg.seed, (4, i))
+            rep = generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target, cfg.algo,
+                                n_mc, rng, etas=etas)
+            reports.append(rep.as_dict())
+    except (TypeError, ValueError) as err:
+        raise click.ClickException(f"{points_file}: {err}") from err
     text = json.dumps({"reports": reports}, indent=2) + "\n"
     if out_file:
         atomic_write_text(Path(out_file), text)
@@ -219,7 +243,7 @@ def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
 def check_assumptions_cmd(config_path, seed_override, force, out_file):
     """Estimate regularity constants and report the step-size gate."""
     cfg = _load(config_path, seed_override, force)
-    rng = spawn_generator(cfg.seed, (9, 1))
+    rng = spawn_generator(cfg.seed, _SNAPSHOT_PATH)
     rep = assumption_report(cfg.net, cfg.mdp, cfg.q, cfg.algo, rng)
     click.echo(str(rep))
     if out_file:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import MdpSpec, Transition
-from .qnet import QNetSpec, max_q_by_state, q_values_batch, max_q, q_value, q_grad
+from .mdp import MdpSpec
+from .qnet import QNetSpec, max_q_by_state, q_values_batch
 
 EIG_HARD_FLOOR = -1e-10  # below this a negative eigenvalue is a bug, not noise
 SYM_TOL = 1e-12
@@ -34,28 +34,6 @@ _TINY = 1e-300
 
 class CoefficientError(RuntimeError):
     """Signals a broken covariance computation (structurally negative modes)."""
-
-
-def qbar(net: QNetSpec, spec: MdpSpec, y: np.ndarray, s: int, a: int) -> float:
-    """Expected next-state max Q value under p(.|s,a) at target parameters y."""
-    total = 0.0
-    for sp in range(spec.n_states):
-        w = spec.p[s, a, sp]
-        if w > 0.0:
-            total += w * max_q(net, y, sp)[0]
-    return float(total)
-
-
-def sample_drift_bn(net: QNetSpec, spec: MdpSpec, x: np.ndarray, y: np.ndarray,
-                    t: Transition) -> np.ndarray:
-    """Per-sample drift; uses the mean reward R(s,a), never the sampled r.
-
-    -[R(s,a) + gamma*max_a' Q(s',a';y) - Q(s,a;x)] * grad Q(s,a;x)
-    """
-    bracket = (spec.R[t.s, t.a]
-               + spec.gamma * max_q(net, y, t.s_next)[0]
-               - q_value(net, x, t.s, t.a))
-    return -bracket * q_grad(net, x, t.s, t.a)
 
 
 @dataclass
@@ -235,9 +213,9 @@ def sigma_matrix(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
 def lowrank_ghat(stats: HeadStats, V_flat: np.ndarray) -> np.ndarray:
     """Dense factor G^T F, (N, d, K), with Ghat Ghat^T = Sigma + beta_bar.
 
-    ``run_sdde`` never forms it (it applies F xi through noise_cotangent and
-    one vector-Jacobian product); ``sdde_euler_step`` builds its dense
-    symmetric root from it.
+    Nothing in the package calls it: ``run_sdde`` applies F xi through
+    noise_cotangent and one vector-Jacobian product.  It is kept because
+    ``perfbench/tracer.py`` looks it up by name.
     """
     n, K, _ = stats.g.shape
     Ec, Ec2 = stats.Ec.T, stats.Ec2.T

@@ -55,32 +55,6 @@ class Quadratic:
         return 2.0 * self.A
 
 
-@dataclass(frozen=True)
-class GaussianBump:
-    """f(x) = exp(-|x - center|^2 / (2 width^2))."""
-
-    center: np.ndarray
-    width: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
-        if not (self.width > 0.0):
-            raise ValueError("width must be positive")
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        return np.exp(-((x - self.center) ** 2).sum(axis=1) / (2.0 * self.width ** 2))
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        f = float(self.value(x)[0])
-        return -f * (x - self.center) / self.width ** 2
-
-    def hess(self, x: np.ndarray) -> np.ndarray:
-        f = float(self.value(x)[0])
-        u = (x - self.center) / self.width ** 2
-        return f * (np.outer(u, u) - np.eye(len(x)) / self.width ** 2)
-
-
 @dataclass
 class McValue:
     estimate: float

@@ -21,7 +21,7 @@ from .mdp import MdpSpec
 from .qnet import QNetSpec
 from .rng import spawn_generator
 from .sdde import SddeConfig, moment_check_X, run_sdde
-from .wasserstein import W1Estimate, w1_assignment, w1_sliced
+from .wasserstein import W1Estimate, w1_assignment_subsampled, w1_sliced
 
 _CHAIN_ARM, _SDDE_ARM, _GATE_ARM, _W1_ARM = 0, 1, 2, 3
 
@@ -119,11 +119,32 @@ def two_sample_w1(a: np.ndarray, b: np.ndarray, n_proj: int, cap: int,
                   rng: np.random.Generator) -> tuple[W1Estimate, W1Estimate]:
     """Sliced W1 on the full clouds plus exact assignment W1 on subsamples."""
     sliced = w1_sliced(a, b, n_proj, rng)
-    n = min(len(a), len(b), cap)
-    ia = rng.choice(len(a), n, replace=False)
-    ib = rng.choice(len(b), n, replace=False)
-    assign = w1_assignment(a[ia], b[ib], cap=cap)
-    return sliced, assign
+    return sliced, w1_assignment_subsampled(a, b, cap, rng)
+
+
+def _run_arms(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_traj: int, arms,
+              threads: int = 1) -> list:
+    """(chain, diffusion) ensembles of every arm, in arm order.
+
+    arms[i] = (x0, cfg, checkpoints), cfg an SddeConfig: arm i runs
+    ``run_dqn`` on the streams (_CHAIN_ARM, i) and ``run_sdde`` on
+    (_SDDE_ARM, i), both from x0 with cfg's (eta, delta, m, T, seed), the
+    diffusion at cfg.rho substeps per step.  Arms share no stream, so
+    threads > 1 runs them concurrently with identical results.
+    """
+    def run(i):
+        x0, cfg, checkpoints = arms[i]
+        acfg = AlgoConfig(eta=cfg.eta, delta=cfg.delta, m=cfg.m, T=cfg.T, seed=cfg.seed)
+        chain = run_dqn(net, spec, q, x0, acfg, n_traj, checkpoints,
+                        stream_path=(_CHAIN_ARM, i))
+        diff = run_sdde(net, spec, q, x0, cfg, n_traj, checkpoints,
+                        stream_path=(_SDDE_ARM, i))
+        return chain, diff
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, range(len(arms))))
+    return [run(i) for i in range(len(arms))]
 
 
 def rate_sweep(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
@@ -142,36 +163,21 @@ def rate_sweep(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
     if not etas:
         raise ValueError("eta_grid must contain at least one step size")
     gate_info = check_gate(net, spec, q, etas, delta, seed, force=force)
-    d = net.d
-    tracked_idx = _tracked_indices(d, tracked)
-
-    def run_arm(i_eta):
-        i, eta = i_eta
-        T = int(round(T0 * eta0 / eta))
-        acfg = AlgoConfig(eta=eta, delta=delta, m=m, T=T, seed=seed)
-        scfg = SddeConfig(eta=eta, delta=delta, m=m, T=T, rho=rho, seed=seed)
-        chain = run_dqn(net, spec, q, theta0, acfg, n_traj, [0, T],
-                        stream_path=(_CHAIN_ARM, i))
-        diff = run_sdde(net, spec, q, theta0, scfg, n_traj, [0, T],
-                        stream_path=(_SDDE_ARM, i))
-        return i, eta, T, chain.at(T), diff.at(T)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            arms = list(pool.map(run_arm, enumerate(etas)))
-    else:
-        arms = [run_arm(ie) for ie in enumerate(etas)]
-    arms.sort(key=lambda t: t[0])
+    tracked_idx = _tracked_indices(net.d, tracked)
+    cfgs = [SddeConfig(eta=eta, delta=delta, m=m, T=int(round(T0 * eta0 / eta)),
+                       rho=rho, seed=seed) for eta in etas]
+    arms = _run_arms(net, spec, q, n_traj, [(theta0, c, [0, c.T]) for c in cfgs], threads)
 
     rows = []
-    for i, eta, T, th, xs in arms:
+    for i, (c, (chain, diff)) in enumerate(zip(cfgs, arms)):
+        th, xs = chain.at(c.T), diff.at(c.T)
         w1_rng = spawn_generator(seed, (_W1_ARM, i))
         sliced, assign = two_sample_w1(th, xs, n_proj, assignment_cap, w1_rng)
         tr_rng = spawn_generator(seed, (_W1_ARM, i, 1))
         sl_tr, as_tr = two_sample_w1(th[:, tracked_idx], xs[:, tracked_idx],
                                      n_proj, assignment_cap, tr_rng)
         rows.append(RateSweepRow(
-            eta=eta, delta=delta, T=T, m=m, n_traj=n_traj,
+            eta=c.eta, delta=delta, T=c.T, m=m, n_traj=n_traj,
             w1_sliced=sliced.value, sliced_stderr=sliced.stderr,
             sliced_baseline=sliced.baseline,
             w1_assignment=assign.value, assignment_baseline=assign.baseline,
@@ -253,25 +259,14 @@ def variance_study(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarr
         u = np.asarray(project, dtype=np.float64)
         u = u / np.linalg.norm(u)
 
-    def run_arm(im):
-        i, m = im
-        acfg = AlgoConfig(eta=eta, delta=delta, m=m, T=T, seed=seed)
-        scfg = SddeConfig(eta=eta, delta=delta, m=m, T=T, rho=rho, seed=seed)
-        chain = run_dqn(net, spec, q, theta0, acfg, n_traj, checkpoints,
-                        stream_path=(_CHAIN_ARM, i))
-        diff = run_sdde(net, spec, q, theta0, scfg, n_traj, checkpoints,
-                        stream_path=(_SDDE_ARM, i))
-        return m, chain, diff
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            arms = list(pool.map(run_arm, enumerate(m_values)))
-    else:
-        arms = [run_arm(im) for im in enumerate(m_values)]
+    arms = _run_arms(net, spec, q, n_traj,
+                     [(theta0, SddeConfig(eta=eta, delta=delta, m=m, T=T, rho=rho,
+                                          seed=seed), checkpoints)
+                      for m in m_values], threads)
 
     rows = []
     late_theta, late_X = {}, {}
-    for m, chain, diff in arms:
+    for m, (chain, diff) in zip(m_values, arms):
         for c in checkpoints:
             th, xs = chain.at(c), diff.at(c)
             row = VarianceStudyRow(
@@ -338,18 +333,12 @@ def moment_suite(net: QNetSpec, spec: MdpSpec, q: np.ndarray, eta: float,
     3x) and the worst checkpoint-to-fit ratio (target: below 10x the fit).
     """
     checkpoints = sorted({int(c) for c in checkpoints})
-    d = net.d
+    cfg = SddeConfig(eta=eta, delta=delta, m=m, T=T, rho=rho, seed=seed)
+    x0s = [np.r_[scale, np.zeros(net.d - 1)] for scale in ic_scales]
+    arms = _run_arms(net, spec, q, n_traj, [(x0, cfg, checkpoints) for x0 in x0s])
     theta_fourth, theta_ratio = {}, {}
     x_second, x_ratio, x_disp = {}, {}, {}
-    for i, scale in enumerate(ic_scales):
-        x0 = np.zeros(d)
-        x0[0] = scale
-        acfg = AlgoConfig(eta=eta, delta=delta, m=m, T=T, seed=seed)
-        scfg = SddeConfig(eta=eta, delta=delta, m=m, T=T, rho=rho, seed=seed)
-        chain = run_dqn(net, spec, q, x0, acfg, n_traj, checkpoints,
-                        stream_path=(_CHAIN_ARM, i))
-        diff = run_sdde(net, spec, q, x0, scfg, n_traj, checkpoints,
-                        stream_path=(_SDDE_ARM, i))
+    for scale, x0, (chain, diff) in zip(ic_scales, x0s, arms):
         rep_t = moment_check_theta(chain)
         rep_x = moment_check_X(diff, x0)
         theta_fourth[scale] = rep_t.fourth_moments.tolist()

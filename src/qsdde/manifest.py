@@ -37,8 +37,7 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_manifest(out_dir: Path, subcommand: str, cfg_dict: dict, seed: int,
-                   outputs: list[str], assumption_snapshot: dict | None = None,
-                   extra: dict | None = None) -> Path:
+                   outputs: list[str], assumption_snapshot: dict | None = None) -> Path:
     """Write manifest.json (before outputs) and return its path."""
     from . import __version__
     out_dir = Path(out_dir)
@@ -53,8 +52,6 @@ def write_manifest(out_dir: Path, subcommand: str, cfg_dict: dict, seed: int,
         "outputs": outputs,
         "assumption_report": assumption_snapshot,
     }
-    if extra:
-        manifest.update(extra)
     path = out_dir / "manifest.json"
     atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -47,14 +47,6 @@ class MdpSpec:
     def n_actions(self) -> int:
         return self.p.shape[1]
 
-    @property
-    def states(self) -> list[int]:
-        return list(range(self.n_states))
-
-    @property
-    def actions(self) -> list[int]:
-        return list(range(self.n_actions))
-
 
 @dataclass(frozen=True)
 class IdealizedReplay:
@@ -75,13 +67,6 @@ class OnlineBufferReplay:
 
 
 ReplayModel = Union[IdealizedReplay, OnlineBufferReplay]
-
-
-class Transition(NamedTuple):
-    s: int
-    a: int
-    r: float
-    s_next: int
 
 
 @dataclass
@@ -178,25 +163,6 @@ def sample_pairs(q_cum: np.ndarray, p_cum: np.ndarray, u1: np.ndarray,
     k = np.minimum(k, q_cum.shape[0] - 1)
     sp = next_states(p_cum[k], u2)
     return k // n_actions, k % n_actions, sp, k
-
-
-def enumerate_support(spec: MdpSpec, q: np.ndarray) -> list[tuple[int, int, int, float]]:
-    """All (s, a, s', weight) triples with weight = q(s,a) p(s'|s,a) > 0.
-
-    Realizes the next-state integral exactly on the finite state space;
-    emitted weights sum to 1 (up to the q/p normalisation tolerance).
-    """
-    q = np.asarray(q, dtype=np.float64)
-    out: list[tuple[int, int, int, float]] = []
-    for s in range(spec.n_states):
-        for a in range(spec.n_actions):
-            if q[s, a] == 0.0:
-                continue
-            for sp in range(spec.n_states):
-                w = q[s, a] * spec.p[s, a, sp]
-                if w > 0.0:
-                    out.append((s, a, sp, float(w)))
-    return out
 
 
 def load_mdp(source: str | Path | dict) -> tuple[MdpSpec, ReplayModel]:

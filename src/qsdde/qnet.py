@@ -79,12 +79,6 @@ class QNetSpec:
         m[:S, 2], m[S:, 3] = 1.0, 1.0
         return m
 
-    def encode(self, s: int, a: int) -> np.ndarray:
-        x = np.zeros(self.input_dim)
-        x[s] = 1.0
-        x[self.n_states + a] = 1.0
-        return x
-
     def encode_all_pairs(self) -> np.ndarray:
         """(S*A, input_dim) one-hot encodings, pair k = (k // A, k % A)."""
         S, A = self.n_states, self.n_actions
@@ -241,8 +235,10 @@ def q_values_batch(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray,
     indices of ``_forward``.  The dense gradient is K reverse passes with
     unit cotangents.
     """
-    thetas = np.ascontiguousarray(np.atleast_2d(thetas).T)
-    q, cache = _forward(spec, thetas, _decode(spec, x))
+    thetas = np.atleast_2d(thetas)
+    if thetas.shape[1] != spec.d:
+        raise DimensionError(f"thetas must have {spec.d} columns, got {thetas.shape}")
+    q, cache = _forward(spec, np.ascontiguousarray(thetas.T), _decode(spec, x))
     if not with_grad:
         return q.T
     K, n = q.shape
@@ -255,91 +251,7 @@ def q_values_batch(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray,
     return q.T, g
 
 
-def q_value(spec: QNetSpec, theta: np.ndarray, s: int, a: int) -> float:
-    """Q(s, a; theta); strictly inside (-bound, bound)."""
-    _check_theta(spec, theta)
-    q = q_values_batch(spec, theta[None, :], spec.encode(s, a)[None, :])
-    return float(q[0, 0])
-
-
-def q_grad(spec: QNetSpec, theta: np.ndarray, s: int, a: int) -> np.ndarray:
-    """Exact analytic gradient of q_value with respect to theta."""
-    _check_theta(spec, theta)
-    _, g = q_values_batch(spec, theta[None, :], spec.encode(s, a)[None, :], with_grad=True)
-    return g[0, 0]
-
-
-def max_q(spec: QNetSpec, theta: np.ndarray, s: int) -> tuple[float, int]:
-    """(max_a Q(s, a; theta), argmax action); ties break to the lowest index.
-
-    Scans actions through the same path as q_value so the two agree bitwise.
-    """
-    _check_theta(spec, theta)
-    vals = [q_value(spec, theta, s, a) for a in range(spec.n_actions)]
-    a_star = int(np.argmax(vals))
-    return vals[a_star], a_star
-
-
 def max_q_by_state(spec: QNetSpec, thetas: np.ndarray, pair_encodings: np.ndarray) -> np.ndarray:
     """(N, S) table of max_a Q(s, a; theta_n) from the (S*A, in) encodings."""
     q = q_values_batch(spec, thetas, pair_encodings)  # (N, S*A)
     return q.reshape(thetas.shape[0], -1, spec.n_actions).max(axis=2)
-
-
-def _check_theta(spec: QNetSpec, theta: np.ndarray) -> None:
-    theta = np.asarray(theta)
-    if theta.shape != (spec.d,):
-        raise DimensionError(f"theta must have shape ({spec.d},), got {theta.shape}")
-
-
-def fd_grad(spec: QNetSpec, theta: np.ndarray, s: int, a: int, step: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient, the oracle for grad_check."""
-    d = spec.d
-    x = spec.encode(s, a)[None, :]
-    pert = np.repeat(theta[None, :], 2 * d, axis=0)
-    idx = np.arange(d)
-    pert[idx, idx] += step
-    pert[d + idx, idx] -= step
-    q = q_values_batch(spec, pert, x)[:, 0]
-    return (q[:d] - q[d:]) / (2.0 * step)
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_err: float
-    worst_point: dict
-    n_points: int
-    threshold: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_rel_err < self.threshold
-
-    def __str__(self) -> str:
-        head = f"grad check over {self.n_points} points: max relative error {self.max_rel_err:.3e}"
-        if self.ok:
-            return head + f" (< {self.threshold:.0e})"
-        return head + f" EXCEEDS {self.threshold:.0e} at {self.worst_point}"
-
-
-def grad_check(spec: QNetSpec, n_points: int, rng: np.random.Generator,
-               stddev: float = 1.0, step: float = 1e-5,
-               threshold: float = 1e-6) -> GradCheckReport:
-    """Worst-case analytic-vs-central-difference relative gradient error.
-
-    Relative error is vector-level per probe: ||fd - analytic|| / ||analytic||.
-    """
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
-    worst = {"rel_err": -1.0}
-    for j in range(n_points):
-        theta = stddev * rng.standard_normal(spec.d)
-        s = int(rng.integers(spec.n_states))
-        a = int(rng.integers(spec.n_actions))
-        g = q_grad(spec, theta, s, a)
-        g_fd = fd_grad(spec, theta, s, a, step)
-        rel = float(np.linalg.norm(g_fd - g) / max(np.linalg.norm(g), 1e-12))
-        if rel > worst["rel_err"]:
-            worst = {"rel_err": rel, "point": j, "s": s, "a": a,
-                     "theta_norm": float(np.linalg.norm(theta))}
-    return GradCheckReport(worst["rel_err"], worst, n_points, threshold)

@@ -8,17 +8,15 @@ multiples of m*eta (X_0 before the first boundary), matching the chain's
 frozen target.  Time is tracked as an integer count of substeps (rho per
 chain step of length eta) so grid tests never see floating-point drift.
 
-Coefficients are recomputed at every substep.  Both the unit step
-``sdde_euler_step`` and the ensemble driver ``run_sdde`` compute the drift as
-a vector-Jacobian product of the Q-net's parameter-major kernel with
-cotangent h*q*Ec, from the same residual moments.  The unit step applies
-the dense symmetric root sigma.  ``run_sdde`` draws the same Gaussian law as
-sqrt(delta/eta) z + G^T F xi, with z ~ N(0, I_d), xi ~ N(0, I_K) and F from
-``noise_cotangent``, and folds G^T F xi into the drift's reverse pass, so
-each substep costs one forward pass and one VJP.  It holds its state as
-(d, n_traj) for the whole run, and forms the p-weighted moments of the delay
-max-Q table once per delay segment, since they change only when the delay
-argument does.
+Coefficients are recomputed at every substep.  ``run_sdde`` computes the
+drift as a vector-Jacobian product of the Q-net's parameter-major kernel
+with cotangent h*q*Ec.  In place of the dense symmetric root sigma it draws
+the same Gaussian law as sqrt(delta/eta) z + G^T F xi, with z ~ N(0, I_d),
+xi ~ N(0, I_K) and F from ``noise_cotangent``, and folds G^T F xi into the
+drift's reverse pass, so each substep costs one forward pass and one VJP.
+It holds its state as (d, n_traj) for the whole run, and forms the
+p-weighted moments of the delay max-Q table once per delay segment, since
+they change only when the delay argument does.
 """
 
 from __future__ import annotations
@@ -29,8 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import TrajectoryEnsemble, parameter_major
-from .coeffs import (delay_moments, head_stats, lowrank_ghat, noise_cotangent,
-                     residual_moments, spd_sqrt)
+from .coeffs import delay_moments, noise_cotangent, residual_moments
 from .mdp import MdpSpec
 from .qnet import QNetSpec, _forward, _vjp, max_q_by_state, pair_heads
 from .rng import TrajectoryStreams, block_size
@@ -62,44 +59,6 @@ class SddeConfig:
             raise ValueError("delta must be positive")
         if self.m < 1 or self.T < 1 or self.rho < 1:
             raise ValueError("m, T and rho must all be >= 1")
-
-
-def _drift_pass(net: QNetSpec, spec: MdpSpec, x: np.ndarray, heads, mu):
-    """Forward pass at parameter-major x (d, N) and the residual moments
-    (Ec, Ec2), each (K, N), against the delay moments mu = (mu1, mu2)."""
-    Qx, cache = _forward(net, x, heads)
-    return (cache, *residual_moments(spec, Qx, *mu))
-
-
-def sdde_euler_step(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
-                    x_delay: np.ndarray, h: float, cfg: SddeConfig,
-                    rng: np.random.Generator) -> np.ndarray:
-    """One Euler-Maruyama update x - b(x, x_delay) h + sqrt(eta) sigma sqrt(h) Z.
-
-    sigma is the symmetric PSD square root of Ghat Ghat^T + (delta/eta) I at
-    (x, x_delay), where Ghat Ghat^T = Sigma + beta_bar is the low-rank factor;
-    Z is a standard Gaussian in R^d.  The drift goes through the same kernel
-    and the same residual moments as ``run_sdde``.
-    """
-    if not (h > 0.0):
-        raise ValueError("time increment h must be positive")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x_delay))):
-        raise SddeError("non-finite state passed to the Euler step")
-    x2 = np.atleast_2d(x)
-    enc = net.encode_all_pairs()
-    maxq_delay = max_q_by_state(net, np.atleast_2d(x_delay), enc)
-    cache, Ec, _ = _drift_pass(net, spec, x2.T.copy(), pair_heads(net),
-                               delay_moments(spec, maxq_delay))
-    # root of the factored form, not sigma_matrix's: its Sigma = E[b b^T] - b b^T
-    # keeps an indefinite rounding residue whose root is O(sqrt(machine eps))
-    ghat = lowrank_ghat(head_stats(net, spec, q, x2, maxq_delay, enc), spec.V.reshape(-1))[0]
-    sigma = spd_sqrt(ghat @ ghat.T + (cfg.delta / cfg.eta) * np.eye(net.d))
-    z = rng.standard_normal(net.d)
-    hq = h * np.asarray(q, dtype=np.float64).reshape(-1, 1)
-    out = x2[0] + np.sqrt(cfg.eta * h) * (sigma @ z) + _vjp(net, cache, hq * Ec)[:, 0]
-    if not np.all(np.isfinite(out)):
-        raise SddeError(f"non-finite state after Euler step of size {h}")
-    return out
 
 
 def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
@@ -150,7 +109,8 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
             z_block = streams.normal_block(nb * per_step).reshape(n_traj, nb, per_step)
         for i0 in range(0, n_traj, 512):  # in chunks, so the strided reads stay in cache
             np.copyto(noise[:, i0:i0 + 512], z_block[i0:i0 + 512, j].T)
-        cache, Ec, Ec2 = _drift_pass(net, spec, x, heads, mu)
+        Qx, cache = _forward(net, x, heads)
+        Ec, Ec2 = residual_moments(spec, Qx, *mu)
         cot = hq * Ec + amp * noise_cotangent(q_flat, Ec, Ec2, V_flat, noise[d:])
         step = _vjp(net, cache, cot)  # before x moves: the cache holds views of x
         noise[:d] *= z_amp

@@ -122,6 +122,16 @@ def w1_assignment(A: np.ndarray, B: np.ndarray, cap: int = ASSIGNMENT_CAP,
                       n_a=A.shape[0], n_b=B.shape[0], baseline=baseline, meta=meta)
 
 
+def w1_assignment_subsampled(A: np.ndarray, B: np.ndarray, cap: int,
+                             rng: np.random.Generator) -> W1Estimate:
+    """w1_assignment on min(len(A), len(B), cap) points of each cloud, drawn
+    without replacement from rng, A's indices first."""
+    n = min(len(A), len(B), cap)
+    ia = rng.choice(len(A), n, replace=False)
+    ib = rng.choice(len(B), n, replace=False)
+    return w1_assignment(A[ia], B[ib], cap=cap)
+
+
 def w1_sliced(A: np.ndarray, B: np.ndarray, n_proj: int,
               rng: np.random.Generator) -> W1Estimate:
     """Sliced W1: projection-mean of exact 1-D distances, sphere-rescaled.

@@ -62,7 +62,7 @@ def build_scalar_oracle(gamma: float = 0.8, eta_alpha: float = 0.2,
     stationary variance has a closed form per target period m.  All noise
     scales cancel in the delayed / undelayed variance ratio.
     """
-    from qsdde.qnet import q_grad, q_value
+    from oracles import q_grad, q_value
 
     spec = MdpSpec(p=np.ones((1, 1, 1)), R=np.zeros((1, 1)),
                    V=np.full((1, 1), v_reward), gamma=gamma)

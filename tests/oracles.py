@@ -4,7 +4,9 @@
 over one-hot inputs (N, K, input_dim): every layer, the first included, is
 a dense matmul, so they share no code with the parameter-major kernel in
 ``qsdde.qnet``.  ``dense_jacobian`` stacks K unit-cotangent passes into the
-(N, K, d) head Jacobian.
+(N, K, d) head Jacobian.  The single-point references below (``q_value``,
+``q_grad``, ``max_q``, ``qbar``, ``sample_drift_bn``) are built on them;
+``fd_grad`` differences the kernel's own values.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from qsdde.coeffs import bellman_moments, noise_cotangent
 from qsdde.mdp import MdpSpec
-from qsdde.qnet import QNetSpec, _SAT
+from qsdde.qnet import QNetSpec, _SAT, q_values_batch
 
 
 def _unpack(spec: QNetSpec, thetas: np.ndarray):
@@ -105,3 +107,80 @@ def noise_matrix(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
         q_flat, Ec.T, Ec2.T, spec.V.reshape(-1), np.broadcast_to(e[:, None], (K, n))).T)
         for e in np.eye(K)]
     return np.stack(cols, axis=2)
+
+
+def one_hot(spec: QNetSpec, s: int, a: int) -> np.ndarray:
+    """The (input_dim,) encoding of the pair (s, a)."""
+    x = np.zeros(spec.input_dim)
+    x[s] = x[spec.n_states + a] = 1.0
+    return x
+
+
+def q_value(spec: QNetSpec, theta: np.ndarray, s: int, a: int) -> float:
+    return float(dense_forward(spec, theta[None, :], one_hot(spec, s, a)[None, None])[0][0, 0])
+
+
+def q_grad(spec: QNetSpec, theta: np.ndarray, s: int, a: int) -> np.ndarray:
+    return dense_jacobian(spec, theta[None, :], one_hot(spec, s, a)[None, None])[1][0, 0]
+
+
+def max_q(spec: QNetSpec, theta: np.ndarray, s: int) -> tuple[float, int]:
+    """(max_a Q(s, a; theta), argmax action); ties break to the lowest index."""
+    vals = [q_value(spec, theta, s, a) for a in range(spec.n_actions)]
+    a_star = int(np.argmax(vals))
+    return vals[a_star], a_star
+
+
+def fd_grad(spec: QNetSpec, theta: np.ndarray, s: int, a: int,
+            step: float = 1e-5) -> np.ndarray:
+    """Central differences of the kernel's values Q(s, a; theta +- step e_i)."""
+    d = spec.d
+    pert = np.repeat(theta[None, :], 2 * d, axis=0)
+    idx = np.arange(d)
+    pert[idx, idx] += step
+    pert[d + idx, idx] -= step
+    q = q_values_batch(spec, pert, one_hot(spec, s, a)[None, :])[:, 0]
+    return (q[:d] - q[d:]) / (2.0 * step)
+
+
+def qbar(net: QNetSpec, spec: MdpSpec, y: np.ndarray, s: int, a: int) -> float:
+    """Expected next-state max Q value under p(.|s,a) at target parameters y."""
+    return float(sum(spec.p[s, a, sp] * max_q(net, y, sp)[0]
+                     for sp in range(spec.n_states) if spec.p[s, a, sp] > 0.0))
+
+
+def sample_drift_bn(net: QNetSpec, spec: MdpSpec, x: np.ndarray, y: np.ndarray,
+                    t: tuple) -> np.ndarray:
+    """Per-sample drift of the transition t = (s, a, r, s'); uses the mean
+    reward R(s,a), never the sampled r:
+    -[R(s,a) + gamma*max_a' Q(s',a';y) - Q(s,a;x)] * grad Q(s,a;x)."""
+    s, a, _, sp = t
+    bracket = spec.R[s, a] + spec.gamma * max_q(net, y, sp)[0] - q_value(net, x, s, a)
+    return -bracket * q_grad(net, x, s, a)
+
+
+def enumerate_support(spec: MdpSpec, q: np.ndarray) -> list[tuple[int, int, int, float]]:
+    """All (s, a, s', weight) with weight = q(s,a) p(s'|s,a) > 0."""
+    q = np.asarray(q, dtype=np.float64)
+    return [(s, a, sp, float(q[s, a] * spec.p[s, a, sp]))
+            for s in range(spec.n_states) for a in range(spec.n_actions)
+            if q[s, a] != 0.0
+            for sp in range(spec.n_states) if q[s, a] * spec.p[s, a, sp] > 0.0]
+
+
+class GaussianBump:
+    """f(x) = exp(-|x - center|^2 / (2 width^2)), with its gradient and Hessian."""
+
+    def __init__(self, center: np.ndarray, width: float):
+        self.center, self.width = np.asarray(center, dtype=np.float64), width
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(x)
+        return np.exp(-((x - self.center) ** 2).sum(axis=1) / (2.0 * self.width ** 2))
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        return -float(self.value(x)[0]) * (x - self.center) / self.width ** 2
+
+    def hess(self, x: np.ndarray) -> np.ndarray:
+        u = (x - self.center) / self.width ** 2
+        return float(self.value(x)[0]) * (np.outer(u, u) - np.eye(len(x)) / self.width ** 2)

@@ -19,16 +19,17 @@ from click.testing import CliRunner
 
 from qsdde.chain import AlgoConfig, run_dqn
 from qsdde.cli import main as cli_main
-from qsdde.coeffs import exact_drift_b, sample_drift_bn, sigma_matrix
+from qsdde.coeffs import exact_drift_b, sigma_matrix
 from qsdde.diagnostics import Quadratic, generator_gap
 from qsdde.experiments import moment_suite, rate_sweep, w1_bound_shape, variance_study
-from qsdde.mdp import MdpSpec, Transition, uniform_q
-from qsdde.qnet import QNetSpec, grad_check
+from qsdde.mdp import MdpSpec, uniform_q
+from qsdde.qnet import QNetSpec, q_values_batch
 from qsdde.sdde import SddeConfig, run_sdde
 from qsdde.wasserstein import w1_assignment, w1_sliced
 
 from conftest import (build_scalar_oracle, chain_variance_ratio, make_mdp,
                       saturated_theta, sdde_variance_ratio)
+from oracles import fd_grad, one_hot, sample_drift_bn
 from test_wasserstein import brute_force_w1
 
 # the desk-scale study model shared by the heavy criteria
@@ -44,11 +45,22 @@ def _verdict(k: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_gradient_correctness():
+    # the kernel gradient against central differences of the kernel's values
+    # at 100 points: theta ~ N(0, I), then s, then a, from one generator
     t0 = time.time()
-    rep = grad_check(STUDY_NET, 100, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(100):
+        theta = rng.standard_normal(STUDY_NET.d)
+        s = int(rng.integers(STUDY_NET.n_states))
+        a = int(rng.integers(STUDY_NET.n_actions))
+        g = q_values_batch(STUDY_NET, theta[None, :], one_hot(STUDY_NET, s, a)[None, :],
+                           with_grad=True)[1][0, 0]
+        g_fd = fd_grad(STUDY_NET, theta, s, a)
+        worst = max(worst, float(np.linalg.norm(g_fd - g) / max(np.linalg.norm(g), 1e-12)))
     elapsed = time.time() - t0
-    ok = rep.max_rel_err < 1e-6 and elapsed < 5.0
-    _verdict(1, ok, f"max relative FD error {rep.max_rel_err:.2e} over 100 "
+    ok = worst < 1e-6 and elapsed < 5.0
+    _verdict(1, ok, f"max relative FD error {worst:.2e} over 100 "
                     f"points in {elapsed:.2f}s (< 1e-6, < 5s)")
 
 
@@ -84,7 +96,7 @@ def test_criterion_3_drift_oracle_equivalence():
     for k in range(S * A):
         for sp in range(S):
             table[k, sp] = sample_drift_bn(STUDY_NET, STUDY_MDP, x, y,
-                                           Transition(k // A, k % A, 0.0, sp))
+                                           (k // A, k % A, 0.0, sp))
     n = 100_000
     ks = rng.choice(S * A, size=n, p=STUDY_Q.reshape(-1))
     draws = np.empty((n, STUDY_NET.d))

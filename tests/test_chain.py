@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from qsdde.chain import (AlgoConfig, ChainError, TrajectoryEnsemble, chain_increment,
-                         cumulative_tables, dqn_step, moment_check_theta, replay_step,
+                         cumulative_tables, moment_check_theta, replay_step,
                          run_algorithm1, run_dqn)
-from qsdde.coeffs import exact_drift_b
-from qsdde.mdp import (MdpSpec, OnlineBufferReplay, enumerate_support,
-                       sample_pairs, uniform_q)
-from qsdde.qnet import QNetSpec, init_theta, max_q, q_grad, q_value
+from qsdde.mdp import MdpSpec, OnlineBufferReplay, sample_pairs, uniform_q
+from qsdde.qnet import QNetSpec, init_theta
 from qsdde.rng import spawn_generator, step_noise
 
 from conftest import make_mdp, saturated_theta
-from oracles import dense_forward, dense_jacobian
+from oracles import (dense_forward, dense_jacobian, enumerate_support, max_q, q_grad,
+                     q_value)
 
 
 def _cfg(**kw):
@@ -22,29 +21,33 @@ def _cfg(**kw):
     return AlgoConfig(**base)
 
 
-def _dqn_steps(net, mdp, q_table, theta, target, cfg, rng, n, check=(0, 1, -1)):
-    """n dqn_step increments from (theta, target) in one replay_step call.
+def _step(net, mdp, q_table, theta, target, cfg, u, z):
+    """One replay_step row from (d,) theta and target and its words u (2,), z (1 + d,)."""
+    return replay_step(net, mdp, cumulative_tables(mdp, q_table), theta[:, None],
+                       target[:, None], u[None, :], z[None, :], cfg.eta, cfg.delta)[:, 0]
 
-    Draws what n successive dqn_step calls would draw from rng, in the same
-    order: uniform(size=2), then standard_normal(1 + d), per step.  The rows
-    named in check are recomputed by dqn_step from the saved generator state
-    and must agree bitwise.
+
+def _words(net, rng):
+    """One step's draws in the documented order: uniform(size=2), then
+    standard_normal(1 + d) (the reward noise xi, then W)."""
+    return rng.uniform(size=2), rng.standard_normal(1 + net.d)
+
+
+def _dqn_steps(net, mdp, q_table, theta, target, cfg, rng, n, check=(0, 1, -1)):
+    """n one-step increments from (theta, target) in one replay_step call.
+
+    Draws n steps' words from rng, step after step.  The rows named in check
+    are recomputed by a one-row replay_step on the same words and must agree
+    bitwise: a row does not depend on the batch it sits in.
     """
     u, z = np.empty((n, 2)), np.empty((n, 1 + net.d))
-    check = {i % n for i in check}
-    states = {}
     for i in range(n):
-        if i in check:
-            states[i] = rng.bit_generator.state
-        u[i] = rng.uniform(size=2)
-        z[i] = rng.standard_normal(1 + net.d)
+        u[i], z[i] = _words(net, rng)
     out = replay_step(net, mdp, cumulative_tables(mdp, q_table),
                       np.repeat(theta[:, None], n, axis=1),
                       np.repeat(target[:, None], n, axis=1), u, z, cfg.eta, cfg.delta).T
-    for i, state in states.items():
-        g = np.random.default_rng()
-        g.bit_generator.state = state
-        assert np.array_equal(dqn_step(net, mdp, q_table, theta, target, cfg, g), out[i])
+    for i in {i % n for i in check}:
+        assert np.array_equal(_step(net, mdp, q_table, theta, target, cfg, u[i], z[i]), out[i])
     return out - theta
 
 
@@ -65,8 +68,8 @@ def test_ensemble_checkpoints_strictly_increasing():
 
 
 def test_dqn_step_eta_zero_is_identity(net, mdp, q_table, theta):
-    out = dqn_step(net, mdp, q_table, theta, theta, _cfg(eta=0.0, delta=1e-300),
-                   np.random.default_rng(0))
+    out = _step(net, mdp, q_table, theta, theta, _cfg(eta=0.0, delta=1e-300),
+                *_words(net, np.random.default_rng(0)))
     assert np.array_equal(out, theta)
 
 
@@ -86,10 +89,8 @@ def test_dqn_step_hand_unrolled(net, mdp, q_table):
     cfg = _cfg(eta=0.07, delta=0.3)
     theta = init_theta(net, np.random.default_rng(1))
     target = init_theta(net, np.random.default_rng(2))
-    out = dqn_step(net, mdp, q_table, theta, target, cfg, np.random.default_rng(55))
-    rng = np.random.default_rng(55)
-    u = rng.uniform(size=2)
-    z = rng.standard_normal(1 + net.d)
+    u, z = _words(net, np.random.default_rng(55))
+    out = _step(net, mdp, q_table, theta, target, cfg, u, z)
     s, a, sp, _ = (int(v[0]) for v in sample_pairs(
         np.cumsum(q_table.reshape(-1)), np.cumsum(mdp.p.reshape(-1, mdp.n_states), axis=1),
         u[:1], u[1:], mdp.n_actions))
@@ -102,20 +103,29 @@ def test_dqn_step_hand_unrolled(net, mdp, q_table):
     assert np.allclose(out, expected, atol=1e-12)
 
 
-def test_dqn_step_nonfinite_raises(net, mdp, q_table):
-    bad = np.full(net.d, np.nan)
-    with pytest.raises(ChainError):
-        dqn_step(net, mdp, q_table, bad, bad, _cfg(), np.random.default_rng(0))
+def test_run_dqn_nonfinite_names_step_and_trajectory(net, mdp, q_table, theta):
+    start = np.repeat(theta[None, :], 3, axis=0)
+    start[1, 0] = np.nan
+    with pytest.raises(ChainError, match="at step 1, trajectory 1$"):
+        run_dqn(net, mdp, q_table, start, _cfg(), 3, [0, 20])
+
+
+def test_run_algorithm1_nonfinite_names_step_and_trajectory(net, mdp, theta):
+    start = np.repeat(theta[None, :], 3, axis=0)
+    start[1, 0] = np.nan
+    with pytest.raises(ChainError, match="at step 1, trajectory 1$"):
+        run_algorithm1(net, mdp, OnlineBufferReplay(capacity=10, epsilon=0.5), _cfg(),
+                       3, [0, 20], start)
 
 
 def test_dqn_step_depends_only_on_state_and_stream(net, mdp, q_table, theta):
-    # identical (theta, target, seed state) gives an identical next state,
+    # identical (theta, target, noise words) give an identical next state,
     # regardless of how those arguments were produced
     target = theta + 0.1
-    a = dqn_step(net, mdp, q_table, theta.copy(), target.copy(), _cfg(),
-                 np.random.default_rng(99))
-    b = dqn_step(net, mdp, q_table, theta + 0.0, np.array(target), _cfg(),
-                 np.random.default_rng(99))
+    a = _step(net, mdp, q_table, theta.copy(), target.copy(), _cfg(),
+              *_words(net, np.random.default_rng(99)))
+    b = _step(net, mdp, q_table, theta + 0.0, np.array(target), _cfg(),
+              *_words(net, np.random.default_rng(99)))
     assert np.array_equal(a, b)
 
 
@@ -124,7 +134,7 @@ def test_split_and_raw_noise_forms_agree_in_moments(net, mdp, q_table):
 
     The two decompositions of the update noise must give identical increment
     mean and covariance; compare a split-form reimplementation against
-    dqn_step draws, each over 1e5 samples, entrywise within 4 standard errors.
+    replay_step draws, each over 1e5 samples, entrywise within 4 standard errors.
     """
     cfg = _cfg(eta=0.1, delta=0.2)
     rng = np.random.default_rng(7)

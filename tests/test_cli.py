@@ -304,3 +304,67 @@ def test_rate_sweep_cli_small(tmp_path):
     assert (out / "rate_sweep.csv").exists()
     payload = json.loads((out / "rate_sweep.json").read_text())
     assert len(payload["rows"]) == 2
+
+
+def test_estimate_w1_rejects_zero_projections_and_cap(tmp_path, config_file):
+    path_a, path_b = _two_chains(tmp_path, config_file)
+    for opt in ("--n-proj", "--cap"):
+        res = CliRunner().invoke(main, ["estimate-w1", "--a", str(path_a), "--b",
+                                        str(path_b), "--checkpoint", "12", opt, "0"])
+        assert res.exit_code == 2 and opt in res.output and ">=1" in res.output
+        assert isinstance(res.exception, SystemExit)
+
+
+def test_malformed_point_files_name_the_file(tmp_path, config_file):
+    d = load_config(config_file).net.d
+    bad = tmp_path / "bad.json"
+    cases = [("dump-coefficients", {"x": [0.0, 1.0]}, f"x must be a list of d = {d}"),
+             ("dump-coefficients", {"x": [0.0] * d, "y": [[0.0] * d]}, f"d = {d}"),
+             ("generator-gap", {"pts": [[0.0] * d]}, f"d = {d}"),
+             ("generator-gap", {"points": [[0.0] * d, [0.0] * (d + 1)]}, f"d = {d}"),
+             ("generator-gap", {"points": [[0.0] * d], "target": [1.0]}, f"d = {d}"),
+             ("generator-gap", {"points": [[0.0] * d], "n_mc": 10}, "n_mc must be >= 1e3"),
+             ("generator-gap", [[0.0] * d], "expected a JSON object"),
+             ("dump-coefficients", '{"x": [1, 2', "JSON parse error at line 1")]
+    for cmd, doc, message in cases:
+        bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        res = CliRunner().invoke(main, [cmd, "--config", str(config_file),
+                                        "--points", str(bad)])
+        assert res.exit_code == 1, (cmd, doc, res.output)
+        assert f"{bad}:" in res.output and message in res.output
+        assert isinstance(res.exception, SystemExit)
+
+
+def test_stream_keys_unique_within_a_run(tmp_path, config_file, monkeypatch):
+    # every (seed, spawn key) that spawn_generator or TrajectoryStreams builds
+    # during one small rate sweep and one online-buffer simulate-dqn
+    import sys
+    import qsdde.rng as rng_mod
+    keys = []
+    spawn, init = rng_mod.spawn_generator, rng_mod.TrajectoryStreams.__init__
+
+    def spawn_rec(seed, path):
+        keys.append((seed, tuple(path)))
+        return spawn(seed, path)
+
+    def init_rec(self, seed, path, n):
+        keys.extend((seed, (*path, i)) for i in range(n))
+        init(self, seed, path, n)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qsdde") and getattr(mod, "spawn_generator", None) is spawn:
+            monkeypatch.setattr(mod, "spawn_generator", spawn_rec)
+    monkeypatch.setattr(rng_mod.TrajectoryStreams, "__init__", init_rec)
+    doc = _config_doc(rate_sweep={"eta_grid": [0.08, 0.04], "n_traj": 8, "n_proj": 4,
+                                  "assignment_cap": 8})
+    online = _config_doc()
+    online["mdp"]["replay"] = {"mode": "online_buffer", "capacity": 5, "epsilon": 0.3}
+    for cmd, cfg_doc, extra in (("rate-sweep", doc, ["--force"]),
+                                ("simulate-dqn", online, [])):
+        path = tmp_path / f"{cmd}.json"
+        path.write_text(json.dumps(cfg_doc))
+        keys.clear()
+        res = CliRunner().invoke(main, [cmd, "--config", str(path),
+                                        "--out", str(tmp_path / cmd), *extra])
+        assert res.exit_code == 0, res.output
+        assert len(keys) > 2 and len(set(keys)) == len(keys), cmd

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qsdde.coeffs import (CoefficientError, estimate_constants, exact_drift_b,
-                          qbar, sample_drift_bn, sigma_matrix, spd_sqrt,
-                          step_size_gate)
-from qsdde.mdp import MdpSpec, Transition, sample_pairs, uniform_q
-from qsdde.qnet import QNetSpec, init_theta, max_q, q_grad, q_value
+from qsdde.coeffs import (CoefficientError, delay_moments, estimate_constants,
+                          exact_drift_b, head_stats, lowrank_ghat, sigma_matrix,
+                          spd_sqrt, step_size_gate)
+from qsdde.mdp import MdpSpec, sample_pairs, uniform_q
+from qsdde.qnet import QNetSpec, init_theta, max_q_by_state
 
 from conftest import make_mdp, saturated_theta
-from oracles import noise_matrix
+from oracles import max_q, noise_matrix, q_grad, q_value, qbar, sample_drift_bn
+
+
+def _mu1(net, spec, y, s, a):
+    """The kernel's p-weighted next-state max Q of head (s, a) at y."""
+    mu1, _ = delay_moments(spec, max_q_by_state(net, y[None, :], net.encode_all_pairs()))
+    return mu1[s * net.n_actions + a, 0]
 
 
 def test_qbar_deterministic_transition(net, mdp, theta):
@@ -19,10 +25,12 @@ def test_qbar_deterministic_transition(net, mdp, theta):
     p[:, :, 2] = 1.0
     det = MdpSpec(p=p, R=mdp.R, V=mdp.V, gamma=mdp.gamma)
     assert qbar(net, det, theta, 0, 1) == pytest.approx(max_q(net, theta, 2)[0], rel=1e-14)
+    assert _mu1(net, det, theta, 0, 1) == pytest.approx(qbar(net, det, theta, 0, 1), rel=1e-14)
 
 
 def test_qbar_zero_parameters(net, mdp):
     assert qbar(net, mdp, np.zeros(net.d), 1, 0) == 0.0
+    assert _mu1(net, mdp, np.zeros(net.d), 1, 0) == 0.0
 
 
 def test_qbar_uniform_average(net, theta):
@@ -30,10 +38,11 @@ def test_qbar_uniform_average(net, theta):
     spec = MdpSpec(p=p, R=np.zeros((3, 2)), V=np.zeros((3, 2)), gamma=0.9)
     expected = np.mean([max_q(net, theta, sp)[0] for sp in range(3)])
     assert qbar(net, spec, theta, 0, 0) == pytest.approx(expected, rel=1e-14)
+    assert _mu1(net, spec, theta, 0, 0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_sample_drift_bn_saturated_is_zero(net, mdp):
-    t = Transition(0, 1, 0.3, 2)
+    t = (0, 1, 0.3, 2)
     bn = sample_drift_bn(net, mdp, saturated_theta(net), saturated_theta(net), t)
     assert np.max(np.abs(bn)) < 1e-13
 
@@ -43,7 +52,7 @@ def test_sample_drift_bn_hand_arithmetic(mdp):
     rng = np.random.default_rng(3)
     x = init_theta(net, rng)
     y = init_theta(net, rng)
-    t = Transition(1, 0, 99.0, 2)  # sampled reward must be ignored
+    t = (1, 0, 99.0, 2)  # sampled reward must be ignored
     bracket = (mdp.R[1, 0]
                + mdp.gamma * max(q_value(net, y, 2, a) for a in range(2))
                - q_value(net, x, 1, 0))
@@ -60,7 +69,7 @@ def test_sample_drift_bn_vanishes_at_bellman_root():
     mdp = MdpSpec(p=base_mdp.p, R=R, V=base_mdp.V, gamma=0.9)
     net = QNetSpec(n_states=3, n_actions=2, hidden=(1,), bound=5.0)
     base = init_theta(net, np.random.default_rng(8))
-    t = Transition(0, 0, 0.0, 1)
+    t = (0, 0, 0.0, 1)
     w_idx = net.d - 2  # single output weight
 
     def bracket(w):
@@ -90,7 +99,7 @@ def test_exact_drift_point_mass_degenerate(net, mdp):
     q[2, 1] = 1.0
     rng = np.random.default_rng(1)
     x, y = init_theta(net, rng), init_theta(net, rng)
-    expected = sample_drift_bn(net, det, x, y, Transition(2, 1, 0.0, 1))
+    expected = sample_drift_bn(net, det, x, y, (2, 1, 0.0, 1))
     assert np.allclose(exact_drift_b(net, det, q, x, y), expected, rtol=1e-12)
 
 
@@ -104,7 +113,7 @@ def test_exact_drift_matches_monte_carlo(net, mdp, q_table):
                                np.cumsum(mdp.p.reshape(-1, mdp.n_states), axis=1),
                                u[:, 0], u[:, 1], mdp.n_actions)
     for i in range(draws.shape[0]):
-        draws[i] = sample_drift_bn(net, mdp, x, y, Transition(s[i], a[i], 0.0, sp[i]))
+        draws[i] = sample_drift_bn(net, mdp, x, y, (s[i], a[i], 0.0, sp[i]))
     se = draws.std(axis=0) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - b) < 4 * np.maximum(se, 1e-14))
 
@@ -126,7 +135,7 @@ def test_sigma_is_exact_covariance_small_net():
     x, y = init_theta(net, rng), init_theta(net, rng)
     cs = sigma_matrix(net, spec, q, x, y, 0.05, 0.5)
     table = np.stack([
-        sample_drift_bn(net, spec, x, y, Transition(0, a, 0.0, 0))
+        sample_drift_bn(net, spec, x, y, (0, a, 0.0, 0))
         for a in range(2)
     ])
     n = 1_000_000
@@ -170,8 +179,10 @@ def test_sigma_matrix_rejects_bad_eta(net, mdp, q_table, theta):
 
 
 def test_lowrank_matches_dense(net, mdp, q_table):
-    # the engine's noise map A (columns at e_1..e_K) factors Sigma + beta_bar
+    # the engine's noise map A (columns at e_1..e_K) factors Sigma + beta_bar,
+    # and so does lowrank_ghat's dense factor, which equals A
     rng = np.random.default_rng(31)
+    enc = net.encode_all_pairs()
     for _ in range(10):
         x = rng.standard_normal(net.d)
         y = rng.standard_normal(net.d)
@@ -179,6 +190,11 @@ def test_lowrank_matches_dense(net, mdp, q_table):
         cs = sigma_matrix(net, mdp, q_table, x, y, eta, delta)
         A = noise_matrix(net, mdp, q_table, x[None, :], y[None, :])[0]
         assert np.allclose(A @ A.T, cs.Sigma + cs.beta_bar, atol=1e-11)
+        stats = head_stats(net, mdp, q_table, x[None, :],
+                           max_q_by_state(net, y[None, :], enc), enc)
+        G = lowrank_ghat(stats, mdp.V.reshape(-1))[0]
+        assert np.allclose(G @ G.T, cs.Sigma + cs.beta_bar, atol=1e-11)
+        assert np.allclose(G, A, rtol=0.0, atol=1e-12)
 
 
 def test_covariances_match_triple_enumeration_oracle():
@@ -228,7 +244,7 @@ def test_covariances_match_triple_enumeration_oracle():
                     w = w_sa * p[s, a, sp]
                     if w == 0.0:
                         continue
-                    bn = sample_drift_bn(net, spec, x, y, Transition(s, a, 0.0, sp))
+                    bn = sample_drift_bn(net, spec, x, y, (s, a, 0.0, sp))
                     b_o += w * bn
                     second_o += w * np.outer(bn, bn)
         sigma_o = second_o - np.outer(b_o, b_o)

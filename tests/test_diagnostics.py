@@ -5,11 +5,12 @@ import pytest
 
 from qsdde.chain import AlgoConfig
 from qsdde.coeffs import exact_drift_b, sigma_matrix
-from qsdde.diagnostics import (GaussianBump, Quadratic, assumption_report,
-                               generator_X, generator_gap, generator_theta)
+from qsdde.diagnostics import (Quadratic, assumption_report, generator_X,
+                               generator_gap, generator_theta)
 from qsdde.qnet import QNetSpec, init_theta
 
 from conftest import make_mdp, saturated_theta
+from oracles import GaussianBump
 
 
 def _cfg(eta=0.1, delta=0.5):

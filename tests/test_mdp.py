@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from qsdde.mdp import (IdealizedReplay, MdpSpec, OnlineBufferReplay,
-                       enumerate_support, load_mdp, next_states, sample_pairs,
-                       uniform_q, validate_mdp)
+from qsdde.mdp import (IdealizedReplay, MdpSpec, OnlineBufferReplay, load_mdp,
+                       next_states, sample_pairs, uniform_q, validate_mdp)
 
 from conftest import make_mdp
+from oracles import enumerate_support
 
 
 def _tables(spec, q):

@@ -5,22 +5,32 @@ import math
 import numpy as np
 import pytest
 
-from qsdde.qnet import (DimensionError, GradCheckReport, QNetSpec, _forward, _vjp,
-                        fd_grad, grad_check, init_theta, max_q, pair_heads, q_grad,
-                        q_value, q_values_batch)
+from qsdde.qnet import (DimensionError, QNetSpec, _forward, _vjp, init_theta,
+                        max_q_by_state, pair_heads, q_values_batch)
 
 from conftest import saturated_theta
-from oracles import dense_jacobian, pair_inputs
+from oracles import dense_jacobian, fd_grad, one_hot, pair_inputs
+
+
+def _q(net, theta, s, a):
+    """Q(s, a; theta) through the kernel."""
+    return q_values_batch(net, theta[None, :], one_hot(net, s, a)[None, :])[0, 0]
+
+
+def _grad(net, theta, s, a):
+    """grad Q(s, a; theta) through the kernel."""
+    return q_values_batch(net, theta[None, :], one_hot(net, s, a)[None, :],
+                          with_grad=True)[1][0, 0]
 
 
 def test_zero_theta_gives_zero_output(net):
-    assert q_value(net, np.zeros(net.d), 0, 0) == 0.0
+    assert _q(net, np.zeros(net.d), 0, 0) == 0.0
 
 
 def test_output_strictly_bounded(net):
     rng = np.random.default_rng(2)
     thetas = 5.0 * rng.standard_normal((10_000, net.d))
-    x = net.encode(1, 1)[None, :]
+    x = one_hot(net, 1, 1)[None, :]
     q = q_values_batch(net, thetas, x)[:, 0]
     assert np.all(np.abs(q) < net.bound)
 
@@ -37,7 +47,7 @@ def test_hand_evaluated_single_hidden_unit():
     h = 1.0 / (1.0 + math.exp(-z1))
     z2 = w2 * h + b2
     expected = 3.0 * (2.0 / (1.0 + math.exp(-z2)) - 1.0)
-    assert q_value(net, theta, 0, 0) == pytest.approx(expected, rel=1e-14)
+    assert _q(net, theta, 0, 0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_gradient_matches_finite_differences(net):
@@ -46,7 +56,7 @@ def test_gradient_matches_finite_differences(net):
         theta = rng.standard_normal(net.d)
         s = int(rng.integers(net.n_states))
         a = int(rng.integers(net.n_actions))
-        g = q_grad(net, theta, s, a)
+        g = _grad(net, theta, s, a)
         g_fd = fd_grad(net, theta, s, a)
         assert np.linalg.norm(g_fd - g) / max(np.linalg.norm(g), 1e-12) < 1e-6
 
@@ -101,7 +111,7 @@ def test_q_values_batch_rejects_non_one_hot_inputs(net):
 
 
 def test_saturated_gradient_vanishes(net):
-    g = q_grad(net, saturated_theta(net), 0, 0)
+    g = _grad(net, saturated_theta(net), 0, 0)
     assert np.max(np.abs(g)) < 1e-15
 
 
@@ -112,24 +122,29 @@ def test_zero_last_layer_blocks_lower_gradients():
     (o, i) = net.layer_shapes[-1]
     out_w_start = net.d - o * i - o
     theta[out_w_start:out_w_start + o * i] = 0.0  # zero the output weights
-    g = q_grad(net, theta, 1, 0)
+    g = _grad(net, theta, 1, 0)
     # chain rule: all layers below the output layer receive exactly zero
     assert np.all(g[:out_w_start] == 0.0)
     # while the output layer's own weight and bias gradients are nonzero
     assert np.any(g[out_w_start:] != 0.0)
 
 
+def _max_q(net, theta, s):
+    """max_a Q(s, a; theta) from the kernel's (1, S) table."""
+    return max_q_by_state(net, theta[None, :], net.encode_all_pairs())[0, s]
+
+
 def test_max_q_single_action():
     net = QNetSpec(n_states=2, n_actions=1, hidden=(2,), bound=1.0)
     theta = init_theta(net, np.random.default_rng(0))
-    value, action = max_q(net, theta, 0)
-    assert action == 0
-    assert value == pytest.approx(q_value(net, theta, 0, 0))
+    assert _max_q(net, theta, 0) == pytest.approx(_q(net, theta, 0, 0))
 
 
 def test_max_q_tie_break_lowest_index(net):
-    value, action = max_q(net, np.zeros(net.d), 1)
-    assert value == 0.0 and action == 0
+    # all actions tie at theta = 0; the greedy pick (np.argmax, as in
+    # run_algorithm1) takes the lowest index
+    q, _ = _forward(net, np.zeros((net.d, 1)), (np.array([1, 1]), np.array([0, 1])))
+    assert _max_q(net, np.zeros(net.d), 1) == 0.0 and int(np.argmax(q[:, 0])) == 0
 
 
 def test_max_q_argmax_matches_presquash_argmax(net):
@@ -139,10 +154,9 @@ def test_max_q_argmax_matches_presquash_argmax(net):
     for _ in range(20):
         theta = init_theta(net, rng)
         s = int(rng.integers(net.n_states))
-        _, action = max_q(net, theta, s)
-        pre = [np.arctanh(q_value(net, theta, s, a) / net.bound)
-               for a in range(net.n_actions)]
-        assert action == int(np.argmax(pre))
+        q = [_q(net, theta, s, a) for a in range(net.n_actions)]
+        pre = [np.arctanh(v / net.bound) for v in q]
+        assert int(np.argmax(q)) == int(np.argmax(pre))
 
 
 def test_max_q_matches_exhaustive_scan():
@@ -151,10 +165,8 @@ def test_max_q_matches_exhaustive_scan():
     for _ in range(20):
         theta = init_theta(net, rng)
         s = int(rng.integers(net.n_states))
-        value, action = max_q(net, theta, s)
-        scan = [q_value(net, theta, s, a) for a in range(net.n_actions)]
-        assert value == max(scan)
-        assert action == int(np.argmax(scan))
+        scan = [_q(net, theta, s, a) for a in range(net.n_actions)]
+        assert _max_q(net, theta, s) == max(scan)
 
 
 def test_hessian_vector_products_symmetric(net):
@@ -165,8 +177,8 @@ def test_hessian_vector_products_symmetric(net):
     h = 1e-5
 
     def hvp(direction):
-        return (q_grad(net, theta + h * direction, 1, 1)
-                - q_grad(net, theta - h * direction, 1, 1)) / (2 * h)
+        return (_grad(net, theta + h * direction, 1, 1)
+                - _grad(net, theta - h * direction, 1, 1)) / (2 * h)
 
     uhv = float(u @ hvp(v))
     vhu = float(v @ hvp(u))
@@ -175,9 +187,9 @@ def test_hessian_vector_products_symmetric(net):
 
 def test_dimension_mismatch_raises(net):
     with pytest.raises(DimensionError):
-        q_value(net, np.zeros(net.d + 1), 0, 0)
+        _q(net, np.zeros(net.d + 1), 0, 0)
     with pytest.raises(DimensionError):
-        q_grad(net, np.zeros(3), 0, 0)
+        _grad(net, np.zeros(3), 0, 0)
 
 
 def test_degenerate_net_rejected():
@@ -188,11 +200,3 @@ def test_degenerate_net_rejected():
     with pytest.raises(ValueError):
         QNetSpec(n_states=2, n_actions=2, hidden=(2,), bound=-1.0)
 
-
-def test_grad_check_report_contract(net):
-    rep = grad_check(net, 30, np.random.default_rng(1))
-    assert isinstance(rep, GradCheckReport)
-    assert rep.ok and rep.max_rel_err < 1e-6
-    assert {"rel_err", "point", "s", "a"} <= set(rep.worst_point)
-    with pytest.raises(ValueError):
-        grad_check(net, 0, np.random.default_rng(1))

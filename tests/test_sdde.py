@@ -3,11 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsdde.coeffs import bellman_moments, exact_drift_b, sigma_matrix
+from qsdde.coeffs import bellman_moments, exact_drift_b, noise_cotangent, sigma_matrix
 from qsdde.mdp import MdpSpec
 from qsdde.qnet import QNetSpec, init_theta
 from qsdde.rng import TrajectoryStreams, block_size
-from qsdde.sdde import SddeConfig, SddeError, moment_check_X, run_sdde, sdde_euler_step
+from qsdde.sdde import SddeConfig, SddeError, moment_check_X, run_sdde
 
 from conftest import make_mdp, saturated_theta
 from oracles import dense_jacobian, dense_max_q, pair_inputs
@@ -27,40 +27,23 @@ def test_sdde_config_validation():
 
 
 def test_euler_step_saturated_collapses_to_scaled_brownian(net, mdp, q_table):
-    # grad Q ~ 0: step is x + sqrt(delta) sqrt(h) Z
-    cfg = _cfg(eta=0.04, delta=0.36)
+    # grad Q ~ 0: each substep of size h is x + sqrt(delta) sqrt(h) z, with z
+    # the first d words of the substep's block in the trajectory's stream
+    cfg = _cfg(eta=0.04, delta=0.36, T=1, rho=4)
     th = saturated_theta(net)
     h = 0.01
-    out = sdde_euler_step(net, mdp, q_table, th, th, h, cfg, np.random.default_rng(3))
-    z = np.random.default_rng(3).standard_normal(net.d)
+    out = run_sdde(net, mdp, q_table, th, cfg, 1, [1]).at(1)[0]
+    K = mdp.n_states * mdp.n_actions
+    z = TrajectoryStreams(cfg.seed, (0,), 1).normal_block(4 * (net.d + K))
+    z = z.reshape(4, net.d + K)[:, :net.d].sum(axis=0)
     assert np.allclose(out, th + np.sqrt(cfg.delta) * np.sqrt(h) * z, atol=1e-12)
 
 
-def test_euler_step_matches_dense_coefficients(net, mdp, q_table):
-    # same Z through the low-rank path and the dense symmetric root
-    cfg = _cfg(eta=0.05, delta=0.3)
-    rng = np.random.default_rng(8)
-    x, y = init_theta(net, rng), init_theta(net, rng)
-    h = cfg.eta / cfg.rho
-    out = sdde_euler_step(net, mdp, q_table, x, y, h, cfg, np.random.default_rng(11))
-    z = np.random.default_rng(11).standard_normal(net.d)
-    b = exact_drift_b(net, mdp, q_table, x, y)
-    cs = sigma_matrix(net, mdp, q_table, x, y, cfg.eta, cfg.delta)
-    expected = x - b * h + np.sqrt(cfg.eta * h) * (cs.sigma @ z)
-    assert np.allclose(out, expected, atol=1e-10)
-
-
-def test_euler_step_rejects_bad_h(net, mdp, q_table, theta):
-    with pytest.raises(ValueError):
-        sdde_euler_step(net, mdp, q_table, theta, theta, 0.0, _cfg(),
-                        np.random.default_rng(0))
-
-
-def test_euler_step_nonfinite_raises(net, mdp, q_table):
-    bad = np.full(net.d, np.nan)
-    with pytest.raises(SddeError):
-        sdde_euler_step(net, mdp, q_table, bad, bad, 0.01, _cfg(),
-                        np.random.default_rng(0))
+def test_run_sdde_nonfinite_names_substep_and_trajectory(net, mdp, q_table, theta):
+    start = np.repeat(theta[None, :], 3, axis=0)
+    start[1, 0] = np.nan
+    with pytest.raises(SddeError, match="at substep 1, trajectory 1$"):
+        run_sdde(net, mdp, q_table, start, _cfg(), 3, [0, 20])
 
 
 def test_increment_moments_small_h(net, mdp, q_table):
@@ -84,39 +67,31 @@ def test_increment_moments_small_h(net, mdp, q_table):
 
 def test_noise_free_mode_matches_explicit_ode_euler():
     # single transition, V = 0 and vanishing delta: Sigma = beta_bar = 0 and
-    # the injected noise underflows to zero, so the integrator must reproduce
-    # the explicit Euler iteration of dX = -b(X, y) dt
+    # the injected noise underflows to zero, so 20 substeps of size h inside
+    # one delay segment must reproduce the explicit Euler iteration of
+    # dX = -b(X, x) dt
     spec = MdpSpec(p=np.ones((1, 1, 1)), R=np.array([[0.7]]),
                    V=np.zeros((1, 1)), gamma=0.9)
     net = QNetSpec(n_states=1, n_actions=1, hidden=(1,), bound=3.0)
     q = np.ones((1, 1))
-    rng = np.random.default_rng(2)
-    x = init_theta(net, rng)
-    y = init_theta(net, rng)
-    cfg = SddeConfig(eta=0.1, delta=1e-300, m=100, T=1, rho=1, seed=0)
+    x = init_theta(net, np.random.default_rng(2))
+    cfg = SddeConfig(eta=0.1, delta=1e-300, m=100, T=10, rho=2, seed=0)
     h = 0.05
-    xs = x.copy()
-    for _ in range(20):
-        xs = sdde_euler_step(net, spec, q, xs, y, h, cfg, np.random.default_rng(0))
+    xs = run_sdde(net, spec, q, x, cfg, 1, [10]).at(10)[0]
     xe = x.copy()
     for _ in range(20):
-        xe = xe - exact_drift_b(net, spec, q, xe, y) * h
+        xe = xe - exact_drift_b(net, spec, q, xe, x) * h
     assert np.allclose(xs, xe, atol=1e-12)
 
 
-def test_engine_substep_matches_unit_step_drift():
-    # with the diffusion switched off, one engine substep must equal one
-    # sdde_euler_step bitwise (shared drift kernel, no noise)
-    spec = MdpSpec(p=np.ones((1, 1, 1)), R=np.array([[0.4]]),
-                   V=np.zeros((1, 1)), gamma=0.9)
-    net = QNetSpec(n_states=1, n_actions=1, hidden=(1,), bound=3.0)
-    q = np.ones((1, 1))
-    x0 = init_theta(net, np.random.default_rng(4))
-    cfg = SddeConfig(eta=0.1, delta=1e-300, m=10, T=1, rho=1, seed=7)
-    ens = run_sdde(net, spec, q, x0, cfg, 1, [1])
-    step = sdde_euler_step(net, spec, q, x0, x0, cfg.eta, cfg,
-                           np.random.default_rng(0))
-    assert np.array_equal(ens.at(1)[0], step)
+def test_noise_cotangent_zero_for_single_deterministic_head():
+    # M = 0 for one head with one reachable next state and V = 0: F xi must
+    # be exactly 0 whatever the residual, so no noise enters run_sdde
+    rng = np.random.default_rng(4)
+    Ec = rng.normal(0.0, 2.0, (1, 8))
+    xi = rng.standard_normal((1, 8))
+    out = noise_cotangent(np.ones(1), Ec, Ec ** 2, np.zeros(1), xi)
+    assert np.array_equal(out, np.zeros((1, 8)))
 
 
 def _dense_substep_run(net, spec, q, x0, cfg, n_traj, stream_path=(0,)):
