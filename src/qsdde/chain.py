@@ -36,24 +36,29 @@ class ChainError(RuntimeError):
 
 @dataclass(frozen=True)
 class AlgoConfig:
-    """Step size, noise temperature, target period and horizon of a run."""
+    """Step size, noise temperature, target period and horizon of a run.
+
+    The chain and the delay diffusion read the same config: T chain steps
+    of size eta span the diffusion's horizon T*eta, which ``run_sdde``
+    integrates with rho Euler substeps per step.  seed keys the
+    per-trajectory noise streams.
+    """
 
     eta: float
     delta: float
     m: int
     T: int
+    rho: int = 20
     seed: int = 0
 
     def __post_init__(self):
-        # eta = 0 is admitted as the degenerate identity step
+        # eta = 0 is admitted as the chain's degenerate identity step
         if not (self.eta >= 0.0):
             raise ValueError("eta must be nonnegative")
         if not (self.delta > 0.0):
             raise ValueError("delta must be positive")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        if self.m < 1 or self.T < 1 or self.rho < 1:
+            raise ValueError("m, T and rho must all be >= 1")
 
 
 @dataclass

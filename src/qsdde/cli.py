@@ -130,7 +130,7 @@ def simulate_sdde_cmd(config_path, seed_override, force, out_dir):
     cfg = _load(config_path, seed_override, force)
     out = Path(out_dir)
     write_manifest(out, "simulate-sdde", cfg.raw, cfg.seed, ["sdde.csv"], _snapshot(cfg))
-    ens = run_sdde(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.sdde, cfg.n_traj,
+    ens = run_sdde(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, cfg.n_traj,
                    cfg.checkpoints)
     ensemble_to_csv(out / "sdde.csv", ens)
     click.echo(f"wrote {out / 'sdde.csv'}")
@@ -279,7 +279,7 @@ def rate_sweep_cmd(config_path, seed_override, force, threads, out_dir):
         res = rate_sweep(cfg.net, cfg.mdp, cfg.q, cfg.theta0,
                          eta_grid=p["eta_grid"], delta=cfg.algo.delta, m=cfg.algo.m,
                          T0=cfg.algo.T, eta0=cfg.algo.eta, n_traj=p["n_traj"],
-                         seed=cfg.seed, rho=cfg.sdde.rho, n_proj=p["n_proj"],
+                         seed=cfg.seed, rho=cfg.algo.rho, n_proj=p["n_proj"],
                          assignment_cap=p["assignment_cap"], tracked=p["tracked"],
                          force=force, threads=threads)
     except GateError as err:
@@ -312,7 +312,7 @@ def variance_study_cmd(config_path, seed_override, force, threads, out_dir):
     res = variance_study(cfg.net, cfg.mdp, cfg.q, cfg.theta0, m_values=m_values,
                          eta=cfg.algo.eta, delta=cfg.algo.delta, T=cfg.algo.T,
                          n_traj=n_traj, seed=cfg.seed, checkpoints=checkpoints,
-                         rho=cfg.sdde.rho, threads=threads)
+                         rho=cfg.algo.rho, threads=threads)
     cols = list(res.rows[0].as_dict().keys())
     rows_to_csv(out / "variance_study.csv", [r.as_dict() for r in res.rows], cols)
     atomic_write_text(out / "variance_study.json",
@@ -343,7 +343,7 @@ def moment_suite_cmd(config_path, seed_override, force, out_dir):
                        m=int(block.get("m", cfg.algo.m)),
                        T=int(block.get("T", cfg.algo.T)),
                        n_traj=n_traj, seed=cfg.seed, checkpoints=checkpoints,
-                       rho=int(block.get("rho", cfg.sdde.rho)), ic_scales=scales)
+                       rho=int(block.get("rho", cfg.algo.rho)), ic_scales=scales)
     atomic_write_text(out / "moment_suite.json",
                       json.dumps(res.as_dict(), indent=2) + "\n")
     plot_rows = []

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import MdpSpec
-from .qnet import QNetSpec, max_q_by_state, q_values_batch
+from .qnet import QNetSpec, max_q_by_state, pair_heads, q_values_batch
 
 EIG_HARD_FLOOR = -1e-10  # below this a negative eigenvalue is a bug, not noise
 SYM_TOL = 1e-12
@@ -69,27 +69,15 @@ def residual_moments(spec: MdpSpec, Qx: np.ndarray, mu1: np.ndarray,
     return Ec, Ec2
 
 
-def bellman_moments(spec: MdpSpec, Qx: np.ndarray,
-                    maxq_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ec, Ec2), each (N, K): first and second moments over s' of the residual.
-
-    Qx: (N, K) head values at x; maxq_y: (N, S) table of max_a Q(s, a; y_n).
-    """
-    Ec, Ec2 = residual_moments(spec, Qx.T, *delay_moments(spec, maxq_y))
-    return Ec.T, Ec2.T
-
-
 def head_stats(net: QNetSpec, spec: MdpSpec, q: np.ndarray, thetas_x: np.ndarray,
-               maxq_y: np.ndarray, pair_enc: np.ndarray | None = None) -> HeadStats:
+               maxq_y: np.ndarray) -> HeadStats:
     """Compute HeadStats for a batch of points x given max-Q values at y.
 
     thetas_x: (N, d); maxq_y: (N, S) table of max_a Q(s, a; y_n).
     """
-    if pair_enc is None:
-        pair_enc = net.encode_all_pairs()
-    Qx, g = q_values_batch(net, thetas_x, pair_enc, with_grad=True)
-    Ec, Ec2 = bellman_moments(spec, Qx, maxq_y)
-    return HeadStats(np.asarray(q, dtype=np.float64).reshape(-1), g, Qx, Ec, Ec2)
+    Qx, g = q_values_batch(net, thetas_x, pair_heads(net), with_grad=True)
+    Ec, Ec2 = residual_moments(spec, Qx.T, *delay_moments(spec, maxq_y))
+    return HeadStats(np.asarray(q, dtype=np.float64).reshape(-1), g, Qx, Ec.T, Ec2.T)
 
 
 def noise_cotangent(q_flat: np.ndarray, Ec: np.ndarray, Ec2: np.ndarray,
@@ -130,9 +118,7 @@ def exact_drift_b(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     """Exact drift b(x, y) by enumeration over the replay support."""
     x = np.atleast_2d(x)
     y = np.atleast_2d(y)
-    enc = net.encode_all_pairs()
-    maxq_y = max_q_by_state(net, y, enc)
-    b = drift_from_stats(head_stats(net, spec, q, x, maxq_y, enc))
+    b = drift_from_stats(head_stats(net, spec, q, x, max_q_by_state(net, y)))
     return b[0] if b.shape[0] == 1 else b
 
 
@@ -194,9 +180,7 @@ def sigma_matrix(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     """Dense (b, Sigma, beta_bar, sigma) at (x, y) by exact enumeration."""
     if not (eta > 0.0 and delta > 0.0):
         raise ValueError("eta and delta must be positive")
-    enc = net.encode_all_pairs()
-    maxq_y = max_q_by_state(net, y[None, :], enc)
-    stats = head_stats(net, spec, q, x[None, :], maxq_y, enc)
+    stats = head_stats(net, spec, q, x[None, :], max_q_by_state(net, y[None, :]))
     g = stats.g[0]  # (K, d)
     b = drift_from_stats(stats)[0]
     second = (g * (stats.q_flat * stats.Ec2[0])[:, None]).T @ g
@@ -254,15 +238,14 @@ def estimate_constants(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_pairs: int
     if n_pairs < 100:
         raise ValueError("n_pairs must be >= 100")
     d = net.d
-    enc = net.encode_all_pairs()
     V_flat = spec.V.reshape(-1)
     q_flat = np.asarray(q, dtype=np.float64).reshape(-1)
     p_flat = spec.p.reshape(-1, spec.n_states)
     reachable = p_flat > 0.0
 
     def batch(nx, ny):
-        maxq_y = max_q_by_state(net, ny, enc)
-        st = head_stats(net, spec, q, nx, maxq_y, enc)
+        maxq_y = max_q_by_state(net, ny)
+        st = head_stats(net, spec, q, nx, maxq_y)
         b = drift_from_stats(st)
         # exact sup over transitions of |c| per head (residual is monotone in maxQ)
         hi = np.where(reachable[None, :, :], maxq_y[:, None, :], -np.inf).max(axis=2)

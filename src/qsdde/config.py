@@ -19,9 +19,8 @@ from .chain import AlgoConfig
 from .coeffs import estimate_constants, step_size_gate
 from .mdp import (IdealizedReplay, MdpSpec, ReplayModel, load_mdp, uniform_q,
                   validate_mdp)
-from .qnet import QNetSpec
+from .qnet import QNetSpec, init_theta
 from .rng import spawn_generator
-from .sdde import SddeConfig
 
 _GATE_PATH = (9, 0)
 
@@ -47,7 +46,6 @@ class ExperimentConfig:
     net: QNetSpec
     theta0: np.ndarray
     algo: AlgoConfig
-    sdde: SddeConfig
     seed: int
     strict_gate: bool
     n_traj: int
@@ -87,7 +85,6 @@ def load_config(source: str | Path | dict, seed_override: int | None = None,
     else:
         doc = source
     errors: list[str] = []
-    warnings: list[str] = []
     doc = _merge_defaults(doc)
     if seed_override is not None:
         doc["seed"] = int(seed_override)
@@ -106,22 +103,22 @@ def load_config(source: str | Path | dict, seed_override: int | None = None,
     try:
         net = QNetSpec(n_states=spec.n_states, n_actions=spec.n_actions,
                        hidden=tuple(net_doc["hidden"]),
-                       bound=float(net_doc.get("bound_C", 10.0)))
+                       bound=float(net_doc["bound_C"]))
     except ValueError as err:
         errors.append(f"net section: {err}")
 
     algo_doc = doc["algo"]
-    algo = sdde = None
+    algo = None
     try:
         algo = AlgoConfig(eta=float(algo_doc["eta"]), delta=float(algo_doc["delta"]),
                           m=int(algo_doc["m"]), T=int(algo_doc["T"]),
-                          seed=int(doc["seed"]))
-        sdde = SddeConfig(eta=algo.eta, delta=algo.delta, m=algo.m, T=algo.T,
-                          rho=int(algo_doc.get("rho", 20)), seed=int(doc["seed"]))
+                          rho=int(algo_doc["rho"]), seed=int(doc["seed"]))
+        if algo.eta == 0.0:  # admitted by the chain alone; the diffusion arms need eta > 0
+            errors.append("algo section: eta must be positive")
     except (ValueError, KeyError) as err:
         errors.append(f"algo section: {err}")
 
-    checkpoints = tuple(int(c) for c in doc.get("checkpoints", [0, doc["algo"].get("T", 1)]))
+    checkpoints = tuple(int(c) for c in doc.get("checkpoints", [0, algo_doc["T"]]))
     if algo is not None and any(c < 0 or c > algo.T for c in checkpoints):
         errors.append(f"checkpoints {list(checkpoints)} must lie in [0, T={algo.T}]")
 
@@ -135,30 +132,24 @@ def load_config(source: str | Path | dict, seed_override: int | None = None,
             if theta0.shape != (net.d,):
                 errors.append(f"net.theta0 must have length d = {net.d}, got {theta0.shape}")
         else:
-            gen = spawn_generator(int(init.get("seed", 1)), (8, 0))
-            theta0 = float(init.get("stddev", 0.5)) * gen.standard_normal(net.d)
+            theta0 = init_theta(net, spawn_generator(int(init.get("seed", 1)), (8, 0)),
+                                float(init.get("stddev", 0.5)))
 
-    if doc["strict_gate"] and algo is not None and net is not None and not errors:
-        if not (0.0 < algo.delta <= 1.0):
-            errors.append(f"the strict gate requires 0 < delta <= 1, got {algo.delta}")
-        rng = spawn_generator(int(doc["seed"]), _GATE_PATH)
-        q = replay.q if isinstance(replay, IdealizedReplay) \
-            else uniform_q(spec.n_states, spec.n_actions)
-        est = estimate_constants(net, spec, q, n_pairs=100, radius=5.0, rng=rng)
+    if errors:
+        raise ConfigError(errors)
+    cfg = ExperimentConfig(mdp=spec, replay=replay, net=net, theta0=theta0, algo=algo,
+                           seed=int(doc["seed"]), strict_gate=bool(doc["strict_gate"]),
+                           n_traj=int(doc["n_traj"]), checkpoints=checkpoints,
+                           raw=doc)
+    if cfg.strict_gate:
+        rng = spawn_generator(cfg.seed, _GATE_PATH)
+        est = estimate_constants(net, spec, cfg.q, n_pairs=100, radius=5.0, rng=rng)
         gate = step_size_gate(est, algo.delta)
         if not gate.passes(algo.eta):
             msg = (f"eta = {algo.eta} rejected by the step-size gate "
                    f"(eta_max = {gate.eta_max:.6g}, binding constraint: "
                    f"{gate.binding(algo.eta)})")
-            if force:
-                warnings.append(msg + " [forced]")
-            else:
-                errors.append(msg)
-
-    if errors:
-        raise ConfigError(errors)
-    return ExperimentConfig(mdp=spec, replay=replay, net=net, theta0=theta0,
-                            algo=algo, sdde=sdde, seed=int(doc["seed"]),
-                            strict_gate=bool(doc["strict_gate"]),
-                            n_traj=int(doc["n_traj"]), checkpoints=checkpoints,
-                            raw=doc, warnings=warnings)
+            if not force:
+                raise ConfigError([msg])
+            cfg.warnings.append(msg + " [forced]")
+    return cfg

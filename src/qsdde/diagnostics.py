@@ -19,7 +19,7 @@ pointwise value is the leading (s = 0) term, and reports label it as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,9 +129,7 @@ def generator_gap(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
         etas = (cfg.eta,)
     gaps, ses, tvals, xvals = [], [], [], []
     for eta in etas:
-        step_cfg = AlgoConfig(eta=eta, delta=cfg.delta, m=cfg.m, T=cfg.T,
-                              seed=cfg.seed)
-        mc = generator_theta(f, net, spec, q, x, target, step_cfg, n_mc, rng)
+        mc = generator_theta(f, net, spec, q, x, target, replace(cfg, eta=eta), n_mc, rng)
         gx = eta * generator_X(f, net, spec, q, x, target, eta, cfg.delta)
         gaps.append(abs(gx - mc.estimate))
         ses.append(mc.stderr)

@@ -20,7 +20,7 @@ from .coeffs import estimate_constants, step_size_gate
 from .mdp import MdpSpec
 from .qnet import QNetSpec
 from .rng import spawn_generator
-from .sdde import SddeConfig, moment_check_X, run_sdde
+from .sdde import moment_check_X, run_sdde
 from .wasserstein import W1Estimate, w1_assignment_subsampled, w1_sliced
 
 _CHAIN_ARM, _SDDE_ARM, _GATE_ARM, _W1_ARM = 0, 1, 2, 3
@@ -126,16 +126,15 @@ def _run_arms(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_traj: int, arms,
               threads: int = 1) -> list:
     """(chain, diffusion) ensembles of every arm, in arm order.
 
-    arms[i] = (x0, cfg, checkpoints), cfg an SddeConfig: arm i runs
+    arms[i] = (x0, cfg, checkpoints), cfg an AlgoConfig: arm i runs
     ``run_dqn`` on the streams (_CHAIN_ARM, i) and ``run_sdde`` on
-    (_SDDE_ARM, i), both from x0 with cfg's (eta, delta, m, T, seed), the
-    diffusion at cfg.rho substeps per step.  Arms share no stream, so
-    threads > 1 runs them concurrently with identical results.
+    (_SDDE_ARM, i), both from x0 with the same cfg, the diffusion at cfg.rho
+    substeps per step.  Arms share no stream, so threads > 1 runs them
+    concurrently with identical results.
     """
     def run(i):
         x0, cfg, checkpoints = arms[i]
-        acfg = AlgoConfig(eta=cfg.eta, delta=cfg.delta, m=cfg.m, T=cfg.T, seed=cfg.seed)
-        chain = run_dqn(net, spec, q, x0, acfg, n_traj, checkpoints,
+        chain = run_dqn(net, spec, q, x0, cfg, n_traj, checkpoints,
                         stream_path=(_CHAIN_ARM, i))
         diff = run_sdde(net, spec, q, x0, cfg, n_traj, checkpoints,
                         stream_path=(_SDDE_ARM, i))
@@ -164,7 +163,7 @@ def rate_sweep(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
         raise ValueError("eta_grid must contain at least one step size")
     gate_info = check_gate(net, spec, q, etas, delta, seed, force=force)
     tracked_idx = _tracked_indices(net.d, tracked)
-    cfgs = [SddeConfig(eta=eta, delta=delta, m=m, T=int(round(T0 * eta0 / eta)),
+    cfgs = [AlgoConfig(eta=eta, delta=delta, m=m, T=int(round(T0 * eta0 / eta)),
                        rho=rho, seed=seed) for eta in etas]
     arms = _run_arms(net, spec, q, n_traj, [(theta0, c, [0, c.T]) for c in cfgs], threads)
 
@@ -260,7 +259,7 @@ def variance_study(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarr
         u = u / np.linalg.norm(u)
 
     arms = _run_arms(net, spec, q, n_traj,
-                     [(theta0, SddeConfig(eta=eta, delta=delta, m=m, T=T, rho=rho,
+                     [(theta0, AlgoConfig(eta=eta, delta=delta, m=m, T=T, rho=rho,
                                           seed=seed), checkpoints)
                       for m in m_values], threads)
 
@@ -333,7 +332,7 @@ def moment_suite(net: QNetSpec, spec: MdpSpec, q: np.ndarray, eta: float,
     3x) and the worst checkpoint-to-fit ratio (target: below 10x the fit).
     """
     checkpoints = sorted({int(c) for c in checkpoints})
-    cfg = SddeConfig(eta=eta, delta=delta, m=m, T=T, rho=rho, seed=seed)
+    cfg = AlgoConfig(eta=eta, delta=delta, m=m, T=T, rho=rho, seed=seed)
     x0s = [np.r_[scale, np.zeros(net.d - 1)] for scale in ic_scales]
     arms = _run_arms(net, spec, q, n_traj, [(x0, cfg, checkpoints) for x0 in x0s])
     theta_fourth, theta_ratio = {}, {}

@@ -7,16 +7,16 @@ all orders in theta.  Gradients are analytic reverse-mode accumulation
 written here (no external autodiff).
 
 The one implementation is a kernel over parameter-major batches: thetas is
-(d, N), one column per trajectory, and heads are (s, a) index pairs.  The
-one-hot first layer is the column gather W1[:, s] + W1[:, S + a] + b1 and
-its weight gradient a scatter-add into those two columns; deeper layers are
-elementwise products summed over the layer input, vectorised along N.
-``_forward`` returns the (K, N) head values and a cache, ``_vjp`` turns a
-(K, N) cotangent into sum_k cot_k grad Q_k, (d, N), in one reverse pass.
-``q_values_batch`` keeps the trajectory-major interface, (N, d) parameters
-and one-hot inputs, by decoding the inputs to head indices; its dense
-per-head gradients are K passes with unit cotangents.
-"""
+(d, N), one column per trajectory, and heads are (s, a) index pairs, so the
+one-hot input is never formed.  The first layer is the column gather
+W1[:, s] + W1[:, S + a] + b1 and its weight gradient a scatter-add into
+those two columns; deeper layers are elementwise products summed over the
+layer input, vectorised along N.  ``_forward`` returns the (K, N) head
+values and a cache, ``_vjp`` turns a (K, N) cotangent into
+sum_k cot_k grad Q_k, (d, N), in one reverse pass.  ``q_values_batch`` keeps
+the trajectory-major interface, (N, d) parameters and integer (s, a) rows,
+(K, 2) shared or (N, K, 2) per trajectory; its dense per-head gradients are
+K passes with unit cotangents."""
 
 from __future__ import annotations
 
@@ -70,34 +70,15 @@ class QNetSpec:
     def d(self) -> int:
         return sum(o * i + o for (o, i) in self.layer_shapes)
 
-    @cached_property
-    def _decoder(self) -> np.ndarray:
-        """(input_dim, 4) map of a one-hot row to (s, a, state sum, action sum)."""
-        S = self.n_states
-        m = np.zeros((self.input_dim, 4))
-        m[:S, 0], m[S:, 1] = np.arange(S), np.arange(self.n_actions)
-        m[:S, 2], m[S:, 3] = 1.0, 1.0
-        return m
-
-    def encode_all_pairs(self) -> np.ndarray:
-        """(S*A, input_dim) one-hot encodings, pair k = (k // A, k % A)."""
-        S, A = self.n_states, self.n_actions
-        out = np.zeros((S * A, self.input_dim))
-        for s in range(S):
-            for a in range(A):
-                out[s * A + a, s] = 1.0
-                out[s * A + a, S + a] = 1.0
-        return out
-
 
 def init_theta(spec: QNetSpec, rng: np.random.Generator, stddev: float = 0.5) -> np.ndarray:
     return stddev * rng.standard_normal(spec.d)
 
 
-def pair_heads(spec: QNetSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(s, a) index arrays of all S*A heads, pair k = (k // A, k % A)."""
+def pair_heads(spec: QNetSpec) -> np.ndarray:
+    """(S*A, 2) integer (s, a) rows of all heads, pair k = (k // A, k % A)."""
     k = np.arange(spec.n_states * spec.n_actions)
-    return k // spec.n_actions, k % spec.n_actions
+    return np.stack([k // spec.n_actions, k % spec.n_actions], axis=1)
 
 
 def _layers(spec: QNetSpec, thetas: np.ndarray):
@@ -211,34 +192,27 @@ def _vjp(spec: QNetSpec, cache, cot: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decode(spec: QNetSpec, x: np.ndarray):
-    """(s, a) head indices of one-hot (K, input_dim) or (N, K, input_dim) rows.
-
-    Each block of a row must sum to 1, and the rows must hold two nonzeros
-    each in total, so every row is exactly one (s, a) encoding.
-    """
-    if x.shape[-1] != spec.input_dim:
-        raise DimensionError(f"inputs must have {spec.input_dim} columns, got {x.shape}")
-    y = (x.reshape(-1, spec.input_dim) @ spec._decoder).reshape(*x.shape[:-1], 4)
-    if not (np.all(y[..., 2:] == 1.0) and np.count_nonzero(x) == 2 * y[..., 0].size):
-        raise ValueError("inputs must be one-hot (s, a) encodings")
-    s, a = y[..., 0].astype(np.intp), y[..., 1].astype(np.intp)
-    return (s, a) if x.ndim == 2 else (s.T, a.T)
-
-
-def q_values_batch(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray,
+def q_values_batch(spec: QNetSpec, thetas: np.ndarray, heads: np.ndarray,
                    with_grad: bool = False):
-    """Values (N, K) and optionally gradients (N, K, d) for batched inputs.
+    """Values (N, K) and optionally gradients (N, K, d) for batched heads.
 
-    thetas: (N, d).  x holds one-hot (s, a) encodings, (K, input_dim) shared
-    heads or (N, K, input_dim) per trajectory; they are decoded to the head
-    indices of ``_forward``.  The dense gradient is K reverse passes with
-    unit cotangents.
+    thetas: (N, d).  heads holds integer (s, a) rows, (K, 2) shared by every
+    trajectory or (N, K, 2) per trajectory.  The dense gradient is K reverse
+    passes with unit cotangents.
     """
     thetas = np.atleast_2d(thetas)
     if thetas.shape[1] != spec.d:
         raise DimensionError(f"thetas must have {spec.d} columns, got {thetas.shape}")
-    q, cache = _forward(spec, np.ascontiguousarray(thetas.T), _decode(spec, x))
+    heads = np.asarray(heads)
+    if heads.ndim not in (2, 3) or heads.shape[-1] != 2 \
+            or heads.shape[:-2] not in ((), thetas.shape[:1]):
+        raise DimensionError(f"heads must be (K, 2) or ({thetas.shape[0]}, K, 2), "
+                             f"got {heads.shape}")
+    s, a = heads[..., 0].T, heads[..., 1].T
+    if not (np.issubdtype(heads.dtype, np.integer) and np.all(s >= 0)
+            and np.all(s < spec.n_states) and np.all(a >= 0) and np.all(a < spec.n_actions)):
+        raise ValueError("heads must be integer (s, a) pairs with 0 <= s < S, 0 <= a < A")
+    q, cache = _forward(spec, np.ascontiguousarray(thetas.T), (s, a))
     if not with_grad:
         return q.T
     K, n = q.shape
@@ -251,7 +225,7 @@ def q_values_batch(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray,
     return q.T, g
 
 
-def max_q_by_state(spec: QNetSpec, thetas: np.ndarray, pair_encodings: np.ndarray) -> np.ndarray:
-    """(N, S) table of max_a Q(s, a; theta_n) from the (S*A, in) encodings."""
-    q = q_values_batch(spec, thetas, pair_encodings)  # (N, S*A)
+def max_q_by_state(spec: QNetSpec, thetas: np.ndarray) -> np.ndarray:
+    """(N, S) table of max_a Q(s, a; theta_n) over thetas (N, d)."""
+    q = q_values_batch(spec, thetas, pair_heads(spec))  # (N, S*A)
     return q.reshape(thetas.shape[0], -1, spec.n_actions).max(axis=2)

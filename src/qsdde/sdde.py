@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import TrajectoryEnsemble, parameter_major
+from .chain import AlgoConfig, TrajectoryEnsemble, parameter_major
 from .coeffs import delay_moments, noise_cotangent, residual_moments
 from .mdp import MdpSpec
 from .qnet import QNetSpec, _forward, _vjp, max_q_by_state, pair_heads
@@ -37,44 +37,23 @@ class SddeError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SddeConfig:
-    """Horizon T*eta with rho internal Euler substeps per unit eta.
-
-    The delay argument refreshes every m chain steps; seed keys the
-    per-trajectory noise streams.
-    """
-
-    eta: float
-    delta: float
-    m: int
-    T: int
-    rho: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (self.eta > 0.0):
-            raise ValueError("eta must be positive")
-        if not (self.delta > 0.0):
-            raise ValueError("delta must be positive")
-        if self.m < 1 or self.T < 1 or self.rho < 1:
-            raise ValueError("m, T and rho must all be >= 1")
-
-
 def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
-             cfg: SddeConfig, n_traj: int, checkpoint_steps: Sequence[int],
+             cfg: AlgoConfig, n_traj: int, checkpoint_steps: Sequence[int],
              stream_path: tuple[int, ...] = (0,)) -> TrajectoryEnsemble:
     """Integrate n_traj trajectories; checkpoints are integer multiples of eta.
 
-    The internal step is h = eta/rho; the delay argument is the stored value
-    of X at the most recent multiple of m*eta.  Checkpoint step j records X
-    at time j*eta, aligned with chain step j.  Each substep draws z (d) and
+    cfg is the chain's AlgoConfig, which must have eta > 0.  The internal
+    step is h = eta/rho; the delay argument is the stored value of X at the
+    most recent multiple of m*eta.  Checkpoint step j records X at time
+    j*eta, aligned with chain step j.  Each substep draws z (d) and
     xi (K), in that order, from the trajectory's stream and moves
     x -> x + sqrt(eta*h) sqrt(delta/eta) z + VJP(x; h*q*Ec + sqrt(eta*h) F xi),
     whose increment has the exact law -b h + sqrt(eta*h) sigma Z.  The state
     is held parameter-major, (d, n_traj), and the p-weighted moments of the
     delay max-Q table are formed once per delay segment.
     """
+    if not (cfg.eta > 0.0):
+        raise ValueError("eta must be positive")
     checkpoints = tuple(int(c) for c in checkpoint_steps)
     if any(c < 0 or c > cfg.T for c in checkpoints):
         raise ValueError("checkpoint steps must lie in [0, T]")
@@ -88,8 +67,7 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
     V_flat = spec.V.reshape(-1)
     x = parameter_major(x0, n_traj, d)
     streams = TrajectoryStreams(cfg.seed, stream_path, n_traj)
-    enc = net.encode_all_pairs()
-    heads = pair_heads(net)
+    heads = tuple(pair_heads(net).T)  # (s, a), each (K,)
     out = np.empty((n_traj, len(checkpoints), d))
     ck_pos = {c: i for i, c in enumerate(checkpoints)}
     if 0 in ck_pos:
@@ -102,7 +80,7 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
     blk = block_size(n_traj, per_step)
     for u in range(n_sub):
         if u % seg == 0:
-            mu = delay_moments(spec, max_q_by_state(net, x.T, enc))
+            mu = delay_moments(spec, max_q_by_state(net, x.T))
         j = u % blk
         if j == 0:
             nb = min(blk, n_sub - u)

@@ -4,7 +4,8 @@
 over one-hot inputs (N, K, input_dim): every layer, the first included, is
 a dense matmul, so they share no code with the parameter-major kernel in
 ``qsdde.qnet``.  ``dense_jacobian`` stacks K unit-cotangent passes into the
-(N, K, d) head Jacobian.  The single-point references below (``q_value``,
+(N, K, d) head Jacobian, and ``bellman_moments`` sums the residual's moments
+over s' directly.  The single-point references below (``q_value``,
 ``q_grad``, ``max_q``, ``qbar``, ``sample_drift_bn``) are built on them;
 ``fd_grad`` differences the kernel's own values.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qsdde.coeffs import bellman_moments, noise_cotangent
+from qsdde.coeffs import noise_cotangent
 from qsdde.mdp import MdpSpec
 from qsdde.qnet import QNetSpec, _SAT, q_values_batch
 
@@ -82,9 +83,23 @@ def dense_jacobian(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray):
 
 
 def pair_inputs(spec: QNetSpec, n: int) -> np.ndarray:
-    """The (S*A, input_dim) pair encodings broadcast to n trajectories."""
-    enc = spec.encode_all_pairs()
+    """The (S*A, input_dim) one-hot pair encodings, pair k = (k // A, k % A),
+    broadcast to n trajectories."""
+    A = spec.n_actions
+    enc = np.stack([one_hot(spec, k // A, k % A)
+                    for k in range(spec.n_states * A)])
     return np.broadcast_to(enc, (n, *enc.shape))
+
+
+def bellman_moments(spec: MdpSpec, Qx: np.ndarray,
+                    maxq_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ec, Ec2), each (N, K): p-weighted sums over s' of the residual
+    R_k + gamma*maxQ(s') - Q_k(x) and of its square, from head values Qx
+    (N, K) and the table maxq_y (N, S) of max_a Q(s, a; y_n)."""
+    c = (spec.R.reshape(-1)[None, :, None] + spec.gamma * maxq_y[:, None, :]
+         - Qx[:, :, None])  # (N, K, S)
+    p = spec.p.reshape(-1, spec.n_states)[None]
+    return (p * c).sum(axis=2), (p * c * c).sum(axis=2)
 
 
 def dense_max_q(spec: QNetSpec, thetas: np.ndarray) -> np.ndarray:
@@ -139,7 +154,7 @@ def fd_grad(spec: QNetSpec, theta: np.ndarray, s: int, a: int,
     idx = np.arange(d)
     pert[idx, idx] += step
     pert[d + idx, idx] -= step
-    q = q_values_batch(spec, pert, one_hot(spec, s, a)[None, :])[:, 0]
+    q = q_values_batch(spec, pert, np.array([[s, a]]))[:, 0]
     return (q[:d] - q[d:]) / (2.0 * step)
 
 

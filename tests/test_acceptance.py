@@ -24,12 +24,12 @@ from qsdde.diagnostics import Quadratic, generator_gap
 from qsdde.experiments import moment_suite, rate_sweep, w1_bound_shape, variance_study
 from qsdde.mdp import MdpSpec, uniform_q
 from qsdde.qnet import QNetSpec, q_values_batch
-from qsdde.sdde import SddeConfig, run_sdde
+from qsdde.sdde import run_sdde
 from qsdde.wasserstein import w1_assignment, w1_sliced
 
 from conftest import (build_scalar_oracle, chain_variance_ratio, make_mdp,
                       saturated_theta, sdde_variance_ratio)
-from oracles import fd_grad, one_hot, sample_drift_bn
+from oracles import fd_grad, sample_drift_bn
 from test_wasserstein import brute_force_w1
 
 # the desk-scale study model shared by the heavy criteria
@@ -54,7 +54,7 @@ def test_criterion_1_gradient_correctness():
         theta = rng.standard_normal(STUDY_NET.d)
         s = int(rng.integers(STUDY_NET.n_states))
         a = int(rng.integers(STUDY_NET.n_actions))
-        g = q_values_batch(STUDY_NET, theta[None, :], one_hot(STUDY_NET, s, a)[None, :],
+        g = q_values_batch(STUDY_NET, theta[None, :], np.array([[s, a]]),
                            with_grad=True)[1][0, 0]
         g_fd = fd_grad(STUDY_NET, theta, s, a)
         worst = max(worst, float(np.linalg.norm(g_fd - g) / max(np.linalg.norm(g), 1e-12)))
@@ -120,7 +120,7 @@ def test_criterion_4_degenerate_model_law_equality():
     chain = run_dqn(STUDY_NET, STUDY_MDP, STUDY_Q, th,
                     AlgoConfig(eta=eta, delta=delta, m=5, T=T, seed=31), n, [T])
     diff = run_sdde(STUDY_NET, STUDY_MDP, STUDY_Q, th,
-                    SddeConfig(eta=eta, delta=delta, m=5, T=T, rho=5, seed=32),
+                    AlgoConfig(eta=eta, delta=delta, m=5, T=T, rho=5, seed=32),
                     n, [T], stream_path=(1,))
     target_var = T * eta * delta
     var_err = max(

@@ -7,9 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import qsdde
+from qsdde.qnet import QNetSpec, pair_heads, q_values_batch
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_every_public_name_resolves():
@@ -19,10 +29,11 @@ def test_every_public_name_resolves():
 
 
 def test_public_api_is_the_batched_entry_points():
+    assert len(qsdde.__all__) == 37
     assert sorted(qsdde.__all__) == sorted([
         "AlgoConfig", "AssumptionEstimates", "CoefficientSet", "ExperimentConfig",
         "IdealizedReplay", "MdpSpec", "OnlineBufferReplay", "QNetSpec", "Quadratic",
-        "SddeConfig", "TrajectoryEnsemble", "W1Estimate", "assumption_report",
+        "TrajectoryEnsemble", "W1Estimate", "assumption_report",
         "estimate_constants", "exact_drift_b", "generator_X", "generator_gap",
         "generator_theta", "init_theta", "load_config", "load_mdp",
         "moment_check_X", "moment_check_theta", "moment_suite", "rate_sweep",
@@ -35,9 +46,7 @@ def test_public_api_is_the_batched_entry_points():
 def test_cli_import_loads_every_traced_module_and_no_scipy():
     # scipy.optimize is loaded at the first assignment solve, not at import;
     # the benchmark tracer looks each traced function up in sys.modules
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _tracer()
     homes = {f"qsdde.{home}" for home, *_ in tracer.TRACED_FUNCTIONS} | {"qsdde.rng"}
     assert len(homes) == 10
     code = ("import json, sys, qsdde.cli; "
@@ -48,3 +57,18 @@ def test_cli_import_loads_every_traced_module_and_no_scipy():
     loaded = set(json.loads(res.stdout))
     assert not any(m.split(".")[0] == "scipy" for m in loaded)
     assert homes <= loaded
+
+
+def test_tracer_counts_heads_of_index_rows():
+    # the tracer reads heads.shape[-2] as the head count of a
+    # q_values_batch call, shared (K, 2) or per trajectory (N, K, 2)
+    tracer = _tracer()
+    net = QNetSpec(n_states=3, n_actions=2, hidden=(4,), bound=7.0)
+    n, K = 5, 6
+    thetas = np.random.default_rng(0).standard_normal((n, net.d))
+    for heads in (pair_heads(net), np.broadcast_to(pair_heads(net), (n, K, 2))):
+        args = (net, thetas, heads)
+        assert tracer._qvalues_attrs(args, {}, q_values_batch(*args)) == {"heads": n * K}
+        args = (net, thetas, heads, True)
+        assert tracer._qvalues_attrs(args, {}, q_values_batch(*args)) == \
+            {"heads": n * K, "bytes_computed": n * K * net.d * 8}

@@ -45,7 +45,7 @@ def test_load_config_fills_defaults(config_file):
     cfg = load_config(config_file)
     assert cfg.seed == 321
     assert cfg.net.d == len(cfg.theta0)
-    assert cfg.sdde.rho == 4
+    assert cfg.algo.rho == 4
     assert not cfg.strict_gate
 
 
@@ -71,6 +71,17 @@ def test_load_config_aggregates_errors(tmp_path):
     assert len(err.value.errors) >= 3
 
 
+def test_load_config_rejects_zero_eta(tmp_path):
+    # the chain alone admits eta = 0, but a config also drives the diffusion
+    doc = _config_doc()
+    doc["algo"]["eta"] = 0.0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.errors == ["algo section: eta must be positive"]
+
+
 def test_load_config_parse_error_has_line_context(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"seed": 1,\n  broken\n}')
@@ -89,6 +100,21 @@ def test_load_config_strict_gate(tmp_path):
     assert any("step-size gate" in e for e in err.value.errors)
     cfg = load_config(path, force=True)
     assert any("step-size gate" in w for w in cfg.warnings)
+
+
+def test_strict_gate_delta_above_one_is_one_fault(tmp_path):
+    # delta > 1 fails the gate's delta constraint: one error naming it, and
+    # under force one warning and a loaded config
+    doc = _config_doc(strict_gate=True)
+    doc["algo"]["delta"] = 1.5
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert len(err.value.errors) == 1
+    assert "binding constraint: delta" in err.value.errors[0]
+    cfg = load_config(path, force=True)
+    assert len(cfg.warnings) == 1 and "binding constraint: delta" in cfg.warnings[0]
 
 
 def test_validate_mdp_cli_ok(tmp_path, config_file):

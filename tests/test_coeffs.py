@@ -16,7 +16,7 @@ from oracles import max_q, noise_matrix, q_grad, q_value, qbar, sample_drift_bn
 
 def _mu1(net, spec, y, s, a):
     """The kernel's p-weighted next-state max Q of head (s, a) at y."""
-    mu1, _ = delay_moments(spec, max_q_by_state(net, y[None, :], net.encode_all_pairs()))
+    mu1, _ = delay_moments(spec, max_q_by_state(net, y[None, :]))
     return mu1[s * net.n_actions + a, 0]
 
 
@@ -182,7 +182,6 @@ def test_lowrank_matches_dense(net, mdp, q_table):
     # the engine's noise map A (columns at e_1..e_K) factors Sigma + beta_bar,
     # and so does lowrank_ghat's dense factor, which equals A
     rng = np.random.default_rng(31)
-    enc = net.encode_all_pairs()
     for _ in range(10):
         x = rng.standard_normal(net.d)
         y = rng.standard_normal(net.d)
@@ -190,8 +189,7 @@ def test_lowrank_matches_dense(net, mdp, q_table):
         cs = sigma_matrix(net, mdp, q_table, x, y, eta, delta)
         A = noise_matrix(net, mdp, q_table, x[None, :], y[None, :])[0]
         assert np.allclose(A @ A.T, cs.Sigma + cs.beta_bar, atol=1e-11)
-        stats = head_stats(net, mdp, q_table, x[None, :],
-                           max_q_by_state(net, y[None, :], enc), enc)
+        stats = head_stats(net, mdp, q_table, x[None, :], max_q_by_state(net, y[None, :]))
         G = lowrank_ghat(stats, mdp.V.reshape(-1))[0]
         assert np.allclose(G @ G.T, cs.Sigma + cs.beta_bar, atol=1e-11)
         assert np.allclose(G, A, rtol=0.0, atol=1e-12)

@@ -9,18 +9,17 @@ from qsdde.qnet import (DimensionError, QNetSpec, _forward, _vjp, init_theta,
                         max_q_by_state, pair_heads, q_values_batch)
 
 from conftest import saturated_theta
-from oracles import dense_jacobian, fd_grad, one_hot, pair_inputs
+from oracles import dense_jacobian, fd_grad, pair_inputs
 
 
 def _q(net, theta, s, a):
     """Q(s, a; theta) through the kernel."""
-    return q_values_batch(net, theta[None, :], one_hot(net, s, a)[None, :])[0, 0]
+    return q_values_batch(net, theta[None, :], np.array([[s, a]]))[0, 0]
 
 
 def _grad(net, theta, s, a):
     """grad Q(s, a; theta) through the kernel."""
-    return q_values_batch(net, theta[None, :], one_hot(net, s, a)[None, :],
-                          with_grad=True)[1][0, 0]
+    return q_values_batch(net, theta[None, :], np.array([[s, a]]), with_grad=True)[1][0, 0]
 
 
 def test_zero_theta_gives_zero_output(net):
@@ -30,8 +29,7 @@ def test_zero_theta_gives_zero_output(net):
 def test_output_strictly_bounded(net):
     rng = np.random.default_rng(2)
     thetas = 5.0 * rng.standard_normal((10_000, net.d))
-    x = one_hot(net, 1, 1)[None, :]
-    q = q_values_batch(net, thetas, x)[:, 0]
+    q = q_values_batch(net, thetas, np.array([[1, 1]]))[:, 0]
     assert np.all(np.abs(q) < net.bound)
 
 
@@ -70,7 +68,7 @@ def test_vjp_matches_jacobian_contraction():
         net = QNetSpec(n_states=S, n_actions=A, hidden=hidden, bound=7.0)
         thetas = rng.standard_normal((16, net.d))
         _, jac = dense_jacobian(net, thetas, pair_inputs(net, 16))
-        _, cache = _forward(net, np.ascontiguousarray(thetas.T), pair_heads(net))
+        _, cache = _forward(net, np.ascontiguousarray(thetas.T), tuple(pair_heads(net).T))
         cot = rng.standard_normal((16, S * A))
         got = _vjp(net, cache, np.ascontiguousarray(cot.T)).T
         want = np.einsum("nk,nkd->nd", cot, jac)
@@ -83,31 +81,37 @@ def test_vjp_matches_jacobian_contraction():
 
 
 def test_per_trajectory_heads_match_dense_oracle():
-    # (N, K, input_dim) inputs, a different head set per trajectory and
-    # repeated columns within a row, through q_values_batch
+    # (N, K, 2) heads, a different head set per trajectory and repeated
+    # columns within a row, through q_values_batch; the oracle reads their
+    # one-hot encodings
     rng = np.random.default_rng(13)
     for hidden in ((4,), (3, 2)):
         net = QNetSpec(n_states=3, n_actions=2, hidden=hidden, bound=7.0)
         n, K = 9, 4
         thetas = rng.standard_normal((n, net.d))
+        heads = np.stack([rng.integers(3, size=(n, K)), rng.integers(2, size=(n, K))], axis=2)
         x = np.zeros((n, K, net.input_dim))
         idx = np.arange(n)[:, None], np.arange(K)[None, :]
-        x[(*idx, rng.integers(3, size=(n, K)))] = 1.0
-        x[(*idx, 3 + rng.integers(2, size=(n, K)))] = 1.0
-        q, g = q_values_batch(net, thetas, x, with_grad=True)
+        x[(*idx, heads[..., 0])] = 1.0
+        x[(*idx, 3 + heads[..., 1])] = 1.0
+        q, g = q_values_batch(net, thetas, heads, with_grad=True)
         q_ref, g_ref = dense_jacobian(net, thetas, x)
         assert np.abs(q - q_ref).max() <= 1e-13 * np.abs(q_ref).max()
         assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
 
 
-def test_q_values_batch_rejects_non_one_hot_inputs(net):
+def test_q_values_batch_rejects_out_of_range_heads(net):
+    # an index s = S would otherwise read the first layer's column of action 0
     thetas = np.zeros((2, net.d))
-    x = net.encode_all_pairs()
-    for bad in (0.5 * x, x[:, ::-1] * 0.0, np.clip(x + x[::-1], 0.0, 1.0)):
+    S, A = net.n_states, net.n_actions
+    for bad in ([[-1, 0]], [[0, -1]], [[S, 0]], [[0, A]], [[0.0, 1.0]]):
         with pytest.raises(ValueError):
-            q_values_batch(net, thetas, bad)
-    with pytest.raises(DimensionError):
-        q_values_batch(net, thetas, x[:, :-1])
+            q_values_batch(net, thetas, np.array(bad))
+        with pytest.raises(ValueError):  # per trajectory
+            q_values_batch(net, thetas, np.array([[[0, 0]], bad]))
+    for shape in ((6, 3), (6,), (3, 6, 2), (2, 1, 6, 2)):
+        with pytest.raises(DimensionError):
+            q_values_batch(net, thetas, np.zeros(shape, dtype=int))
 
 
 def test_saturated_gradient_vanishes(net):
@@ -131,7 +135,7 @@ def test_zero_last_layer_blocks_lower_gradients():
 
 def _max_q(net, theta, s):
     """max_a Q(s, a; theta) from the kernel's (1, S) table."""
-    return max_q_by_state(net, theta[None, :], net.encode_all_pairs())[0, s]
+    return max_q_by_state(net, theta[None, :])[0, s]
 
 
 def test_max_q_single_action():

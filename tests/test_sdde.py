@@ -3,25 +3,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsdde.coeffs import bellman_moments, exact_drift_b, noise_cotangent, sigma_matrix
+from qsdde.chain import AlgoConfig
+from qsdde.coeffs import exact_drift_b, noise_cotangent, sigma_matrix
 from qsdde.mdp import MdpSpec
 from qsdde.qnet import QNetSpec, init_theta
 from qsdde.rng import TrajectoryStreams, block_size
-from qsdde.sdde import SddeConfig, SddeError, moment_check_X, run_sdde
+from qsdde.sdde import SddeError, moment_check_X, run_sdde
 
 from conftest import make_mdp, saturated_theta
-from oracles import dense_jacobian, dense_max_q, pair_inputs
+from oracles import bellman_moments, dense_jacobian, dense_max_q, pair_inputs
 
 
 def _cfg(**kw):
     base = dict(eta=0.05, delta=0.5, m=5, T=20, rho=10, seed=6)
     base.update(kw)
-    return SddeConfig(**base)
+    return AlgoConfig(**base)
 
 
-def test_sdde_config_validation():
-    with pytest.raises(ValueError):
-        _cfg(eta=0.0)
+def test_run_sdde_rejects_zero_eta_and_config_rejects_zero_rho(net, mdp, q_table, theta):
+    # AlgoConfig admits the chain's eta = 0 identity step; the diffusion does not
+    with pytest.raises(ValueError, match="eta must be positive"):
+        run_sdde(net, mdp, q_table, theta, _cfg(eta=0.0), 2, [0])
     with pytest.raises(ValueError):
         _cfg(rho=0)
 
@@ -75,7 +77,7 @@ def test_noise_free_mode_matches_explicit_ode_euler():
     net = QNetSpec(n_states=1, n_actions=1, hidden=(1,), bound=3.0)
     q = np.ones((1, 1))
     x = init_theta(net, np.random.default_rng(2))
-    cfg = SddeConfig(eta=0.1, delta=1e-300, m=100, T=10, rho=2, seed=0)
+    cfg = AlgoConfig(eta=0.1, delta=1e-300, m=100, T=10, rho=2, seed=0)
     h = 0.05
     xs = run_sdde(net, spec, q, x, cfg, 1, [10]).at(10)[0]
     xe = x.copy()
