@@ -14,14 +14,15 @@ from .sdde import moment_check_X, run_sdde
 from .wasserstein import W1Estimate, w1_assignment, w1_exact_1d, w1_sliced
 from .diagnostics import (Quadratic, assumption_report, generator_X,
                           generator_gap, generator_theta)
-from .experiments import (moment_suite, rate_sweep, variance_study,
-                          w1_bound_shape)
+from .experiments import (MomentSuiteSpec, RateSweepSpec, VarianceStudySpec,
+                          moment_suite, rate_sweep, variance_study, w1_bound_shape)
 from .config import ExperimentConfig, load_config
 
 __all__ = [
     "AlgoConfig", "AssumptionEstimates", "CoefficientSet", "ExperimentConfig",
-    "IdealizedReplay", "MdpSpec", "OnlineBufferReplay", "QNetSpec", "Quadratic",
-    "TrajectoryEnsemble", "W1Estimate", "assumption_report",
+    "IdealizedReplay", "MdpSpec", "MomentSuiteSpec", "OnlineBufferReplay", "QNetSpec",
+    "Quadratic", "RateSweepSpec", "TrajectoryEnsemble", "VarianceStudySpec",
+    "W1Estimate", "assumption_report",
     "estimate_constants", "exact_drift_b", "generator_X", "generator_gap",
     "generator_theta", "init_theta", "load_config", "load_mdp",
     "moment_check_X", "moment_check_theta", "moment_suite", "rate_sweep",

@@ -25,9 +25,7 @@ import numpy as np
 
 from .mdp import MdpSpec, OnlineBufferReplay, next_states, sample_pairs
 from .qnet import QNetSpec, _forward, _vjp
-from .rng import step_noise
-
-_BUFFER_PATH = 5  # run_algorithm1 streams: (seed, 5, kind, trajectory)
+from .rng import BUFFER_PATH, SIMULATE_PATH, step_noise
 
 
 class ChainError(RuntimeError):
@@ -140,7 +138,7 @@ def replay_step(net: QNetSpec, spec: MdpSpec, tables, theta: np.ndarray,
 
 def run_dqn(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
             cfg: AlgoConfig, n_traj: int, checkpoints: Sequence[int],
-            stream_path: tuple[int, ...] = (0,)) -> TrajectoryEnsemble:
+            stream_path: tuple[int, ...] = SIMULATE_PATH) -> TrajectoryEnsemble:
     """Simulate n_traj independent chains, recording checkpoint slices.
 
     The target parameter is frozen at theta_{floor(n/m) m} within each window
@@ -207,7 +205,7 @@ def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
     ck_pos = {c: i for i, c in enumerate(checkpoints)}
     if 0 in ck_pos:
         out[:, ck_pos[0], :] = theta.T
-    noise = step_noise(cfg.seed, (_BUFFER_PATH,), n_traj, cfg.T, 4, 1 + d)
+    noise = step_noise(cfg.seed, BUFFER_PATH, n_traj, cfg.T, 4, 1 + d)
     for n, (u, z) in enumerate(noise):
         if n % cfg.m == 0:  # chain_increment returns a new array, so alias the target
             target = theta
@@ -248,12 +246,6 @@ class ThetaMomentReport:
     envelope: float
     c_fit: float
     all_finite: bool
-
-    def as_dict(self) -> dict:
-        return {"checkpoints": list(self.checkpoints),
-                "fourth_moments": self.fourth_moments.tolist(),
-                "envelope": self.envelope, "c_fit": self.c_fit,
-                "all_finite": self.all_finite}
 
 
 def moment_check_theta(ensemble: TrajectoryEnsemble) -> ThetaMomentReport:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -17,15 +18,14 @@ import numpy as np
 from .chain import run_algorithm1, run_dqn
 from .coeffs import sigma_matrix
 from .config import ConfigError, ExperimentConfig, load_config
-from .diagnostics import Quadratic, assumption_report, generator_gap
-from .experiments import GateError, moment_suite, rate_sweep, variance_study
+from .diagnostics import Quadratic, generator_gap
+from .experiments import (MomentSuiteSpec, RateSweepSpec, VarianceStudySpec, moment_suite,
+                          rate_sweep, variance_study)
 from .manifest import (atomic_write_text, ensemble_to_csv, read_ensemble_csv,
                        rows_to_csv, write_manifest)
 from .mdp import OnlineBufferReplay, load_mdp, validate_mdp
-from .rng import spawn_generator
+from .rng import GAP_PROBE, W1_ASSIGNMENT_PATH, W1_SLICED_PATH, spawn_generator
 from .wasserstein import w1_assignment_subsampled, w1_sliced
-
-_SNAPSHOT_PATH = (9, 1)  # assumption report in manifests and check-assumptions
 
 
 def _config_options(fn):
@@ -38,15 +38,12 @@ def _config_options(fn):
     return fn
 
 
-_threads_option = click.option("--threads", type=int, default=1,
+_threads_option = click.option("--threads", type=click.IntRange(min=1), default=1,
                                 help="Worker threads for independent experiment arms.")
 
 
 def _load(config_path, seed_override, force) -> ExperimentConfig:
-    try:
-        cfg = load_config(config_path, seed_override=seed_override, force=force)
-    except ConfigError as err:
-        raise click.ClickException(str(err)) from err
+    cfg = load_config(config_path, seed_override=seed_override, force=force)
     for w in cfg.warnings:
         click.echo(f"warning: {w}", err=True)
     return cfg
@@ -76,12 +73,44 @@ def _vector(path, value, name: str, d: int) -> np.ndarray:
     return v
 
 
-def _snapshot(cfg: ExperimentConfig) -> dict:
-    rng = spawn_generator(cfg.seed, _SNAPSHOT_PATH)
-    return assumption_report(cfg.net, cfg.mdp, cfg.q, cfg.algo, rng).as_dict()
+def _manifest(out_dir, subcommand: str, cfg: ExperimentConfig, outputs: list[str]) -> Path:
+    """Write out_dir/manifest.json before any output; returns out_dir as a Path."""
+    out = Path(out_dir)
+    write_manifest(out, subcommand, cfg.raw, cfg.algo.seed, outputs, cfg.assumptions.as_dict())
+    return out
 
 
-@click.group()
+def _dump(path: Path, obj) -> None:
+    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+
+
+def _emit(obj, out_file) -> None:
+    """obj as JSON to out_file, or to stdout when out_file is None."""
+    if out_file:
+        _dump(Path(out_file), obj)
+    else:
+        click.echo(json.dumps(obj, indent=2) + "\n", nl=False)
+
+
+def _write_study(out: Path, name: str, res, plot_rows: list[dict]) -> None:
+    """<name>.csv of res.rows, <name>.json of res, and plot_data.csv."""
+    rows = [asdict(r) for r in res.rows]
+    rows_to_csv(out / f"{name}.csv", rows, list(rows[0]))
+    _dump(out / f"{name}.json", asdict(res))
+    rows_to_csv(out / "plot_data.csv", plot_rows, ["x", "y", "err"])
+
+
+class _Commands(click.Group):
+    """A bad config, gate refusals included, ends a command with its message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as err:
+            raise click.ClickException(str(err)) from err
+
+
+@click.group(cls=_Commands)
 def main():
     """Simulate noisy deep-Q parameter chains and their delay diffusions."""
 
@@ -109,8 +138,7 @@ def validate_mdp_cmd(file):
 def simulate_dqn_cmd(config_path, seed_override, force, out_dir):
     """Simulate the noisy parameter chain; write manifest plus checkpoint CSV."""
     cfg = _load(config_path, seed_override, force)
-    out = Path(out_dir)
-    write_manifest(out, "simulate-dqn", cfg.raw, cfg.seed, ["chain.csv"], _snapshot(cfg))
+    out = _manifest(out_dir, "simulate-dqn", cfg, ["chain.csv"])
     if isinstance(cfg.replay, OnlineBufferReplay):
         ens = run_algorithm1(cfg.net, cfg.mdp, cfg.replay, cfg.algo, cfg.n_traj,
                              cfg.checkpoints, cfg.theta0)
@@ -128,8 +156,7 @@ def simulate_sdde_cmd(config_path, seed_override, force, out_dir):
     """Integrate the delay diffusion; write manifest plus checkpoint CSV."""
     from .sdde import run_sdde
     cfg = _load(config_path, seed_override, force)
-    out = Path(out_dir)
-    write_manifest(out, "simulate-sdde", cfg.raw, cfg.seed, ["sdde.csv"], _snapshot(cfg))
+    out = _manifest(out_dir, "simulate-sdde", cfg, ["sdde.csv"])
     ens = run_sdde(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, cfg.n_traj,
                    cfg.checkpoints)
     ensemble_to_csv(out / "sdde.csv", ens)
@@ -157,12 +184,9 @@ def dump_coefficients_cmd(config_path, seed_override, force, out_file, points_fi
         "beta_bar": cs.beta_bar.tolist(), "sigma": cs.sigma.tolist(),
         "sigma_sq_eigenvalues": np.linalg.eigvalsh(cs.sigma @ cs.sigma.T).tolist(),
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    _emit(payload, out_file)
     if out_file:
-        atomic_write_text(Path(out_file), text)
         click.echo(f"wrote {out_file}")
-    else:
-        click.echo(text, nl=False)
 
 
 @main.command("estimate-w1")
@@ -190,16 +214,12 @@ def estimate_w1_cmd(file_a, file_b, checkpoint, method, n_proj, cap, seed, out_f
                                    f"{file_b} has d = {B.shape[1]}")
     result = {}
     if method in ("sliced", "both"):
-        est = w1_sliced(A, B, n_proj, spawn_generator(seed, (3, 0)))
+        est = w1_sliced(A, B, n_proj, spawn_generator(seed, W1_SLICED_PATH))
         result["sliced"] = est.as_dict()
     if method in ("assignment", "both"):
-        est = w1_assignment_subsampled(A, B, cap, spawn_generator(seed, (3, 1)))
+        est = w1_assignment_subsampled(A, B, cap, spawn_generator(seed, W1_ASSIGNMENT_PATH))
         result["assignment"] = est.as_dict()
-    text = json.dumps(result, indent=2) + "\n"
-    if out_file:
-        atomic_write_text(Path(out_file), text)
-    else:
-        click.echo(text, nl=False)
+    _emit(result, out_file)
 
 
 @main.command("generator-gap")
@@ -224,17 +244,13 @@ def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
         n_mc = int(probes.get("n_mc", 100000))
         etas = tuple(probes.get("etas", [cfg.algo.eta, cfg.algo.eta / 2, cfg.algo.eta / 4]))
         for i, x in enumerate(points):
-            rng = spawn_generator(cfg.seed, (4, i))
+            rng = spawn_generator(cfg.algo.seed, (GAP_PROBE, i))
             rep = generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target, cfg.algo,
                                 n_mc, rng, etas=etas)
-            reports.append(rep.as_dict())
+            reports.append(asdict(rep))
     except (TypeError, ValueError) as err:
         raise click.ClickException(f"{points_file}: {err}") from err
-    text = json.dumps({"reports": reports}, indent=2) + "\n"
-    if out_file:
-        atomic_write_text(Path(out_file), text)
-    else:
-        click.echo(text, nl=False)
+    _emit({"reports": reports}, out_file)
 
 
 @main.command("check-assumptions")
@@ -243,24 +259,12 @@ def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
 def check_assumptions_cmd(config_path, seed_override, force, out_file):
     """Estimate regularity constants and report the step-size gate."""
     cfg = _load(config_path, seed_override, force)
-    rng = spawn_generator(cfg.seed, _SNAPSHOT_PATH)
-    rep = assumption_report(cfg.net, cfg.mdp, cfg.q, cfg.algo, rng)
+    rep = cfg.assumptions
     click.echo(str(rep))
     if out_file:
-        atomic_write_text(Path(out_file), json.dumps(rep.as_dict(), indent=2) + "\n")
+        _dump(Path(out_file), rep.as_dict())
     if not rep.passes and not force:
         sys.exit(1)
-
-
-def _sweep_params(cfg: ExperimentConfig) -> dict:
-    block = cfg.raw.get("rate_sweep", {})
-    return {
-        "eta_grid": block.get("eta_grid", [0.1, 0.05, 0.025, 0.0125]),
-        "n_traj": int(block.get("n_traj", 4096)),
-        "n_proj": int(block.get("n_proj", 64)),
-        "assignment_cap": int(block.get("assignment_cap", 512)),
-        "tracked": int(block.get("tracked_coords", 4)),
-    }
 
 
 @main.command("rate-sweep")
@@ -270,26 +274,14 @@ def _sweep_params(cfg: ExperimentConfig) -> dict:
 def rate_sweep_cmd(config_path, seed_override, force, threads, out_dir):
     """W1 scaling study across a step-size grid at fixed horizon T*eta."""
     cfg = _load(config_path, seed_override, force)
-    p = _sweep_params(cfg)
-    out = Path(out_dir)
-    write_manifest(out, "rate-sweep", cfg.raw, cfg.seed,
-                   ["rate_sweep.csv", "rate_sweep.json", "plot_data.csv"],
-                   _snapshot(cfg))
-    try:
-        res = rate_sweep(cfg.net, cfg.mdp, cfg.q, cfg.theta0,
-                         eta_grid=p["eta_grid"], delta=cfg.algo.delta, m=cfg.algo.m,
-                         T0=cfg.algo.T, eta0=cfg.algo.eta, n_traj=p["n_traj"],
-                         seed=cfg.seed, rho=cfg.algo.rho, n_proj=p["n_proj"],
-                         assignment_cap=p["assignment_cap"], tracked=p["tracked"],
-                         force=force, threads=threads)
-    except GateError as err:
-        raise click.ClickException(str(err))
-    cols = list(res.rows[0].as_dict().keys())
-    rows_to_csv(out / "rate_sweep.csv", [r.as_dict() for r in res.rows], cols)
-    atomic_write_text(out / "rate_sweep.json", json.dumps(res.as_dict(), indent=2) + "\n")
-    rows_to_csv(out / "plot_data.csv",
-                [{"x": r.eta, "y": r.w1_sliced, "err": r.sliced_stderr}
-                 for r in res.rows], ["x", "y", "err"])
+    sweep = cfg.study(RateSweepSpec)
+    gate = sweep.gate(cfg.assumptions, force)
+    out = _manifest(out_dir, "rate-sweep", cfg,
+                    ["rate_sweep.csv", "rate_sweep.json", "plot_data.csv"])
+    res = rate_sweep(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, sweep, gate=gate,
+                     threads=threads)
+    _write_study(out, "rate_sweep", res,
+                 [{"x": r.eta, "y": r.w1_sliced, "err": r.sliced_stderr} for r in res.rows])
     click.echo(f"slope = {res.slope:.3f} (95% CI {res.slope_ci95[0]:.3f}.."
                f"{res.slope_ci95[1]:.3f}); wrote {out}")
 
@@ -301,25 +293,13 @@ def rate_sweep_cmd(config_path, seed_override, force, threads, out_dir):
 def variance_study_cmd(config_path, seed_override, force, threads, out_dir):
     """Delayed vs undelayed trace-of-covariance comparison table."""
     cfg = _load(config_path, seed_override, force)
-    block = cfg.raw.get("variance_study", {})
-    m_values = block.get("m_values", [1, cfg.algo.m])
-    n_traj = int(block.get("n_traj", cfg.n_traj))
-    checkpoints = block.get("checkpoints", list(cfg.checkpoints))
-    out = Path(out_dir)
-    write_manifest(out, "variance-study", cfg.raw, cfg.seed,
-                   ["variance_study.csv", "variance_study.json", "plot_data.csv"],
-                   _snapshot(cfg))
-    res = variance_study(cfg.net, cfg.mdp, cfg.q, cfg.theta0, m_values=m_values,
-                         eta=cfg.algo.eta, delta=cfg.algo.delta, T=cfg.algo.T,
-                         n_traj=n_traj, seed=cfg.seed, checkpoints=checkpoints,
-                         rho=cfg.algo.rho, threads=threads)
-    cols = list(res.rows[0].as_dict().keys())
-    rows_to_csv(out / "variance_study.csv", [r.as_dict() for r in res.rows], cols)
-    atomic_write_text(out / "variance_study.json",
-                      json.dumps(res.as_dict(), indent=2) + "\n")
-    rows_to_csv(out / "plot_data.csv",
-                [{"x": r.time, "y": r.trace_cov_theta, "err": r.m}
-                 for r in res.rows], ["x", "y", "err"])
+    study = cfg.study(VarianceStudySpec)
+    out = _manifest(out_dir, "variance-study", cfg,
+                    ["variance_study.csv", "variance_study.json", "plot_data.csv"])
+    res = variance_study(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, study,
+                         threads=threads)
+    _write_study(out, "variance_study", res,
+                 [{"x": r.time, "y": r.trace_cov_theta, "err": r.m} for r in res.rows])
     click.echo(f"trace ratios vs m=1 (chain): {res.ratios_theta}; wrote {out}")
 
 
@@ -329,28 +309,13 @@ def variance_study_cmd(config_path, seed_override, force, threads, out_dir):
 def moment_suite_cmd(config_path, seed_override, force, out_dir):
     """Moment-bound suite over initial conditions {0, e1, 5 e1}."""
     cfg = _load(config_path, seed_override, force)
-    block = cfg.raw.get("moment_suite", {})
-    n_traj = int(block.get("n_traj", cfg.n_traj))
-    checkpoints = block.get("checkpoints", list(cfg.checkpoints))
-    scales = tuple(block.get("ic_scales", [0.0, 1.0, 5.0]))
-    out = Path(out_dir)
-    write_manifest(out, "moment-suite", cfg.raw, cfg.seed,
-                   ["moment_suite.json", "plot_data.csv"], _snapshot(cfg))
-    # the block may pin its own regime (moment envelopes want a gentler one)
-    res = moment_suite(cfg.net, cfg.mdp, cfg.q,
-                       eta=float(block.get("eta", cfg.algo.eta)),
-                       delta=float(block.get("delta", cfg.algo.delta)),
-                       m=int(block.get("m", cfg.algo.m)),
-                       T=int(block.get("T", cfg.algo.T)),
-                       n_traj=n_traj, seed=cfg.seed, checkpoints=checkpoints,
-                       rho=int(block.get("rho", cfg.algo.rho)), ic_scales=scales)
-    atomic_write_text(out / "moment_suite.json",
-                      json.dumps(res.as_dict(), indent=2) + "\n")
-    plot_rows = []
-    for s in res.ic_scales:
-        for c, v in zip(res.checkpoints, res.theta_fourth[s]):
-            plot_rows.append({"x": c, "y": v, "err": s})
-    rows_to_csv(out / "plot_data.csv", plot_rows, ["x", "y", "err"])
+    suite = cfg.study(MomentSuiteSpec)
+    out = _manifest(out_dir, "moment-suite", cfg, ["moment_suite.json", "plot_data.csv"])
+    res = moment_suite(cfg.net, cfg.mdp, cfg.q, cfg.algo, suite)
+    _dump(out / "moment_suite.json", asdict(res))
+    rows_to_csv(out / "plot_data.csv",
+                [{"x": c, "y": v, "err": s} for s in res.ic_scales
+                 for c, v in zip(res.checkpoints, res.theta_fourth[s])], ["x", "y", "err"])
     click.echo(f"stability: theta x{res.stability_theta:.2f}, "
                f"X x{res.stability_X:.2f}; wrote {out}")
 

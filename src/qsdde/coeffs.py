@@ -28,7 +28,6 @@ from .mdp import MdpSpec
 from .qnet import QNetSpec, max_q_by_state, pair_heads, q_values_batch
 
 EIG_HARD_FLOOR = -1e-10  # below this a negative eigenvalue is a bug, not noise
-SYM_TOL = 1e-12
 _TINY = 1e-300
 
 
@@ -139,25 +138,6 @@ class CoefficientSet:
         d = self.b.shape[0]
         return self.Sigma + self.beta_bar + (self.delta / self.eta) * np.eye(d)
 
-    def check(self, recon_tol: float = 1e-10) -> list[str]:
-        """Return a list of violated invariants (empty when all hold)."""
-        fails = []
-        for name, m in (("Sigma", self.Sigma), ("beta_bar", self.beta_bar)):
-            if np.abs(m - m.T).max() > SYM_TOL:
-                fails.append(f"{name} asymmetric beyond {SYM_TOL}")
-            w = np.linalg.eigvalsh(0.5 * (m + m.T))
-            if w.min() < EIG_HARD_FLOOR:
-                fails.append(f"{name} eigenvalue {w.min():.3e} below {EIG_HARD_FLOOR}")
-        target = self.target
-        err = np.linalg.norm(self.sigma @ self.sigma.T - target) / np.linalg.norm(target)
-        if err > recon_tol:
-            fails.append(f"sigma*sigma^T reconstruction error {err:.3e} > {recon_tol}")
-        floor = self.delta / self.eta + EIG_HARD_FLOOR
-        w2 = np.linalg.eigvalsh(self.sigma @ self.sigma.T)
-        if w2.min() < floor:
-            fails.append(f"lambda_min(sigma^2) = {w2.min():.6e} below delta/eta - 1e-10")
-        return fails
-
 
 def spd_sqrt(mat: np.ndarray, hard_floor: float = EIG_HARD_FLOOR) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
@@ -219,11 +199,6 @@ class AssumptionEstimates:
     b00_norm: float
     n_pairs: int
     radius: float
-
-    def as_dict(self) -> dict:
-        return {"L_hat": self.L_hat, "K_hat": self.K_hat,
-                "beta_max_hat": self.beta_max_hat, "b00_norm": self.b00_norm,
-                "n_pairs": self.n_pairs, "radius": self.radius}
 
 
 def estimate_constants(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_pairs: int,

@@ -4,25 +4,26 @@ A config document bundles the MDP, the network architecture, the algorithm
 parameters and per-study blocks.  Loading fills defaults, checks every
 module-level invariant and aggregates all violations into one error; in
 strict-gate mode the step-size admissibility check is enforced at load
-time, downgraded to a warning under force.
+time, downgraded to a warning under force.  A study block is checked only
+when a command asks for its spec, and every gate of a run reads one
+estimate of the regularity constants, made on first use.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .chain import AlgoConfig
-from .coeffs import estimate_constants, step_size_gate
+from .diagnostics import AssumptionReport, assumption_report
 from .mdp import (IdealizedReplay, MdpSpec, ReplayModel, load_mdp, uniform_q,
                   validate_mdp)
 from .qnet import QNetSpec, init_theta
-from .rng import spawn_generator
-
-_GATE_PATH = (9, 0)
+from .rng import SNAPSHOT_PATH, THETA0_PATH, spawn_generator
 
 DEFAULTS = {
     "seed": 0,
@@ -46,7 +47,6 @@ class ExperimentConfig:
     net: QNetSpec
     theta0: np.ndarray
     algo: AlgoConfig
-    seed: int
     strict_gate: bool
     n_traj: int
     checkpoints: tuple[int, ...]
@@ -58,6 +58,26 @@ class ExperimentConfig:
         if isinstance(self.replay, IdealizedReplay):
             return self.replay.q
         return uniform_q(self.mdp.n_states, self.mdp.n_actions)
+
+    @cached_property
+    def assumptions(self) -> AssumptionReport:
+        """The run's one estimate of the regularity constants, and the gate on algo."""
+        return assumption_report(self.net, self.mdp, self.q, self.algo,
+                                 spawn_generator(self.algo.seed, SNAPSHOT_PATH))
+
+    def study(self, spec_cls):
+        """The spec of the study block spec_cls.section over the run's defaults;
+        a bad block is one ConfigError naming the section and the key."""
+        block = self.raw.get(spec_cls.section, {})
+        try:
+            if not isinstance(block, dict):
+                raise ValueError("must be a JSON object")
+            unknown = sorted(set(block) - {f.name for f in fields(spec_cls)})
+            if unknown:
+                raise ValueError(f"unknown keys {unknown}")
+            return spec_cls.from_block(block, self)
+        except ValueError as err:
+            raise ConfigError([f"{spec_cls.section} section: {err}"]) from err
 
 
 def _merge_defaults(doc: dict) -> dict:
@@ -122,6 +142,9 @@ def load_config(source: str | Path | dict, seed_override: int | None = None,
     if algo is not None and any(c < 0 or c > algo.T for c in checkpoints):
         errors.append(f"checkpoints {list(checkpoints)} must lie in [0, T={algo.T}]")
 
+    if not (isinstance(doc["n_traj"], int) and doc["n_traj"] >= 1):
+        errors.append(f"n_traj must be an integer >= 1, got {doc['n_traj']!r}")
+
     theta0 = np.zeros(net.d if net is not None else 0)
     if net is not None:
         init = net_doc["init"]
@@ -132,24 +155,19 @@ def load_config(source: str | Path | dict, seed_override: int | None = None,
             if theta0.shape != (net.d,):
                 errors.append(f"net.theta0 must have length d = {net.d}, got {theta0.shape}")
         else:
-            theta0 = init_theta(net, spawn_generator(int(init.get("seed", 1)), (8, 0)),
+            theta0 = init_theta(net, spawn_generator(int(init.get("seed", 1)), THETA0_PATH),
                                 float(init.get("stddev", 0.5)))
 
     if errors:
         raise ConfigError(errors)
     cfg = ExperimentConfig(mdp=spec, replay=replay, net=net, theta0=theta0, algo=algo,
-                           seed=int(doc["seed"]), strict_gate=bool(doc["strict_gate"]),
-                           n_traj=int(doc["n_traj"]), checkpoints=checkpoints,
-                           raw=doc)
-    if cfg.strict_gate:
-        rng = spawn_generator(cfg.seed, _GATE_PATH)
-        est = estimate_constants(net, spec, cfg.q, n_pairs=100, radius=5.0, rng=rng)
-        gate = step_size_gate(est, algo.delta)
-        if not gate.passes(algo.eta):
-            msg = (f"eta = {algo.eta} rejected by the step-size gate "
-                   f"(eta_max = {gate.eta_max:.6g}, binding constraint: "
-                   f"{gate.binding(algo.eta)})")
-            if not force:
-                raise ConfigError([msg])
-            cfg.warnings.append(msg + " [forced]")
+                           strict_gate=bool(doc["strict_gate"]), n_traj=doc["n_traj"],
+                           checkpoints=checkpoints, raw=doc)
+    if cfg.strict_gate and not cfg.assumptions.passes:
+        rep = cfg.assumptions
+        msg = (f"eta = {algo.eta} rejected by the step-size gate "
+               f"(eta_max = {rep.gate.eta_max:.6g}, binding constraint: {rep.binding})")
+        if not force:
+            raise ConfigError([msg])
+        cfg.warnings.append(msg + " [forced]")
     return cfg

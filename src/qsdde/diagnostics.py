@@ -19,7 +19,7 @@ pointwise value is the leading (s = 0) term, and reports label it as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -106,18 +106,11 @@ class GapReport:
     etas: tuple[float, ...]
     gaps: tuple[float, ...]
     stderrs: tuple[float, ...]
-    theta_values: tuple[float, ...]
-    x_values: tuple[float, ...]
+    theta_generator: tuple[float, ...]
+    x_generator_times_eta: tuple[float, ...]
     fitted_order: float | None
     note: str = ("pointwise surrogate at s=0 for the time-integrated operator "
                  "comparison; captures the leading term only")
-
-    def as_dict(self) -> dict:
-        return {"etas": list(self.etas), "gaps": list(self.gaps),
-                "stderrs": list(self.stderrs),
-                "theta_generator": list(self.theta_values),
-                "x_generator_times_eta": list(self.x_values),
-                "fitted_order": self.fitted_order, "note": self.note}
 
 
 def generator_gap(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
@@ -140,7 +133,7 @@ def generator_gap(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
         slope, _ = np.polyfit(np.log(etas), np.log(gaps), 1)
         order = float(slope)
     return GapReport(etas=tuple(etas), gaps=tuple(gaps), stderrs=tuple(ses),
-                     theta_values=tuple(tvals), x_values=tuple(xvals),
+                     theta_generator=tuple(tvals), x_generator_times_eta=tuple(xvals),
                      fitted_order=order)
 
 
@@ -157,7 +150,7 @@ class AssumptionReport:
     warnings: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {"estimates": self.estimates.as_dict(),
+        return {"estimates": asdict(self.estimates),
                 "gate": {"eta_max": self.gate.eta_max,
                          "constraints": {k: (v if np.isfinite(v) else "inf")
                                          for k, v in self.gate.constraints.items()},
@@ -183,10 +176,9 @@ class AssumptionReport:
 
 
 def assumption_report(net: QNetSpec, spec: MdpSpec, q: np.ndarray, cfg: AlgoConfig,
-                      rng: np.random.Generator, n_pairs: int = 200,
-                      radius: float = 5.0) -> AssumptionReport:
-    """Estimate regularity constants and evaluate the step-size gate for cfg."""
-    est = estimate_constants(net, spec, q, n_pairs, radius, rng)
+                      rng: np.random.Generator) -> AssumptionReport:
+    """Regularity constants from 200 probe pairs in radius 5, and the gate for cfg."""
+    est = estimate_constants(net, spec, q, n_pairs=200, radius=5.0, rng=rng)
     gate = step_size_gate(est, cfg.delta)
     passes = gate.passes(cfg.eta)
     warnings = []

@@ -5,29 +5,149 @@ Conventions shared by all studies: the chain and the delay diffusion never
 share noise streams (two-sample W1 compares laws, so the ensembles must be
 independent); the physical horizon T*eta is held fixed across a sweep by
 scaling the step count; every study is reproducible from (config, master
-seed) alone.
+seed) alone.  A study takes the run's ``AlgoConfig`` plus the spec of its
+config block, and derives each arm's config with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .chain import AlgoConfig, moment_check_theta, run_dqn
-from .coeffs import estimate_constants, step_size_gate
+from .config import ConfigError
+from .diagnostics import AssumptionReport
 from .mdp import MdpSpec
 from .qnet import QNetSpec
-from .rng import spawn_generator
+from .rng import CHAIN_ARM, SDDE_ARM, W1_ARM, spawn_generator
 from .sdde import moment_check_X, run_sdde
 from .wasserstein import W1Estimate, w1_assignment_subsampled, w1_sliced
 
-_CHAIN_ARM, _SDDE_ARM, _GATE_ARM, _W1_ARM = 0, 1, 2, 3
+
+def _check(spec, keys: str, convert, ok, need: str) -> None:
+    """Set each of spec's (space-separated) keys to convert(its value), else
+    raise a ValueError naming the key."""
+    for key in keys.split():
+        given = getattr(spec, key)
+        try:
+            value = convert(given)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or not ok(value):
+            raise ValueError(f"{key} must be {need}, got {given!r}")
+        object.__setattr__(spec, key, value)
 
 
-class GateError(RuntimeError):
-    """The step-size gate rejected a requested eta (run with force to bypass)."""
+_COUNT = (operator.index, lambda n: n >= 1, "an integer >= 1")
+
+
+def _steps(values) -> tuple[int, ...]:
+    return tuple(sorted({operator.index(v) for v in values}))
+
+
+@dataclass(frozen=True)
+class RateSweepSpec:
+    """The ``rate_sweep`` block: the step grid and the W1 estimators' sizes."""
+
+    section: ClassVar[str] = "rate_sweep"
+    eta_grid: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
+    n_traj: int = 4096
+    n_proj: int = 64
+    assignment_cap: int = 512
+    tracked_coords: int = 4
+
+    def __post_init__(self):
+        _check(self, "eta_grid", lambda g: tuple(sorted(map(float, g), reverse=True)),
+               lambda g: g and all(e > 0.0 for e in g), "a non-empty list of positive steps")
+        _check(self, "n_traj n_proj assignment_cap tracked_coords", *_COUNT)
+
+    @classmethod
+    def from_block(cls, block: dict, run) -> RateSweepSpec:
+        spec = cls(**block)
+        spec.arms(run.algo)  # every eta must give at least one step
+        return spec
+
+    def arms(self, algo: AlgoConfig) -> list[AlgoConfig]:
+        """algo at each eta, largest first, with T scaled to keep T * eta fixed."""
+        Ts = [int(round(algo.T * algo.eta / eta)) for eta in self.eta_grid]
+        if min(Ts) < 1:
+            raise ValueError(f"eta_grid entry {self.eta_grid[0]} gives T = round({algo.T} "
+                             f"* {algo.eta} / {self.eta_grid[0]}) = 0 steps")
+        return [replace(algo, eta=eta, T=T) for eta, T in zip(self.eta_grid, Ts)]
+
+    def gate(self, report: AssumptionReport, force: bool = False) -> dict:
+        """The run's step-size gate on every eta, as meta.gate; ConfigError unless force."""
+        gate = report.gate
+        rejected = [eta for eta in self.eta_grid if not gate.passes(eta)]
+        if rejected and not force:
+            raise ConfigError([f"rate_sweep section: the step-size gate rejects eta_grid "
+                               f"entries {rejected}: eta_max = {gate.eta_max:.6g} (binding: "
+                               f"{gate.binding(max(rejected))}); pass --force to override"])
+        return {"estimates": asdict(report.estimates), "eta_max": gate.eta_max,
+                "rejected": rejected, "forced": bool(rejected)}
+
+
+@dataclass(frozen=True)
+class VarianceStudySpec:
+    """The ``variance_study`` block.  A key it leaves out takes the run's
+    value: m_values (1, algo.m), and the top-level n_traj and checkpoints."""
+
+    section: ClassVar[str] = "variance_study"
+    m_values: tuple[int, ...]
+    n_traj: int
+    checkpoints: tuple[int, ...]
+
+    def __post_init__(self):
+        _check(self, "m_values", _steps, lambda ms: 1 in ms and ms[0] >= 1,
+               "a list of target periods >= 1 that includes the undelayed m = 1")
+        _check(self, "n_traj", *_COUNT)
+        _check(self, "checkpoints", _steps, lambda cs: cs and cs[0] >= 0,
+               "a non-empty list of steps >= 0")
+
+    @classmethod
+    def from_block(cls, block: dict, run) -> VarianceStudySpec:
+        spec = cls(**{"m_values": (1, run.algo.m), "n_traj": run.n_traj,
+                      "checkpoints": run.checkpoints, **block})
+        _check(spec, "checkpoints", tuple, lambda cs: cs[-1] <= run.algo.T,
+               f"a non-empty list of steps in [0, T={run.algo.T}]")
+        return spec
+
+
+@dataclass(frozen=True)
+class MomentSuiteSpec:
+    """The ``moment_suite`` block, which may pin its own (gentler) regime.  A
+    key it leaves out takes the run's value: eta, delta, m, T and rho from
+    algo, and the top-level n_traj and checkpoints."""
+
+    section: ClassVar[str] = "moment_suite"
+    eta: float
+    delta: float
+    m: int
+    T: int
+    rho: int
+    n_traj: int
+    checkpoints: tuple[int, ...]
+    ic_scales: tuple[float, ...] = (0.0, 1.0, 5.0)
+
+    def __post_init__(self):
+        _check(self, "eta delta", float, lambda x: x > 0.0, "positive")
+        _check(self, "m T rho n_traj", *_COUNT)
+        _check(self, "checkpoints", _steps, lambda cs: cs and 0 <= cs[0] and cs[-1] <= self.T,
+               f"a non-empty list of steps in [0, T={self.T}]")
+        _check(self, "ic_scales", tuple, lambda ss: ss and all(
+            isinstance(s, numbers.Real) and np.isfinite(s) for s in ss),
+            "a non-empty list of finite numbers")
+
+    @classmethod
+    def from_block(cls, block: dict, run) -> MomentSuiteSpec:
+        a = run.algo
+        return cls(**{"eta": a.eta, "delta": a.delta, "m": a.m, "T": a.T, "rho": a.rho,
+                      "n_traj": run.n_traj, "checkpoints": run.checkpoints, **block})
 
 
 def w1_bound_shape(eta: np.ndarray, delta: float) -> np.ndarray:
@@ -52,9 +172,6 @@ class RateSweepRow:
     w1_assignment_tracked: float
     reliable: bool
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class RateSweepResult:
@@ -68,14 +185,6 @@ class RateSweepResult:
     reliable_below_envelope: bool
     tracked_coords: tuple[int, ...]
     meta: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"rows": [r.as_dict() for r in self.rows], "slope": self.slope,
-                "slope_stderr": self.slope_stderr, "slope_ci95": list(self.slope_ci95),
-                "slope_reliable": self.slope_reliable, "bound_c_fit": self.bound_c_fit,
-                "bound_c_envelope": self.bound_c_envelope,
-                "reliable_below_envelope": self.reliable_below_envelope,
-                "tracked_coords": list(self.tracked_coords), "meta": self.meta}
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -94,22 +203,6 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), se
 
 
-def check_gate(net: QNetSpec, spec: MdpSpec, q: np.ndarray, etas, delta: float,
-               seed: int, n_pairs: int = 200, radius: float = 5.0,
-               force: bool = False) -> dict:
-    """Estimate constants once and gate every requested eta."""
-    rng = spawn_generator(seed, (_GATE_ARM,))
-    est = estimate_constants(net, spec, q, n_pairs, radius, rng)
-    gate = step_size_gate(est, delta)
-    failures = [float(e) for e in etas if not gate.passes(float(e))]
-    if failures and not force:
-        raise GateError(
-            f"step-size gate rejects eta in {failures}: eta_max = {gate.eta_max:.6g} "
-            f"(binding: {gate.binding(max(failures))}); pass force=True to override")
-    return {"estimates": est.as_dict(), "eta_max": gate.eta_max,
-            "rejected": failures, "forced": bool(failures)}
-
-
 def _tracked_indices(d: int, k: int) -> tuple[int, ...]:
     idx = np.unique(np.round(np.linspace(0, d - 1, min(k, d))).astype(int))
     return tuple(int(i) for i in idx)
@@ -118,8 +211,7 @@ def _tracked_indices(d: int, k: int) -> tuple[int, ...]:
 def two_sample_w1(a: np.ndarray, b: np.ndarray, n_proj: int, cap: int,
                   rng: np.random.Generator) -> tuple[W1Estimate, W1Estimate]:
     """Sliced W1 on the full clouds plus exact assignment W1 on subsamples."""
-    sliced = w1_sliced(a, b, n_proj, rng)
-    return sliced, w1_assignment_subsampled(a, b, cap, rng)
+    return w1_sliced(a, b, n_proj, rng), w1_assignment_subsampled(a, b, cap, rng)
 
 
 def _run_arms(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_traj: int, arms,
@@ -127,17 +219,17 @@ def _run_arms(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_traj: int, arms,
     """(chain, diffusion) ensembles of every arm, in arm order.
 
     arms[i] = (x0, cfg, checkpoints), cfg an AlgoConfig: arm i runs
-    ``run_dqn`` on the streams (_CHAIN_ARM, i) and ``run_sdde`` on
-    (_SDDE_ARM, i), both from x0 with the same cfg, the diffusion at cfg.rho
+    ``run_dqn`` on the streams (CHAIN_ARM, i) and ``run_sdde`` on
+    (SDDE_ARM, i), both from x0 with the same cfg, the diffusion at cfg.rho
     substeps per step.  Arms share no stream, so threads > 1 runs them
     concurrently with identical results.
     """
     def run(i):
         x0, cfg, checkpoints = arms[i]
         chain = run_dqn(net, spec, q, x0, cfg, n_traj, checkpoints,
-                        stream_path=(_CHAIN_ARM, i))
+                        stream_path=(CHAIN_ARM, i))
         diff = run_sdde(net, spec, q, x0, cfg, n_traj, checkpoints,
-                        stream_path=(_SDDE_ARM, i))
+                        stream_path=(SDDE_ARM, i))
         return chain, diff
 
     if threads > 1:
@@ -147,36 +239,31 @@ def _run_arms(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_traj: int, arms,
 
 
 def rate_sweep(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
-               eta_grid, delta: float, m: int, T0: int, eta0: float,
-               n_traj: int, seed: int, rho: int = 20, n_proj: int = 64,
-               assignment_cap: int = 512, tracked: int = 4,
-               force: bool = False, threads: int = 1) -> RateSweepResult:
+               algo: AlgoConfig, sweep: RateSweepSpec, gate: dict | None = None,
+               threads: int = 1) -> RateSweepResult:
     """W1 scaling study: W1(L(theta_T), L(X_{T eta})) across a step grid.
 
-    T is scaled as round(T0 * eta0 / eta) so the horizon T*eta is fixed; the
+    Arm i runs ``sweep.arms(algo)[i]``, all at the horizon T*eta of algo; the
     final-checkpoint laws are compared with independent noise.  The slope is
     fitted on the sliced estimates over the full grid; rows whose estimate
-    sits below twice the split-half baseline are flagged unreliable.
+    sits below twice the split-half baseline are flagged unreliable.  gate is
+    the grid's step-size verdict (``RateSweepSpec.gate``), recorded in meta.
     """
-    etas = sorted((float(e) for e in eta_grid), reverse=True)
-    if not etas:
-        raise ValueError("eta_grid must contain at least one step size")
-    gate_info = check_gate(net, spec, q, etas, delta, seed, force=force)
-    tracked_idx = _tracked_indices(net.d, tracked)
-    cfgs = [AlgoConfig(eta=eta, delta=delta, m=m, T=int(round(T0 * eta0 / eta)),
-                       rho=rho, seed=seed) for eta in etas]
-    arms = _run_arms(net, spec, q, n_traj, [(theta0, c, [0, c.T]) for c in cfgs], threads)
+    cfgs = sweep.arms(algo)
+    tracked_idx = _tracked_indices(net.d, sweep.tracked_coords)
+    arms = _run_arms(net, spec, q, sweep.n_traj, [(theta0, c, [0, c.T]) for c in cfgs],
+                     threads)
 
     rows = []
     for i, (c, (chain, diff)) in enumerate(zip(cfgs, arms)):
         th, xs = chain.at(c.T), diff.at(c.T)
-        w1_rng = spawn_generator(seed, (_W1_ARM, i))
-        sliced, assign = two_sample_w1(th, xs, n_proj, assignment_cap, w1_rng)
-        tr_rng = spawn_generator(seed, (_W1_ARM, i, 1))
+        w1_rng = spawn_generator(algo.seed, (W1_ARM, i))
+        sliced, assign = two_sample_w1(th, xs, sweep.n_proj, sweep.assignment_cap, w1_rng)
+        tr_rng = spawn_generator(algo.seed, (W1_ARM, i, 1))
         sl_tr, as_tr = two_sample_w1(th[:, tracked_idx], xs[:, tracked_idx],
-                                     n_proj, assignment_cap, tr_rng)
+                                     sweep.n_proj, sweep.assignment_cap, tr_rng)
         rows.append(RateSweepRow(
-            eta=c.eta, delta=delta, T=c.T, m=m, n_traj=n_traj,
+            eta=c.eta, delta=c.delta, T=c.T, m=c.m, n_traj=sweep.n_traj,
             w1_sliced=sliced.value, sliced_stderr=sliced.stderr,
             sliced_baseline=sliced.baseline,
             w1_assignment=assign.value, assignment_baseline=assign.baseline,
@@ -191,7 +278,7 @@ def rate_sweep(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
     slope_rel = None
     if rel.sum() >= 2:
         slope_rel = _loglog_fit(ets[rel], np.maximum(vals[rel], 1e-300))[0]
-    bshape = w1_bound_shape(ets, delta)
+    bshape = w1_bound_shape(ets, algo.delta)
     if rel.any():
         c_fit = float((vals[rel] * bshape[rel]).sum() / (bshape[rel] ** 2).sum())
         c_env = float((vals[rel] / bshape[rel]).max())
@@ -203,8 +290,9 @@ def rate_sweep(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
         reliable_below_envelope=bool(rel.any() and
                                      np.all(vals[rel] <= c_env * bshape[rel] + 1e-12)),
         tracked_coords=tracked_idx,
-        meta={"gate": gate_info, "T0": T0, "eta0": eta0, "rho": rho,
-              "n_proj": n_proj, "assignment_cap": assignment_cap, "seed": seed})
+        meta={"gate": gate, "T0": algo.T, "eta0": algo.eta, "rho": algo.rho,
+              "n_proj": sweep.n_proj, "assignment_cap": sweep.assignment_cap,
+              "seed": algo.seed})
 
 
 @dataclass
@@ -217,9 +305,6 @@ class VarianceStudyRow:
     proj_var_theta: float | None
     proj_var_X: float | None
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class VarianceStudyResult:
@@ -228,67 +313,49 @@ class VarianceStudyResult:
     ratios_X: dict[int, float]
     meta: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {"rows": [r.as_dict() for r in self.rows],
-                "ratios_theta": {str(k): v for k, v in self.ratios_theta.items()},
-                "ratios_X": {str(k): v for k, v in self.ratios_X.items()},
-                "meta": self.meta}
-
 
 def variance_study(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
-                   m_values, eta: float, delta: float, T: int, n_traj: int,
-                   seed: int, checkpoints, rho: int = 20,
+                   algo: AlgoConfig, study: VarianceStudySpec,
                    project: np.ndarray | None = None,
                    threads: int = 1) -> VarianceStudyResult:
     """Delayed (m > 1) vs undelayed (m = 1) fluctuation comparison.
 
-    Reports the trace of the empirical parameter covariance for the chain and
-    the diffusion at each checkpoint, per target period m, plus the ratio of
-    late-horizon traces against the m = 1 arm.  When ``project`` is given,
-    the variance of the projection onto that direction is reported too (the
-    scalar observable of the closed-form oracle case).  The ordering on the
-    full model is reported, not asserted.
+    Arm i runs algo with the study's i-th target period m.  Reports the trace
+    of the empirical parameter covariance for the chain and the diffusion at
+    each checkpoint, per m, plus the ratio of late-horizon traces against the
+    m = 1 arm.  When ``project`` is given, the variance of the projection
+    onto that direction is reported too (the scalar observable of the
+    closed-form oracle case).  The ordering on the full model is reported,
+    not asserted.
     """
-    m_values = sorted({int(m) for m in m_values})
-    if 1 not in m_values:
-        raise ValueError("m_values must include the undelayed arm m = 1")
-    checkpoints = sorted({int(c) for c in checkpoints})
     u = None
     if project is not None:
         u = np.asarray(project, dtype=np.float64)
         u = u / np.linalg.norm(u)
 
-    arms = _run_arms(net, spec, q, n_traj,
-                     [(theta0, AlgoConfig(eta=eta, delta=delta, m=m, T=T, rho=rho,
-                                          seed=seed), checkpoints)
-                      for m in m_values], threads)
+    arms = _run_arms(net, spec, q, study.n_traj,
+                     [(theta0, replace(algo, m=m), study.checkpoints)
+                      for m in study.m_values], threads)
 
-    rows = []
-    late_theta, late_X = {}, {}
-    for m, (chain, diff) in zip(m_values, arms):
-        for c in checkpoints:
+    rows, late = [], {}
+    for m, (chain, diff) in zip(study.m_values, arms):
+        for c in study.checkpoints:
             th, xs = chain.at(c), diff.at(c)
-            row = VarianceStudyRow(
-                m=m, checkpoint=c, time=c * eta,
+            rows.append(VarianceStudyRow(
+                m=m, checkpoint=c, time=c * algo.eta,
                 trace_cov_theta=float(th.var(axis=0).sum()),
                 trace_cov_X=float(xs.var(axis=0).sum()),
                 proj_var_theta=float((th @ u).var()) if u is not None else None,
-                proj_var_X=float((xs @ u).var()) if u is not None else None)
-            rows.append(row)
-        c_late = checkpoints[-1]
-        th, xs = chain.at(c_late), diff.at(c_late)
-        if u is not None:
-            late_theta[m] = float((th @ u).var())
-            late_X[m] = float((xs @ u).var())
-        else:
-            late_theta[m] = float(th.var(axis=0).sum())
-            late_X[m] = float(xs.var(axis=0).sum())
-    ratios_theta = {m: late_theta[m] / late_theta[1] for m in m_values}
-    ratios_X = {m: late_X[m] / late_X[1] for m in m_values}
+                proj_var_X=float((xs @ u).var()) if u is not None else None))
+        r = rows[-1]  # the late horizon: the last checkpoint
+        late[m] = ((r.proj_var_theta, r.proj_var_X) if u is not None
+                   else (r.trace_cov_theta, r.trace_cov_X))
+    ratios_theta = {m: late[m][0] / late[1][0] for m in study.m_values}
+    ratios_X = {m: late[m][1] / late[1][1] for m in study.m_values}
     return VarianceStudyResult(
         rows=rows, ratios_theta=ratios_theta, ratios_X=ratios_X,
-        meta={"eta": eta, "delta": delta, "T": T, "n_traj": n_traj, "rho": rho,
-              "seed": seed, "projected": u is not None})
+        meta={"eta": algo.eta, "delta": algo.delta, "T": algo.T, "n_traj": study.n_traj,
+              "rho": algo.rho, "seed": algo.seed, "projected": u is not None})
 
 
 @dataclass
@@ -306,38 +373,26 @@ class MomentSuiteResult:
     checkpoints: tuple[int, ...]
     meta: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {"ic_scales": list(self.ic_scales),
-                "theta_fourth": {str(k): v for k, v in self.theta_fourth.items()},
-                "theta_ratios": {str(k): v for k, v in self.theta_ratios.items()},
-                "x_second": {str(k): v for k, v in self.x_second.items()},
-                "x_ratios": {str(k): v for k, v in self.x_ratios.items()},
-                "x_disp_fits": {str(k): v for k, v in self.x_disp_fits.items()},
-                "stability_theta": self.stability_theta,
-                "stability_X": self.stability_X,
-                "max_over_fit_theta": self.max_over_fit_theta,
-                "max_over_fit_X": self.max_over_fit_X,
-                "checkpoints": list(self.checkpoints), "meta": self.meta}
 
-
-def moment_suite(net: QNetSpec, spec: MdpSpec, q: np.ndarray, eta: float,
-                 delta: float, m: int, T: int, n_traj: int, seed: int,
-                 checkpoints, rho: int = 20,
-                 ic_scales=(0.0, 1.0, 5.0)) -> MomentSuiteResult:
+def moment_suite(net: QNetSpec, spec: MdpSpec, q: np.ndarray, algo: AlgoConfig,
+                 suite: MomentSuiteSpec) -> MomentSuiteResult:
     """Moment-bound suite over initial conditions x in {0, e1, 5 e1}.
 
-    For each initial condition the chain's fourth moments and the diffusion's
-    second moments are reduced to envelope ratios; the suite reports how
-    stable the fitted constants are across initial conditions (target: within
-    3x) and the worst checkpoint-to-fit ratio (target: below 10x the fit).
+    Every arm runs algo in the suite's own regime (its eta, delta, m, T and
+    rho), one arm per initial condition x = scale * e1.  For each the chain's
+    fourth moments and the diffusion's second moments are reduced to
+    envelope ratios; the suite reports how stable the fitted constants are
+    across initial conditions (target: within 3x) and the worst
+    checkpoint-to-fit ratio (target: below 10x the fit).
     """
-    checkpoints = sorted({int(c) for c in checkpoints})
-    cfg = AlgoConfig(eta=eta, delta=delta, m=m, T=T, rho=rho, seed=seed)
-    x0s = [np.r_[scale, np.zeros(net.d - 1)] for scale in ic_scales]
-    arms = _run_arms(net, spec, q, n_traj, [(x0, cfg, checkpoints) for x0 in x0s])
+    cfg = replace(algo, eta=suite.eta, delta=suite.delta, m=suite.m, T=suite.T,
+                  rho=suite.rho)
+    x0s = [np.r_[scale, np.zeros(net.d - 1)] for scale in suite.ic_scales]
+    arms = _run_arms(net, spec, q, suite.n_traj,
+                     [(x0, cfg, suite.checkpoints) for x0 in x0s])
     theta_fourth, theta_ratio = {}, {}
     x_second, x_ratio, x_disp = {}, {}, {}
-    for scale, x0, (chain, diff) in zip(ic_scales, x0s, arms):
+    for scale, x0, (chain, diff) in zip(suite.ic_scales, x0s, arms):
         rep_t = moment_check_theta(chain)
         rep_x = moment_check_X(diff, x0)
         theta_fourth[scale] = rep_t.fourth_moments.tolist()
@@ -351,14 +406,14 @@ def moment_suite(net: QNetSpec, spec: MdpSpec, q: np.ndarray, eta: float,
     fit_x = float(np.mean(list(x_ratio.values())))
     max_t = max(max(v) / ((1.0 + 2.0 * s ** 4) * fit_t)
                 for s, v in theta_fourth.items())
-    max_x = max(max(v) / ((1.0 + 2.0 * s ** 2 + delta) * fit_x)
+    max_x = max(max(v) / ((1.0 + 2.0 * s ** 2 + cfg.delta) * fit_x)
                 for s, v in x_second.items())
     return MomentSuiteResult(
-        ic_scales=tuple(float(s) for s in ic_scales),
+        ic_scales=tuple(float(s) for s in suite.ic_scales),
         theta_fourth=theta_fourth, theta_ratios=theta_ratio,
         x_second=x_second, x_ratios=x_ratio, x_disp_fits=x_disp,
         stability_theta=float(stab_t), stability_X=float(stab_x),
         max_over_fit_theta=float(max_t), max_over_fit_X=float(max_x),
-        checkpoints=tuple(checkpoints),
-        meta={"eta": eta, "delta": delta, "m": m, "T": T, "n_traj": n_traj,
-              "rho": rho, "seed": seed})
+        checkpoints=suite.checkpoints,
+        meta={"eta": cfg.eta, "delta": cfg.delta, "m": cfg.m, "T": cfg.T,
+              "n_traj": suite.n_traj, "rho": cfg.rho, "seed": cfg.seed})

@@ -30,7 +30,7 @@ from .chain import AlgoConfig, TrajectoryEnsemble, parameter_major
 from .coeffs import delay_moments, noise_cotangent, residual_moments
 from .mdp import MdpSpec
 from .qnet import QNetSpec, _forward, _vjp, max_q_by_state, pair_heads
-from .rng import TrajectoryStreams, block_size
+from .rng import SIMULATE_PATH, TrajectoryStreams, block_size
 
 
 class SddeError(RuntimeError):
@@ -39,7 +39,7 @@ class SddeError(RuntimeError):
 
 def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
              cfg: AlgoConfig, n_traj: int, checkpoint_steps: Sequence[int],
-             stream_path: tuple[int, ...] = (0,)) -> TrajectoryEnsemble:
+             stream_path: tuple[int, ...] = SIMULATE_PATH) -> TrajectoryEnsemble:
     """Integrate n_traj trajectories; checkpoints are integer multiples of eta.
 
     cfg is the chain's AlgoConfig, which must have eta > 0.  The internal
@@ -117,13 +117,6 @@ class XMomentReport:
     c_second_fit: float
     c_disp_fit: float
     all_finite: bool
-
-    def as_dict(self) -> dict:
-        return {"checkpoints": list(self.checkpoints), "times": self.times.tolist(),
-                "second_moments": self.second_moments.tolist(),
-                "displacements": self.displacements.tolist(),
-                "envelope": self.envelope, "c_second_fit": self.c_second_fit,
-                "c_disp_fit": self.c_disp_fit, "all_finite": self.all_finite}
 
 
 def moment_check_X(ensemble: TrajectoryEnsemble, x0: np.ndarray) -> XMomentReport:

@@ -7,14 +7,15 @@ a dense matmul, so they share no code with the parameter-major kernel in
 (N, K, d) head Jacobian, and ``bellman_moments`` sums the residual's moments
 over s' directly.  The single-point references below (``q_value``,
 ``q_grad``, ``max_q``, ``qbar``, ``sample_drift_bn``) are built on them;
-``fd_grad`` differences the kernel's own values.
+``fd_grad`` differences the kernel's own values.  ``coefficient_failures``
+lists the defining identities a dense ``CoefficientSet`` violates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qsdde.coeffs import noise_cotangent
+from qsdde.coeffs import EIG_HARD_FLOOR, CoefficientSet, noise_cotangent
 from qsdde.mdp import MdpSpec
 from qsdde.qnet import QNetSpec, _SAT, q_values_batch
 
@@ -199,3 +200,24 @@ class GaussianBump:
     def hess(self, x: np.ndarray) -> np.ndarray:
         u = (x - self.center) / self.width ** 2
         return float(self.value(x)[0]) * (np.outer(u, u) - np.eye(len(x)) / self.width ** 2)
+
+
+def coefficient_failures(cs: CoefficientSet, sym_tol: float = 1e-12,
+                         recon_tol: float = 1e-10) -> list[str]:
+    """The invariants of cs that fail (empty when all hold): symmetric PSD
+    Sigma and beta_bar, sigma sigma^T = target, lambda_min >= delta/eta."""
+    fails = []
+    for name, m in (("Sigma", cs.Sigma), ("beta_bar", cs.beta_bar)):
+        if np.abs(m - m.T).max() > sym_tol:
+            fails.append(f"{name} asymmetric beyond {sym_tol}")
+        w = np.linalg.eigvalsh(0.5 * (m + m.T))
+        if w.min() < EIG_HARD_FLOOR:
+            fails.append(f"{name} eigenvalue {w.min():.3e} below {EIG_HARD_FLOOR}")
+    target = cs.target
+    err = np.linalg.norm(cs.sigma @ cs.sigma.T - target) / np.linalg.norm(target)
+    if err > recon_tol:
+        fails.append(f"sigma*sigma^T reconstruction error {err:.3e} > {recon_tol}")
+    w2 = np.linalg.eigvalsh(cs.sigma @ cs.sigma.T)
+    if w2.min() < cs.delta / cs.eta + EIG_HARD_FLOOR:
+        fails.append(f"lambda_min(sigma^2) = {w2.min():.6e} below delta/eta - 1e-10")
+    return fails

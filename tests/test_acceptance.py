@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from qsdde.chain import AlgoConfig, run_dqn
 from qsdde.cli import main as cli_main
 from qsdde.coeffs import exact_drift_b, sigma_matrix
 from qsdde.diagnostics import Quadratic, generator_gap
-from qsdde.experiments import moment_suite, rate_sweep, w1_bound_shape, variance_study
+from qsdde.experiments import (MomentSuiteSpec, RateSweepSpec, VarianceStudySpec,
+                               moment_suite, rate_sweep, w1_bound_shape, variance_study)
 from qsdde.mdp import MdpSpec, uniform_q
 from qsdde.qnet import QNetSpec, q_values_batch
 from qsdde.sdde import run_sdde
@@ -137,9 +139,9 @@ def test_criterion_4_degenerate_model_law_equality():
 def test_criterion_5_w1_scaling_rate_sweep():
     t0 = time.time()
     res = rate_sweep(STUDY_NET, STUDY_MDP, STUDY_Q, STUDY_THETA0,
-                     eta_grid=[0.1, 0.05, 0.025, 0.0125], delta=0.5, m=5,
-                     T0=20, eta0=0.1, n_traj=4096, seed=2024, rho=20,
-                     n_proj=64, assignment_cap=512, force=True)
+                     AlgoConfig(eta=0.1, delta=0.5, m=5, T=20, rho=20, seed=2024),
+                     RateSweepSpec(eta_grid=(0.1, 0.05, 0.025, 0.0125), n_traj=4096,
+                                   n_proj=64, assignment_cap=512))
     elapsed = time.time() - t0
     slope_ok = 0.3 <= res.slope <= 0.7
     n_reliable = sum(r.reliable for r in res.rows)
@@ -153,9 +155,11 @@ def test_criterion_5_w1_scaling_rate_sweep():
 
 
 def test_criterion_6_moment_bounds():
-    res = moment_suite(STUDY_NET, STUDY_MDP, STUDY_Q, eta=0.05, delta=0.05,
-                       m=5, T=10, n_traj=4096, seed=13,
-                       checkpoints=[3, 5, 8, 10], rho=5, ic_scales=(0.0, 1.0, 5.0))
+    res = moment_suite(STUDY_NET, STUDY_MDP, STUDY_Q,
+                       AlgoConfig(eta=0.05, delta=0.05, m=5, T=10, rho=5, seed=13),
+                       MomentSuiteSpec(eta=0.05, delta=0.05, m=5, T=10, rho=5,
+                                       n_traj=4096, checkpoints=(3, 5, 8, 10),
+                                       ic_scales=(0.0, 1.0, 5.0)))
     ok = (res.stability_theta < 3.0 and res.stability_X < 3.0
           and res.max_over_fit_theta < 10.0 and res.max_over_fit_X < 10.0)
     _verdict(6, ok, f"fitted constants stable x{res.stability_theta:.2f} (chain) "
@@ -215,9 +219,11 @@ def test_criterion_9_variance_study_pipeline():
     T = 100 * m_delay
     checkpoints = list(range(50 * m_delay, T + 1, 2 * m_delay))
     res = variance_study(oracle["net"], oracle["spec"], oracle["q"],
-                         oracle["theta_star"], m_values=[1, m_delay], eta=eta,
-                         delta=delta, T=T, n_traj=8192, seed=4242,
-                         checkpoints=checkpoints, rho=10, project=oracle["u"])
+                         oracle["theta_star"],
+                         AlgoConfig(eta=eta, delta=delta, m=1, T=T, rho=10, seed=4242),
+                         VarianceStudySpec(m_values=(1, m_delay), n_traj=8192,
+                                           checkpoints=checkpoints),
+                         project=oracle["u"])
     acc_t = {1: [], m_delay: []}
     acc_x = {1: [], m_delay: []}
     for row in res.rows:
@@ -230,11 +236,11 @@ def test_criterion_9_variance_study_pipeline():
     margin_t = abs(sim_t - cf_t) / (1.0 - cf_t)
     margin_x = abs(sim_x - cf_x) / (1.0 - cf_x)
     # full-model arms: deterministic comparison table
-    kw = dict(m_values=[1, 5], eta=0.05, delta=0.5, T=20, n_traj=128, seed=9,
-              checkpoints=[10, 20], rho=4)
-    full_a = variance_study(STUDY_NET, STUDY_MDP, STUDY_Q, STUDY_THETA0, **kw)
-    full_b = variance_study(STUDY_NET, STUDY_MDP, STUDY_Q, STUDY_THETA0, **kw)
-    deterministic = full_a.as_dict() == full_b.as_dict()
+    args = (AlgoConfig(eta=0.05, delta=0.5, m=1, T=20, rho=4, seed=9),
+            VarianceStudySpec(m_values=(1, 5), n_traj=128, checkpoints=(10, 20)))
+    full_a = variance_study(STUDY_NET, STUDY_MDP, STUDY_Q, STUDY_THETA0, *args)
+    full_b = variance_study(STUDY_NET, STUDY_MDP, STUDY_Q, STUDY_THETA0, *args)
+    deterministic = asdict(full_a) == asdict(full_b)
     ok = (sim_t < 1.0 and sim_x < 1.0 and margin_t <= 0.10 and margin_x <= 0.10
           and deterministic)
     _verdict(9, ok, f"scalar oracle: delayed/undelayed variance "

@@ -29,11 +29,12 @@ def test_every_public_name_resolves():
 
 
 def test_public_api_is_the_batched_entry_points():
-    assert len(qsdde.__all__) == 37
+    assert len(qsdde.__all__) == 40
     assert sorted(qsdde.__all__) == sorted([
         "AlgoConfig", "AssumptionEstimates", "CoefficientSet", "ExperimentConfig",
-        "IdealizedReplay", "MdpSpec", "OnlineBufferReplay", "QNetSpec", "Quadratic",
-        "TrajectoryEnsemble", "W1Estimate", "assumption_report",
+        "IdealizedReplay", "MdpSpec", "MomentSuiteSpec", "OnlineBufferReplay", "QNetSpec",
+        "Quadratic", "RateSweepSpec", "TrajectoryEnsemble", "VarianceStudySpec",
+        "W1Estimate", "assumption_report",
         "estimate_constants", "exact_drift_b", "generator_X", "generator_gap",
         "generator_theta", "init_theta", "load_config", "load_mdp",
         "moment_check_X", "moment_check_theta", "moment_suite", "rate_sweep",

@@ -43,7 +43,7 @@ def config_file(tmp_path) -> Path:
 
 def test_load_config_fills_defaults(config_file):
     cfg = load_config(config_file)
-    assert cfg.seed == 321
+    assert cfg.algo.seed == 321
     assert cfg.net.d == len(cfg.theta0)
     assert cfg.algo.rho == 4
     assert not cfg.strict_gate
@@ -363,7 +363,7 @@ def test_malformed_point_files_name_the_file(tmp_path, config_file):
 
 def test_stream_keys_unique_within_a_run(tmp_path, config_file, monkeypatch):
     # every (seed, spawn key) that spawn_generator or TrajectoryStreams builds
-    # during one small rate sweep and one online-buffer simulate-dqn
+    # during one small run of each study and one online-buffer simulate-dqn
     import sys
     import qsdde.rng as rng_mod
     keys = []
@@ -382,10 +382,14 @@ def test_stream_keys_unique_within_a_run(tmp_path, config_file, monkeypatch):
             monkeypatch.setattr(mod, "spawn_generator", spawn_rec)
     monkeypatch.setattr(rng_mod.TrajectoryStreams, "__init__", init_rec)
     doc = _config_doc(rate_sweep={"eta_grid": [0.08, 0.04], "n_traj": 8, "n_proj": 4,
-                                  "assignment_cap": 8})
+                                  "assignment_cap": 8},
+                      variance_study={"m_values": [1, 3], "n_traj": 8},
+                      moment_suite={"T": 6, "n_traj": 8, "checkpoints": [3, 6]})
     online = _config_doc()
     online["mdp"]["replay"] = {"mode": "online_buffer", "capacity": 5, "epsilon": 0.3}
     for cmd, cfg_doc, extra in (("rate-sweep", doc, ["--force"]),
+                                ("variance-study", doc, ["--threads", "2"]),
+                                ("moment-suite", doc, []),
                                 ("simulate-dqn", online, [])):
         path = tmp_path / f"{cmd}.json"
         path.write_text(json.dumps(cfg_doc))
@@ -394,3 +398,86 @@ def test_stream_keys_unique_within_a_run(tmp_path, config_file, monkeypatch):
                                         "--out", str(tmp_path / cmd), *extra])
         assert res.exit_code == 0, res.output
         assert len(keys) > 2 and len(set(keys)) == len(keys), cmd
+
+
+@pytest.mark.parametrize("section, block, words, extra", [
+    ("moment_suite", {"eta": 0}, ["eta must be positive"], []),
+    ("moment_suite", {"m": 0}, ["m must be an integer >= 1"], []),
+    ("variance_study", {"checkpoints": [6, 13]}, ["checkpoints", "T=12"], []),
+    ("variance_study", {"m_values": [3, 5]}, ["m_values"], []),
+    ("variance_study", {"m_values": [0, 1]}, ["m_values"], []),
+    ("rate_sweep", {"eta_grid": [0.05, -0.01]}, ["eta_grid"], ["--force"]),
+    ("rate_sweep", {"eta_grid": [0.05, 2.0]}, ["eta_grid", "0 steps"], ["--force"]),
+    ("variance_study", {"n_traj": 0}, ["n_traj must be an integer >= 1"], []),
+    ("moment_suite", {"n_trajs": 64}, ["unknown keys", "n_trajs"], []),
+    ("rate_sweep", {"eta_grid": [0.08, 0.04], "n_traj": 8},
+     ["eta_grid", "step-size gate", "pass --force"], []),
+])
+def test_bad_study_block_is_one_error_before_the_manifest(tmp_path, section, block, words,
+                                                          extra):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_doc(**{section: block})))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, [section.replace("_", "-"), "--config", str(path),
+                                    "--out", str(out), *extra])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert f"{section} section: " in res.output, res.output
+    assert all(w in res.output for w in words), res.output
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("n_traj", [0, -3])
+def test_nonpositive_n_traj_is_a_config_error(tmp_path, n_traj):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_doc(n_traj=n_traj)))
+    res = CliRunner().invoke(main, ["simulate-dqn", "--config", str(path),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "n_traj must be an integer >= 1" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_block_no_command_reads_does_not_matter(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_doc(moment_suite={"eta": 0, "n_trajs": 1})))
+    res = CliRunner().invoke(main, ["simulate-dqn", "--config", str(path),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+
+
+def test_threads_must_be_positive(tmp_path, config_file):
+    res = CliRunner().invoke(main, ["variance-study", "--config", str(config_file),
+                                    "--out", str(tmp_path / "out"), "--threads", "0"])
+    assert res.exit_code == 2 and "--threads" in res.output and ">=1" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_constants_estimate_per_rate_sweep(tmp_path, monkeypatch):
+    # the strict gate, the manifest snapshot and the grid's gate share one estimate
+    import sys
+    import qsdde.coeffs as coeffs
+    calls = []
+    estimate = coeffs.estimate_constants
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qsdde") and getattr(mod, "estimate_constants", None) is estimate:
+            monkeypatch.setattr(mod, "estimate_constants", counted)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_doc(
+        strict_gate=True, rate_sweep={"eta_grid": [0.08, 0.04], "n_traj": 8, "n_proj": 4,
+                                      "assignment_cap": 8})))
+    out = tmp_path / "sweep"
+    res = CliRunner().invoke(main, ["rate-sweep", "--config", str(path), "--out", str(out),
+                                    "--force"])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1
+    gate = json.loads((out / "rate_sweep.json").read_text())["meta"]["gate"]
+    snapshot = json.loads((out / "manifest.json").read_text())["assumption_report"]
+    assert set(gate) == {"estimates", "eta_max", "rejected", "forced"}
+    assert gate["estimates"] == snapshot["estimates"]
+    assert gate["eta_max"] == snapshot["gate"]["eta_max"]

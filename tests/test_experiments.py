@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from qsdde.experiments import (GateError, check_gate, moment_suite, rate_sweep,
+from qsdde.chain import AlgoConfig
+from qsdde.diagnostics import assumption_report
+from qsdde.config import ConfigError
+from qsdde.experiments import (MomentSuiteSpec, RateSweepSpec,
+                               VarianceStudySpec, moment_suite, rate_sweep,
                                w1_bound_shape, variance_study)
 from qsdde.qnet import QNetSpec, init_theta
 
@@ -19,65 +25,69 @@ def test_bound_shape_values():
 
 
 def test_gate_rejects_and_force_overrides(net, mdp, q_table):
-    with pytest.raises(GateError):
-        check_gate(net, mdp, q_table, [5.0], 0.5, seed=0)
-    info = check_gate(net, mdp, q_table, [5.0], 0.5, seed=0, force=True)
+    report = assumption_report(net, mdp, q_table, AlgoConfig(eta=5.0, delta=0.5, m=1, T=1),
+                               np.random.default_rng(0))
+    sweep = RateSweepSpec(eta_grid=(5.0,))
+    with pytest.raises(ConfigError, match="--force"):
+        sweep.gate(report)
+    info = sweep.gate(report, force=True)
     assert info["forced"] and info["rejected"] == [5.0]
+    assert info["estimates"] == asdict(report.estimates)
+    assert info["eta_max"] == report.gate.eta_max
 
 
 def test_rate_sweep_deterministic_rows(net, mdp, q_table, theta):
-    kw = dict(eta_grid=[0.08, 0.04], delta=0.5, m=2, T0=10, eta0=0.08,
-              n_traj=64, seed=5, rho=4, n_proj=16, assignment_cap=64, force=True)
-    a = rate_sweep(net, mdp, q_table, 0.3 * theta, **kw)
-    b = rate_sweep(net, mdp, q_table, 0.3 * theta, **kw)
-    assert [r.as_dict() for r in a.rows] == [r.as_dict() for r in b.rows]
+    algo = AlgoConfig(eta=0.08, delta=0.5, m=2, T=10, rho=4, seed=5)
+    sweep = RateSweepSpec(eta_grid=(0.08, 0.04), n_traj=64, n_proj=16, assignment_cap=64)
+    a = rate_sweep(net, mdp, q_table, 0.3 * theta, algo, sweep)
+    b = rate_sweep(net, mdp, q_table, 0.3 * theta, algo, sweep)
+    assert [asdict(r) for r in a.rows] == [asdict(r) for r in b.rows]
     assert a.slope == b.slope
     assert [r.eta for r in a.rows] == [0.08, 0.04]
     assert all(r.T * r.eta == pytest.approx(0.8) for r in a.rows)
 
 
 def test_rate_sweep_threads_equivalent(net, mdp, q_table, theta):
-    kw = dict(eta_grid=[0.08, 0.04], delta=0.5, m=2, T0=10, eta0=0.08,
-              n_traj=48, seed=5, rho=4, n_proj=8, assignment_cap=48, force=True)
-    a = rate_sweep(net, mdp, q_table, 0.3 * theta, threads=1, **kw)
-    b = rate_sweep(net, mdp, q_table, 0.3 * theta, threads=3, **kw)
-    assert [r.as_dict() for r in a.rows] == [r.as_dict() for r in b.rows]
+    algo = AlgoConfig(eta=0.08, delta=0.5, m=2, T=10, rho=4, seed=5)
+    sweep = RateSweepSpec(eta_grid=(0.08, 0.04), n_traj=48, n_proj=8, assignment_cap=48)
+    a = rate_sweep(net, mdp, q_table, 0.3 * theta, algo, sweep, threads=1)
+    b = rate_sweep(net, mdp, q_table, 0.3 * theta, algo, sweep, threads=3)
+    assert [asdict(r) for r in a.rows] == [asdict(r) for r in b.rows]
 
 
 def test_rate_sweep_degenerate_model_matches_baseline(net, mdp, q_table):
     # grad Q ~ 0: chain and diffusion laws coincide, so W1 sits at the floor
-    # (the gate probes unsaturated points, so it must be forced here)
     th = saturated_theta(net)
-    res = rate_sweep(net, mdp, q_table, th, eta_grid=[0.1, 0.05], delta=0.5,
-                     m=2, T0=20, eta0=0.1, n_traj=512, seed=9, rho=5,
-                     n_proj=32, assignment_cap=128, force=True)
+    algo = AlgoConfig(eta=0.1, delta=0.5, m=2, T=20, rho=5, seed=9)
+    sweep = RateSweepSpec(eta_grid=(0.1, 0.05), n_traj=512, n_proj=32, assignment_cap=128)
+    res = rate_sweep(net, mdp, q_table, th, algo, sweep)
     for row in res.rows:
         assert row.w1_sliced < 2.0 * row.sliced_baseline
         assert not row.reliable
 
 
 def test_variance_study_requires_m1(net, mdp, q_table, theta):
-    with pytest.raises(ValueError):
-        variance_study(net, mdp, q_table, theta, m_values=[2, 4], eta=0.05,
-                       delta=0.5, T=10, n_traj=8, seed=0, checkpoints=[10])
+    with pytest.raises(ValueError, match="m_values"):
+        VarianceStudySpec(m_values=(2, 4), n_traj=8, checkpoints=(10,))
 
 
 def test_variance_study_row_count_and_determinism(net, mdp, q_table, theta):
-    kw = dict(m_values=[1, 3], eta=0.05, delta=0.5, T=12, n_traj=32, seed=3,
-              checkpoints=[6, 12], rho=4)
-    res = variance_study(net, mdp, q_table, 0.3 * theta, **kw)
+    algo = AlgoConfig(eta=0.05, delta=0.5, m=1, T=12, rho=4, seed=3)
+    study = VarianceStudySpec(m_values=(1, 3), n_traj=32, checkpoints=(6, 12))
+    res = variance_study(net, mdp, q_table, 0.3 * theta, algo, study)
     assert len(res.rows) == 2 * 2  # |m_values| x |checkpoints|
-    res2 = variance_study(net, mdp, q_table, 0.3 * theta, **kw)
-    assert res.as_dict() == res2.as_dict()
+    res2 = variance_study(net, mdp, q_table, 0.3 * theta, algo, study)
+    assert asdict(res) == asdict(res2)
     assert res.ratios_theta[1] == 1.0 and res.ratios_X[1] == 1.0
 
 
 def test_variance_study_degenerate_model_ratio_one(net, mdp, q_table):
     # grad Q ~ 0: the delay argument is never used, all arms agree in law
     th = saturated_theta(net)
-    res = variance_study(net, mdp, q_table, th, m_values=[1, 5], eta=0.05,
-                         delta=0.5, T=40, n_traj=2000, seed=7,
-                         checkpoints=[20, 40], rho=4)
+    res = variance_study(net, mdp, q_table, th,
+                         AlgoConfig(eta=0.05, delta=0.5, m=1, T=40, rho=4, seed=7),
+                         VarianceStudySpec(m_values=(1, 5), n_traj=2000,
+                                           checkpoints=(20, 40)))
     assert res.ratios_theta[5] == pytest.approx(1.0, abs=0.1)
     assert res.ratios_X[5] == pytest.approx(1.0, abs=0.1)
 
@@ -92,9 +102,10 @@ def test_scalar_oracle_variance_reduction_quick():
     T = 60 * m_delay
     checkpoints = list(range(30 * m_delay, T + 1, 2 * m_delay))
     res = variance_study(net, spec, oracle["q"], oracle["theta_star"],
-                         m_values=[1, m_delay], eta=eta, delta=delta, T=T,
-                         n_traj=2048, seed=11, checkpoints=checkpoints,
-                         rho=10, project=oracle["u"])
+                         AlgoConfig(eta=eta, delta=delta, m=1, T=T, rho=10, seed=11),
+                         VarianceStudySpec(m_values=(1, m_delay), n_traj=2048,
+                                           checkpoints=checkpoints),
+                         project=oracle["u"])
     by_m = {m: [] for m in (1, m_delay)}
     for row in res.rows:
         by_m[row.m].append(row.proj_var_theta)
@@ -115,9 +126,11 @@ def test_scalar_oracle_variance_reduction_quick():
 def test_moment_suite_stability_across_initial_conditions(net, mdp, q_table):
     # desk scale: delta chosen so the x = 0 noise floor and the |x|^4 term
     # are commensurate, which is where the envelope structure is informative
-    res = moment_suite(net, mdp, q_table, eta=0.05, delta=0.05, m=5, T=10,
-                       n_traj=1024, seed=13, checkpoints=[3, 5, 8, 10], rho=5,
-                       ic_scales=(0.0, 1.0, 5.0))
+    res = moment_suite(net, mdp, q_table,
+                       AlgoConfig(eta=0.05, delta=0.05, m=5, T=10, rho=5, seed=13),
+                       MomentSuiteSpec(eta=0.05, delta=0.05, m=5, T=10, rho=5,
+                                       n_traj=1024, checkpoints=(3, 5, 8, 10),
+                                       ic_scales=(0.0, 1.0, 5.0)))
     assert res.stability_theta < 3.0
     assert res.stability_X < 3.0
     assert res.max_over_fit_theta < 10.0
@@ -125,8 +138,10 @@ def test_moment_suite_stability_across_initial_conditions(net, mdp, q_table):
 
 
 def test_moment_suite_full_model(net, mdp, q_table):
-    res = moment_suite(net, mdp, q_table, eta=0.04, delta=0.5, m=5, T=30,
-                       n_traj=512, seed=17, checkpoints=[10, 30], rho=4)
+    res = moment_suite(net, mdp, q_table,
+                       AlgoConfig(eta=0.04, delta=0.5, m=5, T=30, rho=4, seed=17),
+                       MomentSuiteSpec(eta=0.04, delta=0.5, m=5, T=30, rho=4, n_traj=512,
+                                       checkpoints=(10, 30)))
     assert set(res.theta_fourth) == {0.0, 1.0, 5.0}
     assert all(np.isfinite(v).all() for v in map(np.asarray, res.theta_fourth.values()))
     assert res.x_disp_fits[0.0] > 0
