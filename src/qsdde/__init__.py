@@ -8,9 +8,8 @@ from .mdp import (IdealizedReplay, MdpSpec, OnlineBufferReplay, load_mdp,
 from .qnet import QNetSpec, init_theta
 from .coeffs import (AssumptionEstimates, CoefficientSet, estimate_constants,
                      exact_drift_b, sigma_matrix, step_size_gate)
-from .chain import (AlgoConfig, TrajectoryEnsemble, moment_check_theta,
-                    run_algorithm1, run_dqn)
-from .sdde import moment_check_X, run_sdde
+from .chain import AlgoConfig, TrajectoryEnsemble, run_algorithm1, run_dqn
+from .sdde import run_sdde
 from .wasserstein import W1Estimate, w1_assignment, w1_exact_1d, w1_sliced
 from .diagnostics import (Quadratic, assumption_report, generator_X,
                           generator_gap, generator_theta)
@@ -24,9 +23,8 @@ __all__ = [
     "Quadratic", "RateSweepSpec", "TrajectoryEnsemble", "VarianceStudySpec",
     "W1Estimate", "assumption_report",
     "estimate_constants", "exact_drift_b", "generator_X", "generator_gap",
-    "generator_theta", "init_theta", "load_config", "load_mdp",
-    "moment_check_X", "moment_check_theta", "moment_suite", "rate_sweep",
-    "run_algorithm1", "run_dqn", "run_sdde", "sample_pairs", "sigma_matrix",
-    "step_size_gate", "uniform_q", "validate_mdp", "variance_study",
+    "generator_theta", "init_theta", "load_config", "load_mdp", "moment_suite",
+    "rate_sweep", "run_algorithm1", "run_dqn", "run_sdde", "sample_pairs",
+    "sigma_matrix", "step_size_gate", "uniform_q", "validate_mdp", "variance_study",
     "w1_assignment", "w1_bound_shape", "w1_exact_1d", "w1_sliced",
 ]

@@ -65,6 +65,8 @@ class TrajectoryEnsemble:
 
     samples has shape (n_traj, n_checkpoints, d); checkpoints are strictly
     increasing step indices (chain) or integer multiples of eta (delay SDE).
+    meta holds what a simulator observed besides the samples: the action
+    counts of ``run_algorithm1``, the checkpoint times of ``run_sdde``.
     """
 
     checkpoints: tuple[int, ...]
@@ -166,9 +168,7 @@ def run_dqn(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
             raise ChainError(f"non-finite parameter at step {n + 1}, trajectory {bad}")
         if (n + 1) in ck_pos:
             out[:, ck_pos[n + 1], :] = theta.T
-    meta = {"kind": "dqn_chain", "cfg": cfg, "theta0": np.asarray(theta0).copy(),
-            "stream_path": stream_path, "n_traj": n_traj}
-    return TrajectoryEnsemble(checkpoints=checkpoints, samples=out, meta=meta)
+    return TrajectoryEnsemble(checkpoints=checkpoints, samples=out)
 
 
 def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
@@ -231,40 +231,5 @@ def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
         state = s_next
         if (n + 1) in ck_pos:
             out[:, ck_pos[n + 1], :] = theta.T
-    meta = {"kind": "algorithm1", "cfg": cfg, "theta0": np.asarray(theta0).copy(),
-            "replay": replay, "n_traj": n_traj, "s0": s0,
-            "action_counts": action_counts}
-    return TrajectoryEnsemble(checkpoints=checkpoints, samples=out, meta=meta)
-
-
-@dataclass
-class ThetaMomentReport:
-    """Fourth-moment growth of the chain against (1 + |x|^4 + E|theta_0|^4)."""
-
-    checkpoints: tuple[int, ...]
-    fourth_moments: np.ndarray
-    envelope: float
-    c_fit: float
-    all_finite: bool
-
-
-def moment_check_theta(ensemble: TrajectoryEnsemble) -> ThetaMomentReport:
-    """Empirical E|theta_n|^4 at each checkpoint and the fitted constant."""
-    if ensemble.samples.size == 0:
-        raise ValueError("empty ensemble")
-    norms4 = (ensemble.samples ** 2).sum(axis=2) ** 2  # (n_traj, C)
-    moments = norms4.mean(axis=0)
-    x = ensemble.meta.get("theta0")
-    if x is None:
-        x4 = 0.0
-    else:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        x4 = float(((x ** 2).sum(axis=1) ** 2).mean())
-    envelope = 1.0 + 2.0 * x4  # deterministic start: E|theta_0|^4 = |x|^4
-    return ThetaMomentReport(
-        checkpoints=ensemble.checkpoints,
-        fourth_moments=moments,
-        envelope=envelope,
-        c_fit=float(moments.max() / envelope),
-        all_finite=bool(np.all(np.isfinite(moments))),
-    )
+    return TrajectoryEnsemble(checkpoints=checkpoints, samples=out,
+                              meta={"action_counts": action_counts})

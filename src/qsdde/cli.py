@@ -257,8 +257,13 @@ def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
 @_config_options
 @click.option("--out", "out_file", type=click.Path(), default=None)
 def check_assumptions_cmd(config_path, seed_override, force, out_file):
-    """Estimate regularity constants and report the step-size gate."""
-    cfg = _load(config_path, seed_override, force)
+    """Estimate regularity constants and report the step-size gate; a failing
+    gate exits 1 after the report (and --out) unless --force."""
+    # a strict gate refuses after the report, not at load
+    cfg = load_config(config_path, seed_override=seed_override, force=True)
+    if force:  # the strict gate's refusal, labelled [forced]
+        for w in cfg.warnings:
+            click.echo(f"warning: {w}", err=True)
     rep = cfg.assumptions
     click.echo(str(rep))
     if out_file:
@@ -307,7 +312,7 @@ def variance_study_cmd(config_path, seed_override, force, threads, out_dir):
 @_config_options
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def moment_suite_cmd(config_path, seed_override, force, out_dir):
-    """Moment-bound suite over initial conditions {0, e1, 5 e1}."""
+    """Moment-bound suite over initial conditions scale * e1, one per ic_scales entry."""
     cfg = _load(config_path, seed_override, force)
     suite = cfg.study(MomentSuiteSpec)
     out = _manifest(out_dir, "moment-suite", cfg, ["moment_suite.json", "plot_data.csv"])

@@ -99,6 +99,22 @@ def generator_X(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     return float(0.5 * np.sum(mat * hess) - grad @ cs.b)
 
 
+def _loglog_fit(x, y) -> tuple[float, float]:
+    """OLS slope and its standard error in log-log coordinates."""
+    if len(x) < 2:
+        return float("nan"), float("nan")
+    lx, ly = np.log(x), np.log(y)
+    n = len(lx)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    if n > 2:
+        sxx = ((lx - lx.mean()) ** 2).sum()
+        se = float(np.sqrt((resid ** 2).sum() / (n - 2) / sxx))
+    else:
+        se = float("nan")
+    return float(slope), se
+
+
 @dataclass
 class GapReport:
     """Pointwise generator gap over a grid of step sizes at one probe point."""
@@ -128,10 +144,8 @@ def generator_gap(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
         ses.append(mc.stderr)
         tvals.append(mc.estimate)
         xvals.append(gx)
-    order = None
-    if len(etas) >= 2 and all(g > 0 for g in gaps):
-        slope, _ = np.polyfit(np.log(etas), np.log(gaps), 1)
-        order = float(slope)
+    order = (_loglog_fit(etas, gaps)[0] if len(etas) >= 2 and all(g > 0 for g in gaps)
+             else None)
     return GapReport(etas=tuple(etas), gaps=tuple(gaps), stderrs=tuple(ses),
                      theta_generator=tuple(tvals), x_generator_times_eta=tuple(xvals),
                      fitted_order=order)

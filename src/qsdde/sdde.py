@@ -21,7 +21,6 @@ they change only when the delay argument does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -99,49 +98,5 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
             raise SddeError(f"non-finite state at substep {u + 1}, trajectory {bad}")
         if (u + 1) % cfg.rho == 0 and (u + 1) // cfg.rho in ck_pos:
             out[:, ck_pos[(u + 1) // cfg.rho], :] = x.T
-    meta = {"kind": "sdde", "cfg": cfg, "theta0": np.asarray(x0).copy(),
-            "stream_path": stream_path, "n_traj": n_traj,
-            "checkpoint_times": [c * cfg.eta for c in checkpoints]}
-    return TrajectoryEnsemble(checkpoints=checkpoints, samples=out, meta=meta)
-
-
-@dataclass
-class XMomentReport:
-    """Second-moment and displacement growth along the delay diffusion."""
-
-    checkpoints: tuple[int, ...]
-    times: np.ndarray
-    second_moments: np.ndarray
-    displacements: np.ndarray
-    envelope: float
-    c_second_fit: float
-    c_disp_fit: float
-    all_finite: bool
-
-
-def moment_check_X(ensemble: TrajectoryEnsemble, x0: np.ndarray) -> XMomentReport:
-    """E|X_t|^2 and E|X_t - x|^2 at checkpoints, with fitted constants.
-
-    The displacement is regressed through the origin against t(t + eta + delta)
-    per the within-window growth shape; the second moment is enveloped by
-    (1 + |x|^2 + E|theta_0|^2 + delta).
-    """
-    cfg = ensemble.meta["cfg"]
-    x0 = np.asarray(x0, dtype=np.float64)
-    times = np.array([c * cfg.eta for c in ensemble.checkpoints])
-    sq = (ensemble.samples ** 2).sum(axis=2)
-    second = sq.mean(axis=0)
-    x2d = np.atleast_2d(x0)
-    disp = ((ensemble.samples - x2d[:, None, :]) ** 2).sum(axis=2).mean(axis=0)
-    x2 = float((x2d ** 2).sum(axis=1).mean())
-    envelope = 1.0 + 2.0 * x2 + cfg.delta  # deterministic start: E|theta_0|^2 = |x|^2
-    shape = times * (times + cfg.eta + cfg.delta)
-    mask = shape > 0
-    c_disp = float((disp[mask] * shape[mask]).sum() / (shape[mask] ** 2).sum()) if mask.any() else 0.0
-    return XMomentReport(
-        checkpoints=ensemble.checkpoints, times=times, second_moments=second,
-        displacements=disp, envelope=envelope,
-        c_second_fit=float(second.max() / envelope),
-        c_disp_fit=c_disp,
-        all_finite=bool(np.all(np.isfinite(second)) and np.all(np.isfinite(disp))),
-    )
+    return TrajectoryEnsemble(checkpoints=checkpoints, samples=out,
+                              meta={"checkpoint_times": [c * cfg.eta for c in checkpoints]})

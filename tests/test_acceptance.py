@@ -15,7 +15,6 @@ import time
 from dataclasses import asdict
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from qsdde.chain import AlgoConfig, run_dqn
@@ -23,8 +22,8 @@ from qsdde.cli import main as cli_main
 from qsdde.coeffs import exact_drift_b, sigma_matrix
 from qsdde.diagnostics import Quadratic, generator_gap
 from qsdde.experiments import (MomentSuiteSpec, RateSweepSpec, VarianceStudySpec,
-                               moment_suite, rate_sweep, w1_bound_shape, variance_study)
-from qsdde.mdp import MdpSpec, uniform_q
+                               moment_suite, rate_sweep, variance_study)
+from qsdde.mdp import uniform_q
 from qsdde.qnet import QNetSpec, q_values_batch
 from qsdde.sdde import run_sdde
 from qsdde.wasserstein import w1_assignment, w1_sliced

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import os
@@ -29,19 +30,41 @@ def test_every_public_name_resolves():
 
 
 def test_public_api_is_the_batched_entry_points():
-    assert len(qsdde.__all__) == 40
+    assert len(qsdde.__all__) == 38
     assert sorted(qsdde.__all__) == sorted([
         "AlgoConfig", "AssumptionEstimates", "CoefficientSet", "ExperimentConfig",
         "IdealizedReplay", "MdpSpec", "MomentSuiteSpec", "OnlineBufferReplay", "QNetSpec",
         "Quadratic", "RateSweepSpec", "TrajectoryEnsemble", "VarianceStudySpec",
         "W1Estimate", "assumption_report",
         "estimate_constants", "exact_drift_b", "generator_X", "generator_gap",
-        "generator_theta", "init_theta", "load_config", "load_mdp",
-        "moment_check_X", "moment_check_theta", "moment_suite", "rate_sweep",
-        "run_algorithm1", "run_dqn", "run_sdde", "sample_pairs", "sigma_matrix",
-        "step_size_gate", "uniform_q", "validate_mdp", "variance_study",
+        "generator_theta", "init_theta", "load_config", "load_mdp", "moment_suite",
+        "rate_sweep", "run_algorithm1", "run_dqn", "run_sdde", "sample_pairs",
+        "sigma_matrix", "step_size_gate", "uniform_q", "validate_mdp", "variance_study",
         "w1_assignment", "w1_bound_shape", "w1_exact_1d", "w1_sliced",
     ])
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that an import statement in path binds and no Name node reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(bound.items(), key=lambda kv: kv[1]) if name not in read]
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export, so its names are read through __all__
+    files = [p for p in sorted((ROOT / "src" / "qsdde").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "tests").glob("*.py"))
+    assert [u for p in files for u in _unused_imports(p)] == []
 
 
 def test_cli_import_loads_every_traced_module_and_no_scipy():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from qsdde.chain import (AlgoConfig, ChainError, TrajectoryEnsemble, chain_increment,
-                         cumulative_tables, moment_check_theta, replay_step,
-                         run_algorithm1, run_dqn)
+                         cumulative_tables, replay_step, run_algorithm1, run_dqn)
 from qsdde.mdp import MdpSpec, OnlineBufferReplay, sample_pairs, uniform_q
 from qsdde.qnet import QNetSpec, init_theta
 from qsdde.rng import spawn_generator, step_noise
@@ -283,15 +282,6 @@ def test_moment_check_gaussian_walk_closed_form(net, mdp, q_table):
         m4 = ((dev ** 2).sum(axis=1) ** 2).mean()
         expected = (n_step * cfg.eta * cfg.delta) ** 2 * d * (d + 2)
         assert abs(m4 - expected) / expected < 0.10
-
-
-def test_moment_check_theta_report(net, mdp, q_table, theta):
-    ens = run_dqn(net, mdp, q_table, theta, _cfg(T=10), 64, [0, 5, 10])
-    rep = moment_check_theta(ens)
-    assert rep.all_finite
-    assert rep.fourth_moments[0] == pytest.approx(np.sum(theta ** 2) ** 2)
-    assert rep.envelope == pytest.approx(1.0 + 2.0 * np.sum(theta ** 2) ** 2)
-    assert rep.c_fit > 0
 
 
 def test_run_algorithm1_uniform_actions_under_full_exploration():

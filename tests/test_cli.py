@@ -271,6 +271,28 @@ def test_check_assumptions_cli(tmp_path, config_file):
     assert "estimates" in payload and "gate" in payload
 
 
+def test_check_assumptions_reports_a_strict_gate_refusal(tmp_path):
+    # check-assumptions prints and writes its report before it refuses; the
+    # other commands still refuse at load
+    path = tmp_path / "gate.json"
+    doc = _config_doc(strict_gate=True)
+    doc["algo"]["eta"] = 0.2
+    path.write_text(json.dumps(doc))
+    out_file = tmp_path / "assumptions.json"
+    res = CliRunner().invoke(main, ["check-assumptions", "--config", str(path),
+                                    "--out", str(out_file)])
+    assert res.exit_code == 1, res.output
+    assert "FAIL (binding: " in res.output and "[forced]" not in res.output
+    assert json.loads(out_file.read_text())["passes"] is False
+    res = CliRunner().invoke(main, ["check-assumptions", "--config", str(path), "--force"])
+    assert res.exit_code == 0, res.output
+    assert "[forced]" in res.output and "FAIL (binding: " in res.output
+    res = CliRunner().invoke(main, ["simulate-dqn", "--config", str(path),
+                                    "--out", str(tmp_path / "run")])
+    assert res.exit_code == 1 and "step-size gate" in res.output
+    assert not (tmp_path / "run").exists()
+
+
 def test_generator_gap_cli(tmp_path, config_file):
     cfg = load_config(config_file)
     probes = {"points": [cfg.theta0.tolist()], "n_mc": 2000,
@@ -315,6 +337,19 @@ def test_moment_suite_cli(tmp_path, config_file):
     payload = json.loads((out / "moment_suite.json").read_text())
     assert payload["stability_theta"] > 0
     assert (out / "plot_data.csv").exists()
+
+
+def test_moment_suite_cli_integer_scales_key_the_maps(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_doc(moment_suite={
+        "ic_scales": [0, 1, 5], "n_traj": 8, "T": 4, "rho": 2, "checkpoints": [2, 4]})))
+    out = tmp_path / "ms"
+    res = CliRunner().invoke(main, ["moment-suite", "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    payload = json.loads((out / "moment_suite.json").read_text())
+    assert payload["ic_scales"] == [0.0, 1.0, 5.0]
+    for name in ("theta_fourth", "theta_ratios", "x_second", "x_ratios", "x_disp_fits"):
+        assert list(payload[name]) == ["0.0", "1.0", "5.0"], name
 
 
 def test_rate_sweep_cli_small(tmp_path):

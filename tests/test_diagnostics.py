@@ -9,7 +9,7 @@ from qsdde.diagnostics import (Quadratic, assumption_report, generator_X,
                                generator_gap, generator_theta)
 from qsdde.qnet import QNetSpec, init_theta
 
-from conftest import make_mdp, saturated_theta
+from conftest import saturated_theta
 from oracles import GaussianBump
 
 

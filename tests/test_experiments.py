@@ -11,10 +11,9 @@ from qsdde.config import ConfigError
 from qsdde.experiments import (MomentSuiteSpec, RateSweepSpec,
                                VarianceStudySpec, moment_suite, rate_sweep,
                                w1_bound_shape, variance_study)
-from qsdde.qnet import QNetSpec, init_theta
 
-from conftest import (build_scalar_oracle, chain_variance_ratio, make_mdp,
-                      saturated_theta, sdde_variance_ratio)
+from conftest import (build_scalar_oracle, chain_variance_ratio, saturated_theta,
+                      sdde_variance_ratio)
 
 
 def test_bound_shape_values():
@@ -135,6 +134,37 @@ def test_moment_suite_stability_across_initial_conditions(net, mdp, q_table):
     assert res.stability_X < 3.0
     assert res.max_over_fit_theta < 10.0
     assert res.max_over_fit_X < 10.0
+
+
+def test_moment_suite_reduces_to_envelope_ratios(net, mdp, q_table):
+    # integer scales load as floats, so the result's list and its map keys agree
+    suite = MomentSuiteSpec(eta=0.05, delta=0.5, m=2, T=8, rho=2, n_traj=64,
+                            checkpoints=(0, 4, 8), ic_scales=[0, 1, 2])
+    assert suite.ic_scales == (0.0, 1.0, 2.0)
+    assert all(type(s) is float for s in suite.ic_scales)
+    res = moment_suite(net, mdp, q_table, AlgoConfig(eta=0.05, delta=0.5, m=2, T=8, seed=19),
+                       suite)
+    for by_scale in (res.theta_fourth, res.theta_ratios, res.x_second, res.x_ratios,
+                     res.x_disp_fits):
+        assert list(by_scale) == list(res.ic_scales)
+    env_t = {s: 1.0 + 2.0 * s ** 4 for s in res.ic_scales}
+    env_x = {s: 1.0 + 2.0 * s ** 2 + 0.5 for s in res.ic_scales}
+    for s in res.ic_scales:
+        # every arm starts at x = s * e1: checkpoint 0 holds |x|^4 and |x|^2
+        assert res.theta_fourth[s][0] == pytest.approx(s ** 4)
+        assert res.x_second[s][0] == pytest.approx(s ** 2)
+        assert res.theta_ratios[s] == pytest.approx(np.mean(np.divide(res.theta_fourth[s],
+                                                                      env_t[s])))
+        assert res.x_ratios[s] == pytest.approx(np.mean(np.divide(res.x_second[s], env_x[s])))
+        assert res.theta_ratios[s] > 0 and res.x_ratios[s] > 0 and res.x_disp_fits[s] > 0
+    fit_t = np.mean(list(res.theta_ratios.values()))
+    fit_x = np.mean(list(res.x_ratios.values()))
+    assert res.max_over_fit_theta == pytest.approx(
+        max(max(v) / (env_t[s] * fit_t) for s, v in res.theta_fourth.items()))
+    assert res.max_over_fit_X == pytest.approx(
+        max(max(v) / (env_x[s] * fit_x) for s, v in res.x_second.items()))
+    ratios = list(res.theta_ratios.values())
+    assert res.stability_theta == pytest.approx(max(ratios) / min(ratios))
 
 
 def test_moment_suite_full_model(net, mdp, q_table):
