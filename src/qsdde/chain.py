@@ -1,4 +1,4 @@
-"""The discrete parameter chain.
+"""The discrete parameter chain, and the loop that every simulator shares.
 
 Two simulators live here.  ``run_dqn`` is the idealized-replay noisy
 iteration that the delay diffusion approximates,
@@ -14,6 +14,10 @@ directly.  ``run_algorithm1`` is the fully faithful loop: epsilon-greedy
 actions, an online FIFO buffer, uniform single-sample minibatches, and the
 same injected exploration noise.  Both draw transitions through
 ``mdp.sample_pairs`` / ``mdp.next_states`` from per-trajectory Philox streams.
+
+Both, like ``sdde.run_sdde``, are a step under one loop, ``simulate``: it
+freezes the lagged argument (target network, delay term) every m steps, feeds
+each step its ``rng.step_noise`` words and raises ``SimulationError``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .qnet import QNetSpec, _forward, _vjp
 from .rng import BUFFER_PATH, SIMULATE_PATH, step_noise
 
 
-class ChainError(RuntimeError):
+class SimulationError(RuntimeError):
     pass
 
 
@@ -94,6 +98,32 @@ def parameter_major(theta0, n_traj: int, d: int) -> np.ndarray:
     return np.broadcast_to(theta0, (n_traj, d)).T.copy()
 
 
+def simulate(x: np.ndarray, step, noise, checkpoints: Sequence[int], T: int, m: int,
+             per_step: int = 1, freeze=lambda x: x, unit: str = "step") -> TrajectoryEnsemble:
+    """Move the (d, n_traj) state once per item of noise, x = step(x, frozen,
+    *words), with frozen = freeze(x) before every (m * per_step)-th move (the
+    identity aliases x, so a step returns a new array).  Checkpoint c in [0, T],
+    checked before noise is read, records x after c * per_step moves."""
+    checkpoints = tuple(int(c) for c in checkpoints)
+    if any(c < 0 or c > T for c in checkpoints):
+        raise ValueError(f"checkpoints {list(checkpoints)} must lie in [0, T={T}]")
+    d, n_traj = x.shape
+    ens = TrajectoryEnsemble(checkpoints, np.empty((n_traj, len(checkpoints), d)))
+    at = {c * per_step: i for i, c in enumerate(checkpoints)}
+    if 0 in at:
+        ens.samples[:, at[0]] = x.T
+    for k, words in enumerate(noise):
+        if k % (m * per_step) == 0:
+            frozen = freeze(x)
+        x = step(x, frozen, *words)
+        if not np.all(np.isfinite(x)):
+            bad = int(np.argwhere(~np.isfinite(x).all(axis=0))[0, 0])
+            raise SimulationError(f"non-finite value at {unit} {k + 1}, trajectory {bad}")
+        if k + 1 in at:
+            ens.samples[:, at[k + 1]] = x.T
+    return ens
+
+
 def _all_actions(net: QNetSpec, states: np.ndarray):
     """Per-trajectory heads (s_n, a) for every action a, both (A, N)."""
     return np.broadcast_arrays(states[None, :], np.arange(net.n_actions)[:, None])
@@ -144,31 +174,18 @@ def run_dqn(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
     """Simulate n_traj independent chains, recording checkpoint slices.
 
     The target parameter is frozen at theta_{floor(n/m) m} within each window
-    of m steps (refreshed at the pre-step index).  Each trajectory owns a
-    counter-based stream keyed by (cfg.seed, *stream_path, trajectory index).
-    The parameters are held parameter-major, (d, n_traj), for the whole run.
+    of m steps (refreshed at the pre-step index).  Trajectory i draws 2
+    uniforms per step from the stream keyed (cfg.seed, *stream_path, 0, i)
+    and 1 + d normals from (cfg.seed, *stream_path, 1, i).  The parameters
+    are held parameter-major, (d, n_traj), for the whole run.
     """
-    checkpoints = tuple(int(c) for c in checkpoints)
-    if any(c < 0 or c > cfg.T for c in checkpoints):
-        raise ValueError("checkpoints must lie in [0, T]")
-    d = net.d
-    theta = parameter_major(theta0, n_traj, d)
     tables = cumulative_tables(spec, q)
-    out = np.empty((n_traj, len(checkpoints), d))
-    ck_pos = {c: i for i, c in enumerate(checkpoints)}
-    if 0 in ck_pos:
-        out[:, ck_pos[0], :] = theta.T
-    noise = step_noise(cfg.seed, stream_path, n_traj, cfg.T, 2, 1 + d)
-    for n, (u, z) in enumerate(noise):
-        if n % cfg.m == 0:  # replay_step returns a new array, so alias the target
-            target = theta
-        theta = replay_step(net, spec, tables, theta, target, u, z, cfg.eta, cfg.delta)
-        if not np.all(np.isfinite(theta)):
-            bad = int(np.argwhere(~np.isfinite(theta).all(axis=0))[0, 0])
-            raise ChainError(f"non-finite parameter at step {n + 1}, trajectory {bad}")
-        if (n + 1) in ck_pos:
-            out[:, ck_pos[n + 1], :] = theta.T
-    return TrajectoryEnsemble(checkpoints=checkpoints, samples=out)
+    noise = step_noise(cfg.seed, n_traj, cfg.T, ((*stream_path, 0), "uniform", 2),
+                       ((*stream_path, 1), "normal", 1 + net.d))
+    return simulate(parameter_major(theta0, n_traj, net.d),
+                    lambda theta, target, u, z: replay_step(
+                        net, spec, tables, theta, target, u, z, cfg.eta, cfg.delta),
+                    noise, checkpoints, cfg.T, cfg.m)
 
 
 def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
@@ -187,12 +204,8 @@ def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
     buffers hold min(n + 1, capacity) transitions at step n, so they share
     one ring index and live in (n_traj, min(capacity, T)) arrays.
     """
-    checkpoints = tuple(int(c) for c in checkpoints)
-    if any(c < 0 or c > cfg.T for c in checkpoints):
-        raise ValueError("checkpoints must lie in [0, T]")
     d, A = net.d, net.n_actions
     rows = np.arange(n_traj)
-    theta = parameter_major(theta0, n_traj, d)
     state = np.full(n_traj, s0, dtype=np.intp)
     cap = min(replay.capacity, cfg.T)
     buf_k = np.empty((n_traj, cap), dtype=np.intp)  # pair index s * A + a
@@ -201,14 +214,9 @@ def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
     action_counts = np.zeros((n_traj, A), dtype=np.int64)
     p_cum = np.cumsum(spec.p.reshape(-1, spec.n_states), axis=1)
     R_flat, V_flat = spec.R.reshape(-1), spec.V.reshape(-1)
-    out = np.empty((n_traj, len(checkpoints), d))
-    ck_pos = {c: i for i, c in enumerate(checkpoints)}
-    if 0 in ck_pos:
-        out[:, ck_pos[0], :] = theta.T
-    noise = step_noise(cfg.seed, BUFFER_PATH, n_traj, cfg.T, 4, 1 + d)
-    for n, (u, z) in enumerate(noise):
-        if n % cfg.m == 0:  # chain_increment returns a new array, so alias the target
-            target = theta
+
+    def step(theta, target, n, u, z):
+        nonlocal state
         action = np.minimum((u[:, 1] * A).astype(np.intp), A - 1)
         greedy = u[:, 0] >= replay.epsilon
         if greedy.any():
@@ -216,20 +224,19 @@ def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
             action[greedy] = np.argmax(qvals, axis=0)
         action_counts[rows, action] += 1
         k = state * A + action
-        s_next = next_states(p_cum[k], u[:, 2])
+        state = next_states(p_cum[k], u[:, 2])
         slot = n % cap
-        buf_k[:, slot], buf_sp[:, slot] = k, s_next
+        buf_k[:, slot], buf_sp[:, slot] = k, state
         buf_r[:, slot] = R_flat[k] + V_flat[k] * z[:, 0]
         pick = np.minimum((u[:, 3] * min(n + 1, cap)).astype(np.intp), cap - 1)
         bk = buf_k[rows, pick]
-        theta = chain_increment(net, spec, theta, target, bk // A, bk % A,
-                                buf_sp[rows, pick], buf_r[rows, pick], z[:, 1:].T,
-                                cfg.eta, cfg.delta)
-        if not np.all(np.isfinite(theta)):
-            bad = int(np.argwhere(~np.isfinite(theta).all(axis=0))[0, 0])
-            raise ChainError(f"non-finite parameter at step {n + 1}, trajectory {bad}")
-        state = s_next
-        if (n + 1) in ck_pos:
-            out[:, ck_pos[n + 1], :] = theta.T
-    return TrajectoryEnsemble(checkpoints=checkpoints, samples=out,
-                              meta={"action_counts": action_counts})
+        return chain_increment(net, spec, theta, target, bk // A, bk % A,
+                               buf_sp[rows, pick], buf_r[rows, pick], z[:, 1:].T,
+                               cfg.eta, cfg.delta)
+
+    noise = ((n, *words) for n, words in enumerate(step_noise(
+        cfg.seed, n_traj, cfg.T, ((*BUFFER_PATH, 0), "uniform", 4),
+        ((*BUFFER_PATH, 1), "normal", 1 + d))))
+    ens = simulate(parameter_major(theta0, n_traj, d), step, noise, checkpoints, cfg.T, cfg.m)
+    ens.meta["action_counts"] = action_counts
+    return ens

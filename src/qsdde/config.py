@@ -12,6 +12,7 @@ estimate of the regularity constants, made on first use.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -38,6 +39,38 @@ class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
         self.errors = errors
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {e}" for e in errors))
+
+
+def _real(v, convert=float):
+    """convert(v), refusing a bool or a string: JSON true and "5" are not numbers."""
+    if isinstance(v, (bool, str)):
+        raise TypeError(v)
+    return convert(v)
+
+
+def _steps(values) -> tuple[int, ...]:
+    return tuple(sorted({_index(v) for v in values}))
+
+
+def _convert(key: str, given, convert, ok, need: str):
+    """convert(given) if that succeeds and passes ok, else a ValueError naming the key."""
+    try:
+        value = convert(given)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or not ok(value):
+        raise ValueError(f"{key} must be {need}, got {given!r}")
+    return value
+
+
+_index = lambda v: _real(v, operator.index)  # noqa: E731
+_COUNT = (_index, lambda n: n >= 1, "an integer >= 1")
+_NUMBER = (_real, np.isfinite, "a finite number")
+
+
+def _checkpoints(T: int):  # the rule on the checkpoints of a horizon of T steps
+    return _steps, lambda cs: cs and cs[0] >= 0 and cs[-1] <= T, \
+        f"a non-empty list of steps in [0, T={T}]"
 
 
 @dataclass
@@ -86,6 +119,8 @@ def _merge_defaults(doc: dict) -> dict:
         if key not in out:
             out[key] = json.loads(json.dumps(val))
         elif isinstance(val, dict):
+            if not isinstance(out[key], dict):
+                raise ConfigError([f"{key} section: must be a JSON object"])
             for k2, v2 in val.items():
                 out[key].setdefault(k2, json.loads(json.dumps(v2)))
     return out
@@ -107,43 +142,50 @@ def load_config(source: str | Path | dict, seed_override: int | None = None,
     errors: list[str] = []
     doc = _merge_defaults(doc)
     if seed_override is not None:
-        doc["seed"] = int(seed_override)
+        doc["seed"] = seed_override
 
     if "mdp" not in doc:
         raise ConfigError(["config must contain an 'mdp' section"])
+
+    def read(section: str, block: dict, key: str, *rule):
+        try:
+            return _convert(key, block[key], *rule)
+        except ValueError as err:
+            errors.append(f"{section}: {err}")
+
     try:
         spec, replay = load_mdp(doc["mdp"])
-    except (ValueError, KeyError) as err:
+    except (TypeError, ValueError, KeyError) as err:
         raise ConfigError([f"mdp section: {err}"]) from err
     report = validate_mdp(spec, replay)
     errors.extend(report.failures)
+    seed = read("top level", doc, "seed", _index, lambda n: n >= 0, "an integer >= 0")
+    n_traj = read("top level", doc, "n_traj", *_COUNT)
 
     net_doc = doc["net"]
     net = None
     try:
         net = QNetSpec(n_states=spec.n_states, n_actions=spec.n_actions,
-                       hidden=tuple(net_doc["hidden"]),
-                       bound=float(net_doc["bound_C"]))
+                       hidden=_convert("hidden", net_doc["hidden"], lambda hs: tuple(
+                           map(_index, hs)), bool, "a non-empty list of integers"),
+                       bound=_convert("bound_C", net_doc["bound_C"], *_NUMBER))
     except ValueError as err:
         errors.append(f"net section: {err}")
 
     algo_doc = doc["algo"]
     algo = None
     try:
-        algo = AlgoConfig(eta=float(algo_doc["eta"]), delta=float(algo_doc["delta"]),
-                          m=int(algo_doc["m"]), T=int(algo_doc["T"]),
-                          rho=int(algo_doc["rho"]), seed=int(doc["seed"]))
+        algo = AlgoConfig(eta=_convert("eta", algo_doc["eta"], *_NUMBER),
+                          delta=_convert("delta", algo_doc["delta"], *_NUMBER),
+                          **{k: _convert(k, algo_doc[k], *_COUNT) for k in ("m", "T", "rho")},
+                          seed=seed)
         if algo.eta == 0.0:  # admitted by the chain alone; the diffusion arms need eta > 0
             errors.append("algo section: eta must be positive")
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         errors.append(f"algo section: {err}")
 
-    checkpoints = tuple(int(c) for c in doc.get("checkpoints", [0, algo_doc["T"]]))
-    if algo is not None and any(c < 0 or c > algo.T for c in checkpoints):
-        errors.append(f"checkpoints {list(checkpoints)} must lie in [0, T={algo.T}]")
-
-    if not (isinstance(doc["n_traj"], int) and doc["n_traj"] >= 1):
-        errors.append(f"n_traj must be an integer >= 1, got {doc['n_traj']!r}")
+    checkpoints = algo and read("top level", {"checkpoints": [0, algo.T], **doc},
+                                "checkpoints", *_checkpoints(algo.T))
 
     theta0 = np.zeros(net.d if net is not None else 0)
     if net is not None:
@@ -161,7 +203,7 @@ def load_config(source: str | Path | dict, seed_override: int | None = None,
     if errors:
         raise ConfigError(errors)
     cfg = ExperimentConfig(mdp=spec, replay=replay, net=net, theta0=theta0, algo=algo,
-                           strict_gate=bool(doc["strict_gate"]), n_traj=doc["n_traj"],
+                           strict_gate=bool(doc["strict_gate"]), n_traj=n_traj,
                            checkpoints=checkpoints, raw=doc)
     if cfg.strict_gate and not cfg.assumptions.passes:
         rep = cfg.assumptions

@@ -11,8 +11,6 @@ config block, and derives each arm's config with ``dataclasses.replace``.
 
 from __future__ import annotations
 
-import numbers
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
@@ -20,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .chain import AlgoConfig, run_dqn
-from .config import ConfigError
+from .config import _COUNT, ConfigError, _checkpoints, _convert, _index, _real, _steps
 from .diagnostics import AssumptionReport, _loglog_fit
 from .mdp import MdpSpec
 from .qnet import QNetSpec
@@ -29,25 +27,10 @@ from .sdde import run_sdde
 from .wasserstein import w1_assignment_subsampled, w1_sliced
 
 
-def _check(spec, keys: str, convert, ok, need: str) -> None:
-    """Set each of spec's (space-separated) keys to convert(its value), else
-    raise a ValueError naming the key."""
+def _check(spec, keys: str, *rule) -> None:
+    """Set each of spec's (space-separated) keys to ``config._convert`` of its value."""
     for key in keys.split():
-        given = getattr(spec, key)
-        try:
-            value = convert(given)
-        except (TypeError, ValueError):
-            value = None
-        if value is None or not ok(value):
-            raise ValueError(f"{key} must be {need}, got {given!r}")
-        object.__setattr__(spec, key, value)
-
-
-_COUNT = (operator.index, lambda n: n >= 1, "an integer >= 1")
-
-
-def _steps(values) -> tuple[int, ...]:
-    return tuple(sorted({operator.index(v) for v in values}))
+        object.__setattr__(spec, key, _convert(key, getattr(spec, key), *rule))
 
 
 @dataclass(frozen=True)
@@ -62,7 +45,7 @@ class RateSweepSpec:
     tracked_coords: int = 4
 
     def __post_init__(self):
-        _check(self, "eta_grid", lambda g: tuple(sorted(map(float, g), reverse=True)),
+        _check(self, "eta_grid", lambda g: tuple(sorted(map(_real, g), reverse=True)),
                lambda g: g and all(e > 0.0 for e in g), "a non-empty list of positive steps")
         _check(self, "n_traj n_proj assignment_cap tracked_coords", *_COUNT)
 
@@ -105,7 +88,7 @@ class VarianceStudySpec:
     def __post_init__(self):
         _check(self, "m_values", _steps, lambda ms: 1 in ms and ms[0] >= 1,
                "a list of target periods >= 1 that includes the undelayed m = 1")
-        _check(self, "n_traj", *_COUNT)
+        _check(self, "n_traj", _index, lambda n: n >= 2, "an integer >= 2")
         _check(self, "checkpoints", _steps, lambda cs: cs and cs[0] >= 0,
                "a non-empty list of steps >= 0")
 
@@ -113,8 +96,7 @@ class VarianceStudySpec:
     def from_block(cls, block: dict, run) -> VarianceStudySpec:
         spec = cls(**{"m_values": (1, run.algo.m), "n_traj": run.n_traj,
                       "checkpoints": run.checkpoints, **block})
-        _check(spec, "checkpoints", tuple, lambda cs: cs[-1] <= run.algo.T,
-               f"a non-empty list of steps in [0, T={run.algo.T}]")
+        _check(spec, "checkpoints", *_checkpoints(run.algo.T))
         return spec
 
 
@@ -135,13 +117,11 @@ class MomentSuiteSpec:
     ic_scales: tuple[float, ...] = (0.0, 1.0, 5.0)
 
     def __post_init__(self):
-        _check(self, "eta delta", float, lambda x: x > 0.0, "positive")
+        _check(self, "eta delta", _real, lambda x: x > 0.0, "positive")
         _check(self, "m T rho n_traj", *_COUNT)
-        _check(self, "checkpoints", _steps, lambda cs: cs and 0 <= cs[0] and cs[-1] <= self.T,
-               f"a non-empty list of steps in [0, T={self.T}]")
-        _check(self, "ic_scales", lambda ss: tuple(map(float, ss)) if all(
-            isinstance(s, numbers.Real) for s in ss) else None,
-            lambda ss: ss and all(map(np.isfinite, ss)), "a non-empty list of finite numbers")
+        _check(self, "checkpoints", *_checkpoints(self.T))
+        _check(self, "ic_scales", lambda ss: tuple(map(_real, ss)),
+               lambda ss: ss and all(map(np.isfinite, ss)), "a non-empty list of finite numbers")
 
     @classmethod
     def from_block(cls, block: dict, run) -> MomentSuiteSpec:

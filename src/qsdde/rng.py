@@ -155,26 +155,21 @@ class TrajectoryStreams:
         return out
 
 
-def step_noise(master_seed: int, path: tuple[int, ...], n: int, T: int,
-               n_uniform: int, n_normal: int):
-    """Yield T per-step pairs (u (n, n_uniform), z (n, n_normal)).
-
-    Uniforms come from the streams keyed (*path, 0, i), normals from
-    (*path, 1, i), step-major, so blocking never changes which word feeds
-    which step.
-    """
-    streams_u = TrajectoryStreams(master_seed, (*path, 0), n)
-    streams_z = TrajectoryStreams(master_seed, (*path, 1), n)
-    blk = block_size(n, n_uniform + n_normal)
+def step_noise(master_seed: int, n: int, T: int, *draws):
+    """Yield T per-step tuples of words, one (n, count) array per draw (path,
+    "uniform" | "normal", count) from the streams keyed (*path, i); step-major,
+    so blocking never changes which word feeds which step."""
+    streams = [(TrajectoryStreams(master_seed, path, n), kind, count)
+               for path, kind, count in draws]
+    blk = block_size(n, sum(count for _, _, count in draws))
     for start in range(0, T, blk):
         nb = min(blk, T - start)
-        u = streams_u.uniform_block(n_uniform * nb).reshape(n, nb, n_uniform)
-        z = streams_z.normal_block(n_normal * nb).reshape(n, nb, n_normal)
+        blocks = [getattr(s, f"{kind}_block")(count * nb).reshape(n, nb, count)
+                  for s, kind, count in streams]
         for j in range(nb):
-            yield u[:, j], z[:, j]
+            yield tuple(b[:, j] for b in blocks)
 
 
-def block_size(n_traj: int, per_step: int, cap: int = 64,
-               budget: int = 16_000_000) -> int:
-    """Steps of noise to pre-draw per block, bounded by a memory budget."""
-    return int(max(1, min(cap, budget // max(1, n_traj * per_step))))
+def block_size(n_traj: int, per_step: int) -> int:
+    """Steps of noise to pre-draw per block: at most 64 and 16e6 words."""
+    return max(1, min(64, 16_000_000 // max(1, n_traj * per_step)))

@@ -12,7 +12,8 @@ Three estimators:
 
 Every estimate carries a split-half self-distance baseline: empirical W1 is
 biased upward at finite sample size, and readings below twice the baseline
-are dominated by that bias floor.
+are dominated by that bias floor.  Unequal sample counts are bootstrapped
+down from the caller's generator, which they require.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _match_counts(a: np.ndarray, b: np.ndarray, rng: np.random.Generator | None,
     if len(a) == len(b):
         return compute(a, b), 0.0, {}
     if rng is None:
-        rng = np.random.default_rng(0)
+        raise ValueError(f"sample counts {len(a)} and {len(b)} differ: pass an rng")
     vals = []
     for _ in range(BOOTSTRAP_REPEATS):
         aa = a if len(a) == n else a[rng.integers(0, len(a), n)]

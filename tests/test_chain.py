@@ -3,11 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsdde.chain import (AlgoConfig, ChainError, TrajectoryEnsemble, chain_increment,
+import qsdde.rng as rng_mod
+from qsdde.chain import (AlgoConfig, SimulationError, TrajectoryEnsemble, chain_increment,
                          cumulative_tables, replay_step, run_algorithm1, run_dqn)
 from qsdde.mdp import MdpSpec, OnlineBufferReplay, sample_pairs, uniform_q
 from qsdde.qnet import QNetSpec, init_theta
 from qsdde.rng import spawn_generator, step_noise
+from qsdde.sdde import run_sdde
 
 from conftest import make_mdp, saturated_theta
 from oracles import (dense_forward, dense_jacobian, enumerate_support, max_q, q_grad,
@@ -102,19 +104,41 @@ def test_dqn_step_hand_unrolled(net, mdp, q_table):
     assert np.allclose(out, expected, atol=1e-12)
 
 
-def test_run_dqn_nonfinite_names_step_and_trajectory(net, mdp, q_table, theta):
-    start = np.repeat(theta[None, :], 3, axis=0)
-    start[1, 0] = np.nan
-    with pytest.raises(ChainError, match="at step 1, trajectory 1$"):
-        run_dqn(net, mdp, q_table, start, _cfg(), 3, [0, 20])
+# every simulator as (net, mdp, q_table, theta0, cfg, n_traj, checkpoints) -> ensemble
+SIMULATORS = {
+    "run_dqn": run_dqn,
+    "run_algorithm1": lambda net, mdp, q, x0, cfg, n, cps: run_algorithm1(
+        net, mdp, OnlineBufferReplay(capacity=10, epsilon=0.5), cfg, n, cps, x0),
+    "run_sdde": run_sdde,
+}
 
 
-def test_run_algorithm1_nonfinite_names_step_and_trajectory(net, mdp, theta):
+@pytest.mark.parametrize("name, unit", [("run_dqn", "step"), ("run_algorithm1", "step"),
+                                        ("run_sdde", "substep")])
+def test_nonfinite_names_move_and_trajectory(net, mdp, q_table, theta, name, unit):
     start = np.repeat(theta[None, :], 3, axis=0)
     start[1, 0] = np.nan
-    with pytest.raises(ChainError, match="at step 1, trajectory 1$"):
-        run_algorithm1(net, mdp, OnlineBufferReplay(capacity=10, epsilon=0.5), _cfg(),
-                       3, [0, 20], start)
+    with pytest.raises(SimulationError, match=f"at {unit} 1, trajectory 1$"):
+        SIMULATORS[name](net, mdp, q_table, start, _cfg(rho=2), 3, [0, 20])
+
+
+@pytest.mark.parametrize("name", SIMULATORS)
+@pytest.mark.parametrize("checkpoints", [[10, 5], [5, 5], [0, 21]])
+def test_bad_checkpoints_refused_before_any_stream(net, mdp, q_table, theta, monkeypatch,
+                                                   name, checkpoints):
+    built = []
+    init = rng_mod.TrajectoryStreams.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(rng_mod.TrajectoryStreams, "__init__", counted)
+    with pytest.raises(ValueError, match="checkpoint"):
+        SIMULATORS[name](net, mdp, q_table, theta, _cfg(rho=2), 3, checkpoints)
+    assert built == []
+    SIMULATORS[name](net, mdp, q_table, theta, _cfg(T=2, rho=2), 3, [0, 2])
+    assert built  # the counter sees the streams of a valid run
 
 
 def test_dqn_step_depends_only_on_state_and_stream(net, mdp, q_table, theta):
@@ -210,7 +234,9 @@ def test_run_dqn_matches_dense_oracle_replay(mdp, q_table):
         rows, acts = np.arange(n), np.arange(A)
         theta = np.repeat(theta0[None, :], n, axis=0)
         ref = {0: theta}
-        for step, (u, z) in enumerate(step_noise(cfg.seed, (2,), n, cfg.T, 2, 1 + net.d)):
+        noise = step_noise(cfg.seed, n, cfg.T, ((2, 0), "uniform", 2),
+                           ((2, 1), "normal", 1 + net.d))
+        for step, (u, z) in enumerate(noise):
             if step % cfg.m == 0:
                 target = theta.copy()
             s, a, sp, k = sample_pairs(q_cum, p_cum, u[:, 0], u[:, 1], A)

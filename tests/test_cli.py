@@ -443,10 +443,16 @@ def test_stream_keys_unique_within_a_run(tmp_path, config_file, monkeypatch):
     ("variance_study", {"m_values": [0, 1]}, ["m_values"], []),
     ("rate_sweep", {"eta_grid": [0.05, -0.01]}, ["eta_grid"], ["--force"]),
     ("rate_sweep", {"eta_grid": [0.05, 2.0]}, ["eta_grid", "0 steps"], ["--force"]),
-    ("variance_study", {"n_traj": 0}, ["n_traj must be an integer >= 1"], []),
+    ("variance_study", {"n_traj": 0}, ["n_traj must be an integer >= 2"], []),
     ("moment_suite", {"n_trajs": 64}, ["unknown keys", "n_trajs"], []),
     ("rate_sweep", {"eta_grid": [0.08, 0.04], "n_traj": 8},
      ["eta_grid", "step-size gate", "pass --force"], []),
+    ("moment_suite", {"eta": "0.05"}, ["eta must be positive, got '0.05'"], []),
+    ("moment_suite", {"ic_scales": [True, False]}, ["ic_scales", "[True, False]"], []),
+    ("variance_study", {"n_traj": 1}, ["n_traj must be an integer >= 2, got 1"], []),
+    ("variance_study", {"n_traj": True}, ["n_traj must be an integer >= 2, got True"], []),
+    ("variance_study", {"m_values": [True]}, ["m_values", "[True]"], []),
+    ("rate_sweep", {"n_proj": 4.0}, ["n_proj must be an integer >= 1"], ["--force"]),
 ])
 def test_bad_study_block_is_one_error_before_the_manifest(tmp_path, section, block, words,
                                                           extra):
@@ -460,6 +466,44 @@ def test_bad_study_block_is_one_error_before_the_manifest(tmp_path, section, blo
     assert f"{section} section: " in res.output, res.output
     assert all(w in res.output for w in words), res.output
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("section, key, value, words", [
+    (None, "checkpoints", "ab", ["top level: checkpoints must be"]),
+    (None, "checkpoints", [0, 10.7], ["top level: checkpoints", "T=12", "10.7"]),
+    (None, "checkpoints", [0, 13], ["top level: checkpoints", "T=12"]),
+    (None, "n_traj", True, ["top level: n_traj must be an integer >= 1, got True"]),
+    (None, "seed", -1, ["top level: seed must be an integer >= 0, got -1"]),
+    (None, "seed", 1.5, ["top level: seed must be an integer >= 0, got 1.5"]),
+    (None, "algo", [1, 2], ["algo section: must be a JSON object"]),
+    ("algo", "m", 2.7, ["algo section: m must be an integer >= 1, got 2.7"]),
+    ("algo", "m", "5", ["algo section: m must be an integer >= 1, got '5'"]),
+    ("algo", "eta", True, ["algo section: eta must be a finite number, got True"]),
+    ("net", "hidden", [4.6], ["net section: hidden must be a non-empty list of integers",
+                              "got [4.6]"]),
+    ("algo", "T", 0, ["algo section: T must be an integer >= 1, got 0"]),
+])
+def test_bad_top_level_value_is_one_error_before_the_manifest(tmp_path, section, key, value,
+                                                              words):
+    doc = _config_doc()
+    (doc[section] if section else doc)[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["simulate-dqn", "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.output.count("\n  - ") == 1, res.output
+    assert all(w in res.output for w in words), res.output
+    assert not out.exists()
+
+
+def test_top_level_checkpoints_sorted_and_deduplicated(config_file):
+    doc = json.loads(config_file.read_text())
+    cfg = load_config({**doc, "checkpoints": [12, 0, 6, 6]})
+    assert cfg.checkpoints == (0, 6, 12)
+    assert load_config({k: v for k, v in doc.items() if k != "checkpoints"}).checkpoints \
+        == (0, 12)
 
 
 @pytest.mark.parametrize("n_traj", [0, -3])

@@ -8,7 +8,7 @@ from qsdde.coeffs import exact_drift_b, noise_cotangent, sigma_matrix
 from qsdde.mdp import MdpSpec
 from qsdde.qnet import QNetSpec, init_theta
 from qsdde.rng import TrajectoryStreams, block_size
-from qsdde.sdde import SddeError, run_sdde
+from qsdde.sdde import run_sdde
 
 from conftest import saturated_theta
 from oracles import bellman_moments, dense_jacobian, dense_max_q, pair_inputs
@@ -39,13 +39,6 @@ def test_euler_step_saturated_collapses_to_scaled_brownian(net, mdp, q_table):
     z = TrajectoryStreams(cfg.seed, (0,), 1).normal_block(4 * (net.d + K))
     z = z.reshape(4, net.d + K)[:, :net.d].sum(axis=0)
     assert np.allclose(out, th + np.sqrt(cfg.delta) * np.sqrt(h) * z, atol=1e-12)
-
-
-def test_run_sdde_nonfinite_names_substep_and_trajectory(net, mdp, q_table, theta):
-    start = np.repeat(theta[None, :], 3, axis=0)
-    start[1, 0] = np.nan
-    with pytest.raises(SddeError, match="at substep 1, trajectory 1$"):
-        run_sdde(net, mdp, q_table, start, _cfg(), 3, [0, 20])
 
 
 def test_increment_moments_small_h(net, mdp, q_table):

@@ -51,6 +51,17 @@ def test_exact_1d_unequal_counts_bootstrap():
     assert est.value == pytest.approx(3.0, abs=0.5)
 
 
+@pytest.mark.parametrize("estimator, shape", [(w1_exact_1d, ()), (w1_assignment, (2,))])
+def test_unequal_counts_need_a_generator(estimator, shape):
+    # no hidden fixed seed: the bootstrap draws only from a generator the caller passes
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(0, 1, (6, *shape)), rng.normal(0, 1, (4, *shape))
+    with pytest.raises(ValueError, match="pass an rng"):
+        estimator(a, b)
+    assert estimator(a, b, rng=np.random.default_rng(5)).meta["resampled_to"] == 4
+    assert estimator(a[:4], b).meta == {}
+
+
 def test_assignment_permutation_invariance():
     rng = np.random.default_rng(2)
     A = rng.normal(0, 1, (32, 3))
