@@ -16,14 +16,14 @@ import click
 import numpy as np
 
 from .chain import run_algorithm1, run_dqn
-from .coeffs import sigma_matrix
-from .config import ConfigError, ExperimentConfig, load_config
+from .coeffs import sigma_matrix, step_size_gate
+from .config import ConfigError, ExperimentConfig, _floats, load_config
 from .diagnostics import Quadratic, generator_gap
 from .experiments import (MomentSuiteSpec, RateSweepSpec, VarianceStudySpec, moment_suite,
                           rate_sweep, variance_study)
 from .manifest import (atomic_write_text, ensemble_to_csv, read_ensemble_csv,
                        rows_to_csv, write_manifest)
-from .mdp import OnlineBufferReplay, load_mdp, validate_mdp
+from .mdp import OnlineBufferReplay, _convert, _json_file, _real, load_mdp, validate_mdp
 from .rng import GAP_PROBE, W1_ASSIGNMENT_PATH, W1_SLICED_PATH, spawn_generator
 from .wasserstein import w1_assignment_subsampled, w1_sliced
 
@@ -42,35 +42,43 @@ _threads_option = click.option("--threads", type=click.IntRange(min=1), default=
                                 help="Worker threads for independent experiment arms.")
 
 
-def _load(config_path, seed_override, force) -> ExperimentConfig:
-    cfg = load_config(config_path, seed_override=seed_override, force=force)
-    for w in cfg.warnings:
-        click.echo(f"warning: {w}", err=True)
-    return cfg
+def _gate(cfg: ExperimentConfig, force: bool, source: str, etas,
+          delta: float | None = None, always: bool = False) -> dict | None:
+    """meta.gate of the etas a command runs, at delta (default algo.delta), under
+    strict_gate or always.  A rejected eta is one ConfigError naming source, where
+    the etas come from, or under force one [forced] warning."""
+    if not (always or cfg.strict_gate):
+        return None
+    rep = cfg.assumptions
+    gate = rep.gate if delta is None else step_size_gate(rep.estimates, delta)
+    rejected = [eta for eta in etas if not gate.passes(eta)]
+    if rejected:
+        msg = (f"{source} {rejected} rejected by the step-size gate: eta_max = "
+               f"{gate.eta_max:.6g} (binding constraint: {gate.binding(max(rejected))})")
+        if not force:
+            raise ConfigError([f"{msg}; pass --force to override"])
+        click.echo(f"warning: {msg} [forced]", err=True)
+    return {"estimates": asdict(rep.estimates), "eta_max": gate.eta_max,
+            "rejected": rejected, "forced": bool(rejected)}
 
 
 def _json_object(path) -> dict:
     """The JSON object in path, else a ClickException naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise click.ClickException(f"{path}: JSON parse error at line {err.lineno}, "
-                                       f"column {err.colno}: {err.msg}") from None
+    try:
+        doc = _json_file(path)
+    except ValueError as err:
+        raise click.ClickException(f"{path}: {err}") from None
     if not isinstance(doc, dict):
         raise click.ClickException(f"{path}: expected a JSON object")
     return doc
 
 
 def _vector(path, value, name: str, d: int) -> np.ndarray:
-    """value as a (d,) float vector, else a ClickException naming the file."""
+    """value as a point of R^d, else a ClickException naming the file."""
     try:
-        v = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        v = None
-    if v is None or v.shape != (d,):
-        raise click.ClickException(f"{path}: {name} must be a list of d = {d} numbers")
-    return v
+        return _convert(name, value, *_floats(d))
+    except ValueError as err:
+        raise click.ClickException(f"{path}: {err}") from err
 
 
 def _manifest(out_dir, subcommand: str, cfg: ExperimentConfig, outputs: list[str]) -> Path:
@@ -81,7 +89,10 @@ def _manifest(out_dir, subcommand: str, cfg: ExperimentConfig, outputs: list[str
 
 
 def _dump(path: Path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    try:
+        atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    except OSError as err:
+        raise click.ClickException(f"{path}: {err.strerror}") from err
 
 
 def _emit(obj, out_file) -> None:
@@ -120,12 +131,10 @@ def main():
 def validate_mdp_cmd(file):
     """Validate an MDP JSON document (or the mdp section of a config)."""
     doc = _json_object(file)
-    if "mdp" in doc:
-        doc = doc["mdp"]
     try:
-        spec, replay = load_mdp(doc)
-    except ValueError as err:
-        raise click.ClickException(str(err))
+        spec, replay = load_mdp(doc.get("mdp", doc))
+    except (TypeError, ValueError) as err:
+        raise click.ClickException(f"{file}: {err}") from err
     report = validate_mdp(spec, replay)
     click.echo(str(report))
     if not report.ok:
@@ -137,7 +146,8 @@ def validate_mdp_cmd(file):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def simulate_dqn_cmd(config_path, seed_override, force, out_dir):
     """Simulate the noisy parameter chain; write manifest plus checkpoint CSV."""
-    cfg = _load(config_path, seed_override, force)
+    cfg = load_config(config_path, seed_override=seed_override)
+    _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
     out = _manifest(out_dir, "simulate-dqn", cfg, ["chain.csv"])
     if isinstance(cfg.replay, OnlineBufferReplay):
         ens = run_algorithm1(cfg.net, cfg.mdp, cfg.replay, cfg.algo, cfg.n_traj,
@@ -155,7 +165,8 @@ def simulate_dqn_cmd(config_path, seed_override, force, out_dir):
 def simulate_sdde_cmd(config_path, seed_override, force, out_dir):
     """Integrate the delay diffusion; write manifest plus checkpoint CSV."""
     from .sdde import run_sdde
-    cfg = _load(config_path, seed_override, force)
+    cfg = load_config(config_path, seed_override=seed_override)
+    _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
     out = _manifest(out_dir, "simulate-sdde", cfg, ["sdde.csv"])
     ens = run_sdde(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, cfg.n_traj,
                    cfg.checkpoints)
@@ -171,19 +182,17 @@ def simulate_sdde_cmd(config_path, seed_override, force, out_dir):
               help="JSON {\"x\": [...], \"y\": [...]}; defaults to x = y = theta0.")
 def dump_coefficients_cmd(config_path, seed_override, force, out_file, points_file):
     """Emit (b, Sigma, beta_bar, sigma, eigenvalues) at a point pair as JSON."""
-    cfg = _load(config_path, seed_override, force)
+    cfg = load_config(config_path, seed_override=seed_override)
+    _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
     x = y = cfg.theta0
     if points_file:
         pts = _json_object(points_file)
         x = _vector(points_file, pts.get("x"), "x", cfg.net.d)
         y = _vector(points_file, pts.get("y", x), "y", cfg.net.d)
     cs = sigma_matrix(cfg.net, cfg.mdp, cfg.q, x, y, cfg.algo.eta, cfg.algo.delta)
-    payload = {
-        "eta": cs.eta, "delta": cs.delta,
-        "b": cs.b.tolist(), "Sigma": cs.Sigma.tolist(),
-        "beta_bar": cs.beta_bar.tolist(), "sigma": cs.sigma.tolist(),
-        "sigma_sq_eigenvalues": np.linalg.eigvalsh(cs.sigma @ cs.sigma.T).tolist(),
-    }
+    payload = {"eta": cs.eta, "delta": cs.delta,
+               **{k: getattr(cs, k).tolist() for k in ("b", "Sigma", "beta_bar", "sigma")},
+               "sigma_sq_eigenvalues": np.linalg.eigvalsh(cs.sigma @ cs.sigma.T).tolist()}
     _emit(payload, out_file)
     if out_file:
         click.echo(f"wrote {out_file}")
@@ -197,7 +206,7 @@ def dump_coefficients_cmd(config_path, seed_override, force, out_file, points_fi
               default="both")
 @click.option("--n-proj", type=click.IntRange(min=1), default=64)
 @click.option("--cap", type=click.IntRange(min=1), default=512)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out", "out_file", type=click.Path(), default=None)
 def estimate_w1_cmd(file_a, file_b, checkpoint, method, n_proj, cap, seed, out_file):
     """Wasserstein-1 between two ensemble CSVs at a shared checkpoint."""
@@ -229,7 +238,7 @@ def estimate_w1_cmd(file_a, file_b, checkpoint, method, n_proj, cap, seed, out_f
 @click.option("--out", "out_file", type=click.Path(), default=None)
 def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
     """Pointwise |eta A_X f - A_theta f| for quadratic f at probe points."""
-    cfg = _load(config_path, seed_override, force)
+    cfg = load_config(config_path, seed_override=seed_override)
     probes = _json_object(points_file)
     d = cfg.net.d
     if not isinstance(probes.get("points"), list):
@@ -239,15 +248,21 @@ def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
               for i, p in enumerate(probes["points"])]
     target = _vector(points_file, probes.get("target", cfg.theta0), "target", d)
     f = Quadratic(A=np.eye(d), b=np.zeros(d))
-    reports = []
-    try:  # n_mc below 1e3 or a non-positive eta
+    eta, reports = cfg.algo.eta, []
+    try:  # n_mc below 1e3 or an eta that is not a positive number
         n_mc = int(probes.get("n_mc", 100000))
-        etas = tuple(probes.get("etas", [cfg.algo.eta, cfg.algo.eta / 2, cfg.algo.eta / 4]))
+        etas = _convert("etas", probes.get("etas", [eta, eta / 2, eta / 4]),
+                        lambda es: tuple(map(_real, es)),
+                        lambda es: es and all(e > 0.0 for e in es),
+                        "a non-empty list of positive numbers")
+        _gate(cfg, force, f"{points_file}: etas", etas)
         for i, x in enumerate(points):
             rng = spawn_generator(cfg.algo.seed, (GAP_PROBE, i))
             rep = generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target, cfg.algo,
                                 n_mc, rng, etas=etas)
             reports.append(asdict(rep))
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as err:
         raise click.ClickException(f"{points_file}: {err}") from err
     _emit({"reports": reports}, out_file)
@@ -259,17 +274,11 @@ def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
 def check_assumptions_cmd(config_path, seed_override, force, out_file):
     """Estimate regularity constants and report the step-size gate; a failing
     gate exits 1 after the report (and --out) unless --force."""
-    # a strict gate refuses after the report, not at load
-    cfg = load_config(config_path, seed_override=seed_override, force=True)
-    if force:  # the strict gate's refusal, labelled [forced]
-        for w in cfg.warnings:
-            click.echo(f"warning: {w}", err=True)
-    rep = cfg.assumptions
-    click.echo(str(rep))
+    cfg = load_config(config_path, seed_override=seed_override)
+    click.echo(str(cfg.assumptions))
     if out_file:
-        _dump(Path(out_file), rep.as_dict())
-    if not rep.passes and not force:
-        sys.exit(1)
+        _dump(Path(out_file), cfg.assumptions.as_dict())
+    _gate(cfg, force, "algo section: eta", [cfg.algo.eta], always=True)
 
 
 @main.command("rate-sweep")
@@ -278,9 +287,9 @@ def check_assumptions_cmd(config_path, seed_override, force, out_file):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def rate_sweep_cmd(config_path, seed_override, force, threads, out_dir):
     """W1 scaling study across a step-size grid at fixed horizon T*eta."""
-    cfg = _load(config_path, seed_override, force)
+    cfg = load_config(config_path, seed_override=seed_override)
     sweep = cfg.study(RateSweepSpec)
-    gate = sweep.gate(cfg.assumptions, force)
+    gate = _gate(cfg, force, "rate_sweep section: eta_grid", sweep.eta_grid, always=True)
     out = _manifest(out_dir, "rate-sweep", cfg,
                     ["rate_sweep.csv", "rate_sweep.json", "plot_data.csv"])
     res = rate_sweep(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, sweep, gate=gate,
@@ -297,7 +306,8 @@ def rate_sweep_cmd(config_path, seed_override, force, threads, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def variance_study_cmd(config_path, seed_override, force, threads, out_dir):
     """Delayed vs undelayed trace-of-covariance comparison table."""
-    cfg = _load(config_path, seed_override, force)
+    cfg = load_config(config_path, seed_override=seed_override)
+    _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
     study = cfg.study(VarianceStudySpec)
     out = _manifest(out_dir, "variance-study", cfg,
                     ["variance_study.csv", "variance_study.json", "plot_data.csv"])
@@ -313,8 +323,9 @@ def variance_study_cmd(config_path, seed_override, force, threads, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def moment_suite_cmd(config_path, seed_override, force, out_dir):
     """Moment-bound suite over initial conditions scale * e1, one per ic_scales entry."""
-    cfg = _load(config_path, seed_override, force)
+    cfg = load_config(config_path, seed_override=seed_override)
     suite = cfg.study(MomentSuiteSpec)
+    _gate(cfg, force, "moment_suite section: eta", [suite.eta], suite.delta)
     out = _manifest(out_dir, "moment-suite", cfg, ["moment_suite.json", "plot_data.csv"])
     res = moment_suite(cfg.net, cfg.mdp, cfg.q, cfg.algo, suite)
     _dump(out / "moment_suite.json", asdict(res))

@@ -2,17 +2,16 @@
 
 A config document bundles the MDP, the network architecture, the algorithm
 parameters and per-study blocks.  Loading fills defaults, checks every
-module-level invariant and aggregates all violations into one error; in
-strict-gate mode the step-size admissibility check is enforced at load
-time, downgraded to a warning under force.  A study block is checked only
-when a command asks for its spec, and every gate of a run reads one
-estimate of the regularity constants, made on first use.
+module-level invariant and aggregates all violations into one error.  It
+does not gate the step size: each command gates the step sizes it runs
+(``cli._gate``), reading the run's one estimate of the regularity
+constants, made on first use.  A study block is checked only when a command
+asks for its spec.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -21,8 +20,8 @@ import numpy as np
 
 from .chain import AlgoConfig
 from .diagnostics import AssumptionReport, assumption_report
-from .mdp import (IdealizedReplay, MdpSpec, ReplayModel, load_mdp, uniform_q,
-                  validate_mdp)
+from .mdp import (_COUNT, _NUMBER, _OBJECT, IdealizedReplay, MdpSpec, ReplayModel,
+                  _convert, _index, _json_file, _real, load_mdp, uniform_q, validate_mdp)
 from .qnet import QNetSpec, init_theta
 from .rng import SNAPSHOT_PATH, THETA0_PATH, spawn_generator
 
@@ -41,36 +40,21 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {e}" for e in errors))
 
 
-def _real(v, convert=float):
-    """convert(v), refusing a bool or a string: JSON true and "5" are not numbers."""
-    if isinstance(v, (bool, str)):
-        raise TypeError(v)
-    return convert(v)
-
-
 def _steps(values) -> tuple[int, ...]:
     return tuple(sorted({_index(v) for v in values}))
 
 
-def _convert(key: str, given, convert, ok, need: str):
-    """convert(given) if that succeeds and passes ok, else a ValueError naming the key."""
-    try:
-        value = convert(given)
-    except (TypeError, ValueError):
-        value = None
-    if value is None or not ok(value):
-        raise ValueError(f"{key} must be {need}, got {given!r}")
-    return value
-
-
-_index = lambda v: _real(v, operator.index)  # noqa: E731
-_COUNT = (_index, lambda n: n >= 1, "an integer >= 1")
-_NUMBER = (_real, np.isfinite, "a finite number")
+_SEED = (_index, lambda n: n >= 0, "an integer >= 0")
 
 
 def _checkpoints(T: int):  # the rule on the checkpoints of a horizon of T steps
     return _steps, lambda cs: cs and cs[0] >= 0 and cs[-1] <= T, \
         f"a non-empty list of steps in [0, T={T}]"
+
+
+def _floats(d: int):  # the rule on a point of R^d
+    return lambda xs: np.array([_real(x) for x in xs]), \
+        lambda v: v.shape == (d,) and np.isfinite(v).all(), f"a list of d = {d} finite numbers"
 
 
 @dataclass
@@ -84,7 +68,6 @@ class ExperimentConfig:
     n_traj: int
     checkpoints: tuple[int, ...]
     raw: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def q(self) -> np.ndarray:
@@ -126,19 +109,12 @@ def _merge_defaults(doc: dict) -> dict:
     return out
 
 
-def load_config(source: str | Path | dict, seed_override: int | None = None,
-                force: bool = False) -> ExperimentConfig:
+def load_config(source: str | Path | dict, seed_override: int | None = None) -> ExperimentConfig:
     """Load and validate a config document, aggregating every violation."""
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(
-                [f"JSON parse error at line {err.lineno}, column {err.colno}: {err.msg}"]
-            ) from err
-    else:
-        doc = source
+    try:
+        doc = _json_file(source) if isinstance(source, (str, Path)) else source
+    except ValueError as err:
+        raise ConfigError([str(err)]) from err
     errors: list[str] = []
     doc = _merge_defaults(doc)
     if seed_override is not None:
@@ -155,11 +131,11 @@ def load_config(source: str | Path | dict, seed_override: int | None = None,
 
     try:
         spec, replay = load_mdp(doc["mdp"])
-    except (TypeError, ValueError, KeyError) as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError([f"mdp section: {err}"]) from err
     report = validate_mdp(spec, replay)
     errors.extend(report.failures)
-    seed = read("top level", doc, "seed", _index, lambda n: n >= 0, "an integer >= 0")
+    seed = read("top level", doc, "seed", *_SEED)
     n_traj = read("top level", doc, "n_traj", *_COUNT)
 
     net_doc = doc["net"]
@@ -187,29 +163,27 @@ def load_config(source: str | Path | dict, seed_override: int | None = None,
     checkpoints = algo and read("top level", {"checkpoints": [0, algo.T], **doc},
                                 "checkpoints", *_checkpoints(algo.T))
 
-    theta0 = np.zeros(net.d if net is not None else 0)
+    theta0 = None
     if net is not None:
-        init = net_doc["init"]
-        if init.get("dist", "normal") != "normal":
-            errors.append(f"net.init.dist must be 'normal', got {init.get('dist')!r}")
-        if "theta0" in net_doc:
-            theta0 = np.asarray(net_doc["theta0"], dtype=np.float64)
-            if theta0.shape != (net.d,):
-                errors.append(f"net.theta0 must have length d = {net.d}, got {theta0.shape}")
-        else:
-            theta0 = init_theta(net, spawn_generator(int(init.get("seed", 1)), THETA0_PATH),
-                                float(init.get("stddev", 0.5)))
+        try:
+            init = _convert("init", net_doc["init"], *_OBJECT)
+            if init.get("dist", "normal") != "normal":
+                raise ValueError(f"init.dist must be 'normal', got {init.get('dist')!r}")
+            if "theta0" in net_doc:
+                theta0 = _convert("theta0", net_doc["theta0"], *_floats(net.d))
+            else:
+                rng = spawn_generator(_convert("init.seed", init.get("seed", 1), *_SEED),
+                                      THETA0_PATH)
+                theta0 = init_theta(net, rng, _convert(
+                    "init.stddev", init.get("stddev", 0.5), _real,
+                    lambda x: np.isfinite(x) and x >= 0.0, "a finite number >= 0"))
+        except ValueError as err:
+            errors.append(f"net section: {err}")
+    strict_gate = read("top level", doc, "strict_gate", lambda v: v,
+                       lambda v: isinstance(v, bool), "true or false")
 
     if errors:
         raise ConfigError(errors)
-    cfg = ExperimentConfig(mdp=spec, replay=replay, net=net, theta0=theta0, algo=algo,
-                           strict_gate=bool(doc["strict_gate"]), n_traj=n_traj,
-                           checkpoints=checkpoints, raw=doc)
-    if cfg.strict_gate and not cfg.assumptions.passes:
-        rep = cfg.assumptions
-        msg = (f"eta = {algo.eta} rejected by the step-size gate "
-               f"(eta_max = {rep.gate.eta_max:.6g}, binding constraint: {rep.binding})")
-        if not force:
-            raise ConfigError([msg])
-        cfg.warnings.append(msg + " [forced]")
-    return cfg
+    return ExperimentConfig(mdp=spec, replay=replay, net=net, theta0=theta0, algo=algo,
+                            strict_gate=strict_gate, n_traj=n_traj,
+                            checkpoints=checkpoints, raw=doc)

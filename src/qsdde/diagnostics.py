@@ -194,10 +194,7 @@ def assumption_report(net: QNetSpec, spec: MdpSpec, q: np.ndarray, cfg: AlgoConf
     """Regularity constants from 200 probe pairs in radius 5, and the gate for cfg."""
     est = estimate_constants(net, spec, q, n_pairs=200, radius=5.0, rng=rng)
     gate = step_size_gate(est, cfg.delta)
-    passes = gate.passes(cfg.eta)
-    warnings = []
-    if cfg.delta > 1.0:
-        warnings.append(f"delta = {cfg.delta} exceeds 1")
+    warnings = [f"delta = {cfg.delta} exceeds 1"] if cfg.delta > 1.0 else []
     return AssumptionReport(estimates=est, gate=gate, eta=cfg.eta, delta=cfg.delta,
-                            passes=passes, binding=gate.binding(cfg.eta),
+                            passes=gate.passes(cfg.eta), binding=gate.binding(cfg.eta),
                             warnings=warnings)

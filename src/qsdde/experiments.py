@@ -12,14 +12,14 @@ config block, and derives each arm's config with ``dataclasses.replace``.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
 from .chain import AlgoConfig, run_dqn
-from .config import _COUNT, ConfigError, _checkpoints, _convert, _index, _real, _steps
-from .diagnostics import AssumptionReport, _loglog_fit
+from .config import _COUNT, _checkpoints, _convert, _index, _real, _steps
+from .diagnostics import _loglog_fit
 from .mdp import MdpSpec
 from .qnet import QNetSpec
 from .rng import CHAIN_ARM, SDDE_ARM, W1_ARM, spawn_generator
@@ -62,17 +62,6 @@ class RateSweepSpec:
             raise ValueError(f"eta_grid entry {self.eta_grid[0]} gives T = round({algo.T} "
                              f"* {algo.eta} / {self.eta_grid[0]}) = 0 steps")
         return [replace(algo, eta=eta, T=T) for eta, T in zip(self.eta_grid, Ts)]
-
-    def gate(self, report: AssumptionReport, force: bool = False) -> dict:
-        """The run's step-size gate on every eta, as meta.gate; ConfigError unless force."""
-        gate = report.gate
-        rejected = [eta for eta in self.eta_grid if not gate.passes(eta)]
-        if rejected and not force:
-            raise ConfigError([f"rate_sweep section: the step-size gate rejects eta_grid "
-                               f"entries {rejected}: eta_max = {gate.eta_max:.6g} (binding: "
-                               f"{gate.binding(max(rejected))}); pass --force to override"])
-        return {"estimates": asdict(report.estimates), "eta_max": gate.eta_max,
-                "rejected": rejected, "forced": bool(rejected)}
 
 
 @dataclass(frozen=True)
@@ -205,7 +194,7 @@ def rate_sweep(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
     final-checkpoint laws are compared with independent noise.  The slope is
     fitted on the sliced estimates over the full grid; rows whose estimate
     sits below twice the split-half baseline are flagged unreliable.  gate is
-    the grid's step-size verdict (``RateSweepSpec.gate``), recorded in meta.
+    the grid's step-size verdict, recorded in meta.
     """
     cfgs = sweep.arms(algo)
     tracked_idx = _tracked_indices(net.d, sweep.tracked_coords)

@@ -10,6 +10,7 @@ full algorithm loop in ``chain``).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -17,6 +18,41 @@ from typing import Union
 import numpy as np
 
 PROB_TOL = 1e-12
+
+
+def _real(v, convert=float):
+    """convert(v), refusing a bool or a string: JSON true and "5" are not numbers."""
+    if isinstance(v, (bool, str)):
+        raise TypeError(v)
+    return convert(v)
+
+
+def _convert(key: str, given, convert, ok, need: str):
+    """convert(given) if that succeeds and passes ok, else a ValueError naming
+    the key: the one converter of the mdp section here and of ``config``."""
+    try:
+        value = convert(given)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or not ok(value):
+        raise ValueError(f"{key} must be {need}, got {given!r}")
+    return value
+
+
+def _json_file(path):
+    """The JSON document in path; bad JSON is a ValueError naming line and column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"JSON parse error at line {err.lineno}, column {err.colno}: "
+                             f"{err.msg}") from None
+
+
+_index = lambda v: _real(v, operator.index)  # noqa: E731
+_COUNT = (_index, lambda n: n >= 1, "an integer >= 1")
+_NUMBER = (_real, np.isfinite, "a finite number")
+_OBJECT = (lambda v: v, lambda v: isinstance(v, dict), "a JSON object")
 
 
 @dataclass(frozen=True)
@@ -172,36 +208,27 @@ def load_mdp(source: str | Path | dict) -> tuple[MdpSpec, ReplayModel]:
     "V": [[...]], "gamma": g, "replay": {"mode": "idealized", "q": [[...]]}
     or {"mode": "online_buffer", "capacity": c, "epsilon": e}}.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+    doc = _json_file(source) if isinstance(source, (str, Path)) else source
+    _convert("the MDP document", doc, *_OBJECT)
     missing = [k for k in ("states", "actions", "p", "R", "V", "gamma") if k not in doc]
     if missing:
         raise ValueError(f"MDP document missing keys: {missing}")
-    spec = MdpSpec(
-        p=np.asarray(doc["p"], dtype=np.float64),
-        R=np.asarray(doc["R"], dtype=np.float64),
-        V=np.asarray(doc["V"], dtype=np.float64),
-        gamma=float(doc["gamma"]),
-    )
-    if spec.p.shape != (doc["states"], doc["actions"], doc["states"]):
-        raise ValueError(
-            f"p has shape {spec.p.shape}, expected "
-            f"({doc['states']}, {doc['actions']}, {doc['states']})"
-        )
+    S, A = (_convert(k, doc[k], *_COUNT) for k in ("states", "actions"))
+    spec = MdpSpec(doc["p"], doc["R"], doc["V"], _convert("gamma", doc["gamma"], *_NUMBER))
+    if spec.p.shape != (S, A, S):
+        raise ValueError(f"p has shape {spec.p.shape}, expected ({S}, {A}, {S})")
     replay_doc = doc.get("replay", None)
     if replay_doc is None:
-        replay: ReplayModel = IdealizedReplay(uniform_q(doc["states"], doc["actions"]))
-    elif replay_doc.get("mode") == "idealized":
-        replay = IdealizedReplay(np.asarray(replay_doc["q"], dtype=np.float64))
-    elif replay_doc.get("mode") == "online_buffer":
+        return spec, IdealizedReplay(uniform_q(S, A))
+    mode = _convert("replay", replay_doc, *_OBJECT).get("mode")
+    if mode == "idealized":
+        replay: ReplayModel = IdealizedReplay(replay_doc.get("q"))
+    elif mode == "online_buffer":
         replay = OnlineBufferReplay(
-            capacity=int(replay_doc["capacity"]), epsilon=float(replay_doc["epsilon"])
-        )
+            capacity=_convert("capacity", replay_doc.get("capacity"), *_COUNT),
+            epsilon=_convert("epsilon", replay_doc.get("epsilon"), *_NUMBER))
     else:
-        raise ValueError(f"unknown replay mode {replay_doc.get('mode')!r}")
+        raise ValueError(f"unknown replay mode {mode!r}")
     return spec, replay
 
 

@@ -90,31 +90,40 @@ def test_load_config_parse_error_has_line_context(tmp_path):
     assert "line 2" in err.value.errors[0]
 
 
+def _simulate(path: Path, out: Path, *extra):
+    return CliRunner().invoke(main, ["simulate-dqn", "--config", str(path), "--out", str(out),
+                                     *extra])
+
+
 def test_load_config_strict_gate(tmp_path):
+    # loading does not gate; a command that runs algo.eta gates it under strict_gate
     doc = _config_doc(strict_gate=True)
     doc["algo"]["eta"] = 0.2
     path = tmp_path / "gate.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError) as err:
-        load_config(path)
-    assert any("step-size gate" in e for e in err.value.errors)
-    cfg = load_config(path, force=True)
-    assert any("step-size gate" in w for w in cfg.warnings)
+    assert load_config(path).strict_gate is True
+    res = _simulate(path, tmp_path / "run")
+    assert res.exit_code == 1 and "step-size gate" in res.output
+    res = _simulate(path, tmp_path / "run", "--force")
+    assert res.exit_code == 0, res.output
+    assert "step-size gate" in res.output and "[forced]" in res.output
 
 
 def test_strict_gate_delta_above_one_is_one_fault(tmp_path):
     # delta > 1 fails the gate's delta constraint: one error naming it, and
-    # under force one warning and a loaded config
+    # under force one warning and a completed run
     doc = _config_doc(strict_gate=True)
     doc["algo"]["delta"] = 1.5
     path = tmp_path / "gate.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError) as err:
-        load_config(path)
-    assert len(err.value.errors) == 1
-    assert "binding constraint: delta" in err.value.errors[0]
-    cfg = load_config(path, force=True)
-    assert len(cfg.warnings) == 1 and "binding constraint: delta" in cfg.warnings[0]
+    res = _simulate(path, tmp_path / "run")
+    assert res.exit_code == 1
+    assert res.output.count("\n  - ") == 1
+    assert "binding constraint: delta" in res.output
+    res = _simulate(path, tmp_path / "run", "--force")
+    assert res.exit_code == 0, res.output
+    assert res.output.count("warning: ") == 1 and "binding constraint: delta" in res.output
+    assert (tmp_path / "run" / "chain.csv").exists()
 
 
 def test_validate_mdp_cli_ok(tmp_path, config_file):
@@ -369,10 +378,11 @@ def test_rate_sweep_cli_small(tmp_path):
 
 def test_estimate_w1_rejects_zero_projections_and_cap(tmp_path, config_file):
     path_a, path_b = _two_chains(tmp_path, config_file)
-    for opt in ("--n-proj", "--cap"):
+    for opt, value, bound in (("--n-proj", "0", ">=1"), ("--cap", "0", ">=1"),
+                              ("--seed", "-1", ">=0")):
         res = CliRunner().invoke(main, ["estimate-w1", "--a", str(path_a), "--b",
-                                        str(path_b), "--checkpoint", "12", opt, "0"])
-        assert res.exit_code == 2 and opt in res.output and ">=1" in res.output
+                                        str(path_b), "--checkpoint", "12", opt, value])
+        assert res.exit_code == 2 and opt in res.output and bound in res.output
         assert isinstance(res.exception, SystemExit)
 
 
@@ -482,6 +492,15 @@ def test_bad_study_block_is_one_error_before_the_manifest(tmp_path, section, blo
     ("net", "hidden", [4.6], ["net section: hidden must be a non-empty list of integers",
                               "got [4.6]"]),
     ("algo", "T", 0, ["algo section: T must be an integer >= 1, got 0"]),
+    (None, "strict_gate", "no", ["top level: strict_gate must be true or false, got 'no'"]),
+    ("net", "init", 5, ["net section: init must be a JSON object, got 5"]),
+    ("net", "init", {"seed": 1.7}, ["net section: init.seed must be an integer >= 0, got 1.7"]),
+    ("net", "init", {"seed": "3"}, ["net section: init.seed must be an integer >= 0, got '3'"]),
+    ("net", "init", {"stddev": True},
+     ["net section: init.stddev must be a finite number >= 0, got True"]),
+    ("net", "init", {"stddev": -1}, ["net section: init.stddev must be a finite number >= 0"]),
+    ("net", "theta0", "abc", ["net section: theta0 must be a list of d = ", "got 'abc'"]),
+    ("net", "theta0", [0.0, True], ["net section: theta0 must be a list of d = "]),
 ])
 def test_bad_top_level_value_is_one_error_before_the_manifest(tmp_path, section, key, value,
                                                               words):
@@ -560,3 +579,150 @@ def test_one_constants_estimate_per_rate_sweep(tmp_path, monkeypatch):
     assert set(gate) == {"estimates", "eta_max", "rejected", "forced"}
     assert gate["estimates"] == snapshot["estimates"]
     assert gate["eta_max"] == snapshot["gate"]["eta_max"]
+
+
+# the etas each command runs, where they come from, and whether the gate
+# applies without strict_gate
+_GATE_TABLE = [
+    ("simulate-dqn", "algo section: eta", False),
+    ("simulate-sdde", "algo section: eta", False),
+    ("dump-coefficients", "algo section: eta", False),
+    ("variance-study", "algo section: eta", False),
+    ("moment-suite", "moment_suite section: eta", False),
+    ("generator-gap", "etas", False),
+    ("rate-sweep", "rate_sweep section: eta_grid", True),
+    ("check-assumptions", "algo section: eta", True),
+]
+
+
+def _gate_run(tmp_path, cmd: str, strict: bool, run_eta: float, algo_eta: float, *extra):
+    """cmd on the test config at algo.eta = algo_eta, running the eta run_eta."""
+    doc = _config_doc(strict_gate=strict)
+    doc["algo"]["eta"] = algo_eta
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    args = [cmd, "--config", str(path), "--out", str(out), *extra]
+    if cmd == "moment-suite":
+        doc["moment_suite"] = {"eta": run_eta, "n_traj": 8, "T": 4, "rho": 2,
+                               "checkpoints": [2, 4]}
+    elif cmd == "rate-sweep":  # algo.eta only sets the horizon T * eta = 0.6
+        doc["algo"]["T"] = round(0.6 / algo_eta)
+        doc["rate_sweep"] = {"eta_grid": [run_eta], "n_traj": 8, "n_proj": 4,
+                             "assignment_cap": 8}
+    elif cmd == "generator-gap":
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"points": [[0.0] * load_config(doc).net.d],
+                                      "n_mc": 1000, "etas": [run_eta]}))
+        args += ["--points", str(points)]
+    else:
+        assert run_eta == algo_eta
+    path.write_text(json.dumps(doc))
+    return CliRunner().invoke(main, args), out
+
+
+@pytest.mark.parametrize("verdict", ["admitted", "rejected", "forced"])
+@pytest.mark.parametrize("cmd, source, always, strict", [
+    (cmd, source, always, strict) for cmd, source, always in _GATE_TABLE
+    for strict in ((True, False) if always else (True,))])
+def test_every_command_gates_the_etas_it_runs(tmp_path, cmd, source, always, strict,
+                                              verdict):
+    # the eta a command does not run (algo.eta of moment-suite, rate-sweep and
+    # generator-gap) gets the other verdict, and does not count
+    eta_max = load_config(_config_doc()).assumptions.gate.eta_max
+    good, bad = eta_max / 2, 0.05
+    assert bad > 10 * eta_max
+    run_eta = good if verdict == "admitted" else bad
+    algo_eta = run_eta if source == "algo section: eta" else (bad if run_eta == good else good)
+    res, out = _gate_run(tmp_path, cmd, strict, run_eta, algo_eta,
+                         *(["--force"] if verdict == "forced" else []))
+    if verdict == "rejected":
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.count("\n  - ") == 1, res.output
+        assert f"{source} [{bad}] rejected by the step-size gate" in res.output, res.output
+        assert "binding constraint: " in res.output and "pass --force" in res.output
+        if cmd == "check-assumptions":  # the report and --out come first
+            assert "FAIL (binding: " in res.output
+            assert json.loads(out.read_text())["passes"] is False
+        else:
+            assert not out.exists()
+        return
+    assert res.exit_code == 0, res.output
+    assert res.output.count("[forced]") == (verdict == "forced"), res.output
+    assert out.exists()
+
+
+def test_moment_suite_gates_its_eta_at_its_own_delta(tmp_path):
+    # the block's delta > 1 fails the gate's delta constraint, whatever algo.delta
+    good = load_config(_config_doc()).assumptions.gate.eta_max / 2
+    doc = _config_doc(strict_gate=True, moment_suite={
+        "eta": good, "delta": 1.5, "n_traj": 8, "T": 4, "rho": 2, "checkpoints": [2, 4]})
+    doc["algo"]["eta"] = good
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["moment-suite", "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "moment_suite section: eta" in res.output
+    assert "binding constraint: delta" in res.output and not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["dump-coefficients", "generator-gap"])
+def test_no_constants_estimate_without_a_gate_or_manifest(tmp_path, cmd, monkeypatch):
+    import qsdde.diagnostics as diagnostics
+    calls = []
+    monkeypatch.setattr(diagnostics, "estimate_constants", lambda *a, **k: calls.append(a))
+    res, out = _gate_run(tmp_path, cmd, False, 0.05, 0.05)
+    assert calls == []
+    assert res.exit_code == 0 and out.exists(), res.output
+
+
+@pytest.mark.parametrize("doc, words", [
+    (5, ["the MDP document must be a JSON object, got 5"]),
+    ({"gamma": None}, ["gamma must be a finite number, got None"]),
+    ({"gamma": "0.9"}, ["gamma must be a finite number, got '0.9'"]),
+    ({"states": "2"}, ["states must be an integer >= 1, got '2'"]),
+    ({"replay": 5}, ["replay must be a JSON object, got 5"]),
+    ({"replay": {"mode": "online_buffer", "capacity": 7.9, "epsilon": 0.3}},
+     ["capacity must be an integer >= 1, got 7.9"]),
+    ({"replay": {"mode": "online_buffer", "capacity": True, "epsilon": 0.3}},
+     ["capacity must be an integer >= 1, got True"]),
+    ({"replay": {"mode": "online_buffer", "capacity": "7", "epsilon": 0.3}},
+     ["capacity must be an integer >= 1, got '7'"]),
+    ({"replay": {"mode": "online_buffer", "capacity": 7, "epsilon": "0.3"}},
+     ["epsilon must be a finite number, got '0.3'"]),
+])
+@pytest.mark.parametrize("cmd", ["validate-mdp", "simulate-dqn"])
+def test_bad_mdp_value_is_one_error(tmp_path, cmd, doc, words):
+    cfg = _config_doc()
+    cfg["mdp"] = doc if not isinstance(doc, dict) else {**cfg["mdp"], **doc}
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    args = ([cmd, str(path)] if cmd == "validate-mdp"
+            else [cmd, "--config", str(path), "--out", str(out)])
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert all(w in res.output for w in words), res.output
+    assert res.output.count("\n  - ") == (cmd == "simulate-dqn"), res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["dump-coefficients", "estimate-w1", "check-assumptions",
+                                 "generator-gap"])
+def test_out_file_in_a_missing_directory_is_one_error(tmp_path, config_file, cmd):
+    missing = tmp_path / "missing"
+    args = [cmd, "--out", str(missing / "out.json")]
+    if cmd == "estimate-w1":
+        path_a, path_b = _two_chains(tmp_path, config_file)
+        args += ["--a", str(path_a), "--b", str(path_b), "--checkpoint", "12"]
+    else:
+        args += ["--config", str(config_file), "--force"]
+    if cmd == "generator-gap":
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"points": [load_config(config_file).theta0.tolist()],
+                                      "n_mc": 1000, "etas": [0.05]}))
+        args += ["--points", str(points)]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert f"{missing / 'out.json'}: No such file or directory" in res.output
+    assert not missing.exists()

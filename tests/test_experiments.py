@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qsdde.chain import AlgoConfig
+from qsdde.cli import _gate
 from qsdde.diagnostics import assumption_report
 from qsdde.config import ConfigError
 from qsdde.experiments import (MomentSuiteSpec, RateSweepSpec,
@@ -24,15 +26,16 @@ def test_bound_shape_values():
 
 
 def test_gate_rejects_and_force_overrides(net, mdp, q_table):
+    # the grid gate of rate-sweep: its refusal, and under force meta.gate
     report = assumption_report(net, mdp, q_table, AlgoConfig(eta=5.0, delta=0.5, m=1, T=1),
                                np.random.default_rng(0))
-    sweep = RateSweepSpec(eta_grid=(5.0,))
+    run = SimpleNamespace(assumptions=report, strict_gate=False)
+    grid = RateSweepSpec(eta_grid=(5.0,)).eta_grid
     with pytest.raises(ConfigError, match="--force"):
-        sweep.gate(report)
-    info = sweep.gate(report, force=True)
-    assert info["forced"] and info["rejected"] == [5.0]
-    assert info["estimates"] == asdict(report.estimates)
-    assert info["eta_max"] == report.gate.eta_max
+        _gate(run, False, "rate_sweep section: eta_grid", grid, always=True)
+    info = _gate(run, True, "rate_sweep section: eta_grid", grid, always=True)
+    assert info == {"estimates": asdict(report.estimates), "eta_max": report.gate.eta_max,
+                    "rejected": [5.0], "forced": True}
 
 
 def test_rate_sweep_deterministic_rows(net, mdp, q_table, theta):
