@@ -7,7 +7,6 @@ with identical inputs produces byte-identical CSVs on the same platform.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -16,12 +15,12 @@ import click
 import numpy as np
 
 from .chain import run_algorithm1, run_dqn
-from .coeffs import sigma_matrix, step_size_gate
-from .config import ConfigError, ExperimentConfig, _floats, load_config
+from .coeffs import GATE_SAFETY, sigma_matrix, step_size_gate
+from .config import ConfigError, ExperimentConfig, _floats, _index, load_config
 from .diagnostics import Quadratic, generator_gap
 from .experiments import (MomentSuiteSpec, RateSweepSpec, VarianceStudySpec, moment_suite,
                           rate_sweep, variance_study)
-from .manifest import (atomic_write_text, ensemble_to_csv, read_ensemble_csv,
+from .manifest import (atomic_write_text, ensemble_to_csv, json_text, read_ensemble_csv,
                        rows_to_csv, write_manifest)
 from .mdp import OnlineBufferReplay, _convert, _json_file, _real, load_mdp, validate_mdp
 from .rng import GAP_PROBE, W1_ASSIGNMENT_PATH, W1_SLICED_PATH, spawn_generator
@@ -42,24 +41,36 @@ _threads_option = click.option("--threads", type=click.IntRange(min=1), default=
                                 help="Worker threads for independent experiment arms.")
 
 
-def _gate(cfg: ExperimentConfig, force: bool, source: str, etas,
-          delta: float | None = None, always: bool = False) -> dict | None:
-    """meta.gate of the etas a command runs, at delta (default algo.delta), under
-    strict_gate or always.  A rejected eta is one ConfigError naming source, where
-    the etas come from, or under force one [forced] warning."""
-    if not (always or cfg.strict_gate):
+def _gate(cfg: ExperimentConfig, force: bool, source: str, etas, delta: float | None = None,
+          always: bool = False, record: bool = True, show=None) -> dict | None:
+    """The run's gate record: the etas a command runs, named by source, judged at
+    delta (default algo.delta) on the run's one estimate of the constants.
+
+    The gate is enforced under strict_gate or always: a rejected eta is then one
+    ConfigError naming source, or under force one [forced] warning.  A command
+    that neither enforces the gate nor stores the record (record=False) gets
+    None and makes no estimate.  show(record, gate) runs before any refusal.
+    """
+    enforced = always or cfg.strict_gate
+    if not (enforced or record):
         return None
-    rep = cfg.assumptions
-    gate = rep.gate if delta is None else step_size_gate(rep.estimates, delta)
+    delta = cfg.algo.delta if delta is None else delta
+    gate = step_size_gate(cfg.estimates, delta)
     rejected = [eta for eta in etas if not gate.passes(eta)]
-    if rejected:
+    binding = gate.binding(max(rejected)) if rejected else None
+    rec = {"source": source, "etas": list(etas), "delta": delta, "eta_max": gate.eta_max,
+           "constraints": gate.constraints, "binding": binding, "rejected": rejected,
+           "enforced": enforced, "forced": bool(force and enforced and rejected),
+           "estimates": asdict(cfg.estimates)}
+    if show:
+        show(rec, gate)
+    if enforced and rejected:
         msg = (f"{source} {rejected} rejected by the step-size gate: eta_max = "
-               f"{gate.eta_max:.6g} (binding constraint: {gate.binding(max(rejected))})")
+               f"{gate.eta_max:.6g} (binding constraint: {binding})")
         if not force:
             raise ConfigError([f"{msg}; pass --force to override"])
         click.echo(f"warning: {msg} [forced]", err=True)
-    return {"estimates": asdict(rep.estimates), "eta_max": gate.eta_max,
-            "rejected": rejected, "forced": bool(rejected)}
+    return rec
 
 
 def _json_object(path) -> dict:
@@ -81,16 +92,17 @@ def _vector(path, value, name: str, d: int) -> np.ndarray:
         raise click.ClickException(f"{path}: {err}") from err
 
 
-def _manifest(out_dir, subcommand: str, cfg: ExperimentConfig, outputs: list[str]) -> Path:
+def _manifest(out_dir, subcommand: str, cfg: ExperimentConfig, gate: dict,
+              outputs: list[str]) -> Path:
     """Write out_dir/manifest.json before any output; returns out_dir as a Path."""
     out = Path(out_dir)
-    write_manifest(out, subcommand, cfg.raw, cfg.algo.seed, outputs, cfg.assumptions.as_dict())
+    write_manifest(out, subcommand, cfg.raw, cfg.algo.seed, outputs, gate)
     return out
 
 
 def _dump(path: Path, obj) -> None:
     try:
-        atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+        atomic_write_text(path, json_text(obj))
     except OSError as err:
         raise click.ClickException(f"{path}: {err.strerror}") from err
 
@@ -100,7 +112,7 @@ def _emit(obj, out_file) -> None:
     if out_file:
         _dump(Path(out_file), obj)
     else:
-        click.echo(json.dumps(obj, indent=2) + "\n", nl=False)
+        click.echo(json_text(obj), nl=False)
 
 
 def _write_study(out: Path, name: str, res, plot_rows: list[dict]) -> None:
@@ -147,8 +159,8 @@ def validate_mdp_cmd(file):
 def simulate_dqn_cmd(config_path, seed_override, force, out_dir):
     """Simulate the noisy parameter chain; write manifest plus checkpoint CSV."""
     cfg = load_config(config_path, seed_override=seed_override)
-    _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
-    out = _manifest(out_dir, "simulate-dqn", cfg, ["chain.csv"])
+    gate = _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
+    out = _manifest(out_dir, "simulate-dqn", cfg, gate, ["chain.csv"])
     if isinstance(cfg.replay, OnlineBufferReplay):
         ens = run_algorithm1(cfg.net, cfg.mdp, cfg.replay, cfg.algo, cfg.n_traj,
                              cfg.checkpoints, cfg.theta0)
@@ -166,8 +178,8 @@ def simulate_sdde_cmd(config_path, seed_override, force, out_dir):
     """Integrate the delay diffusion; write manifest plus checkpoint CSV."""
     from .sdde import run_sdde
     cfg = load_config(config_path, seed_override=seed_override)
-    _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
-    out = _manifest(out_dir, "simulate-sdde", cfg, ["sdde.csv"])
+    gate = _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
+    out = _manifest(out_dir, "simulate-sdde", cfg, gate, ["sdde.csv"])
     ens = run_sdde(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, cfg.n_traj,
                    cfg.checkpoints)
     ensemble_to_csv(out / "sdde.csv", ens)
@@ -183,7 +195,7 @@ def simulate_sdde_cmd(config_path, seed_override, force, out_dir):
 def dump_coefficients_cmd(config_path, seed_override, force, out_file, points_file):
     """Emit (b, Sigma, beta_bar, sigma, eigenvalues) at a point pair as JSON."""
     cfg = load_config(config_path, seed_override=seed_override)
-    _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
+    _gate(cfg, force, "algo section: eta", [cfg.algo.eta], record=False)
     x = y = cfg.theta0
     if points_file:
         pts = _json_object(points_file)
@@ -249,13 +261,14 @@ def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
     target = _vector(points_file, probes.get("target", cfg.theta0), "target", d)
     f = Quadratic(A=np.eye(d), b=np.zeros(d))
     eta, reports = cfg.algo.eta, []
-    try:  # n_mc below 1e3 or an eta that is not a positive number
-        n_mc = int(probes.get("n_mc", 100000))
+    try:
+        n_mc = _convert("n_mc", probes.get("n_mc", 100000), _index, lambda n: n >= 1000,
+                        "an integer >= 1000")
         etas = _convert("etas", probes.get("etas", [eta, eta / 2, eta / 4]),
                         lambda es: tuple(map(_real, es)),
                         lambda es: es and all(e > 0.0 for e in es),
                         "a non-empty list of positive numbers")
-        _gate(cfg, force, f"{points_file}: etas", etas)
+        _gate(cfg, force, f"{points_file}: etas", etas, record=False)
         for i, x in enumerate(points):
             rng = spawn_generator(cfg.algo.seed, (GAP_PROBE, i))
             rep = generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target, cfg.algo,
@@ -273,12 +286,25 @@ def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
 @click.option("--out", "out_file", type=click.Path(), default=None)
 def check_assumptions_cmd(config_path, seed_override, force, out_file):
     """Estimate regularity constants and report the step-size gate; a failing
-    gate exits 1 after the report (and --out) unless --force."""
+    gate exits 1 after the report (and --out, the gate record) unless --force."""
     cfg = load_config(config_path, seed_override=seed_override)
-    click.echo(str(cfg.assumptions))
-    if out_file:
-        _dump(Path(out_file), cfg.assumptions.as_dict())
-    _gate(cfg, force, "algo section: eta", [cfg.algo.eta], always=True)
+    eta, e = cfg.algo.eta, cfg.estimates
+
+    def report(rec, gate):
+        click.echo("\n".join([
+            "assumption report",
+            f"  L_hat        = {e.L_hat:.6g}",
+            f"  K_hat        = {e.K_hat:.6g}",
+            f"  beta_max_hat = {e.beta_max_hat:.6g}",
+            f"  |b(0,0)|     = {e.b00_norm:.6g}",
+            f"  gate: eta <= {gate.eta_max:.6g} (safety x{GATE_SAFETY:g}), "
+            f"delta <= 1: {'yes' if gate.delta_ok else 'NO'}",
+            f"  eta = {eta:.6g}, delta = {rec['delta']:.6g} -> "
+            + (f"FAIL (binding: {rec['binding']})" if rec["rejected"] else "PASS")]))
+        if out_file:
+            _dump(Path(out_file), rec)
+
+    _gate(cfg, force, "algo section: eta", [eta], always=True, show=report)
 
 
 @main.command("rate-sweep")
@@ -290,10 +316,9 @@ def rate_sweep_cmd(config_path, seed_override, force, threads, out_dir):
     cfg = load_config(config_path, seed_override=seed_override)
     sweep = cfg.study(RateSweepSpec)
     gate = _gate(cfg, force, "rate_sweep section: eta_grid", sweep.eta_grid, always=True)
-    out = _manifest(out_dir, "rate-sweep", cfg,
+    out = _manifest(out_dir, "rate-sweep", cfg, gate,
                     ["rate_sweep.csv", "rate_sweep.json", "plot_data.csv"])
-    res = rate_sweep(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, sweep, gate=gate,
-                     threads=threads)
+    res = rate_sweep(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, sweep, threads=threads)
     _write_study(out, "rate_sweep", res,
                  [{"x": r.eta, "y": r.w1_sliced, "err": r.sliced_stderr} for r in res.rows])
     click.echo(f"slope = {res.slope:.3f} (95% CI {res.slope_ci95[0]:.3f}.."
@@ -307,9 +332,9 @@ def rate_sweep_cmd(config_path, seed_override, force, threads, out_dir):
 def variance_study_cmd(config_path, seed_override, force, threads, out_dir):
     """Delayed vs undelayed trace-of-covariance comparison table."""
     cfg = load_config(config_path, seed_override=seed_override)
-    _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
+    gate = _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
     study = cfg.study(VarianceStudySpec)
-    out = _manifest(out_dir, "variance-study", cfg,
+    out = _manifest(out_dir, "variance-study", cfg, gate,
                     ["variance_study.csv", "variance_study.json", "plot_data.csv"])
     res = variance_study(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, study,
                          threads=threads)
@@ -325,8 +350,8 @@ def moment_suite_cmd(config_path, seed_override, force, out_dir):
     """Moment-bound suite over initial conditions scale * e1, one per ic_scales entry."""
     cfg = load_config(config_path, seed_override=seed_override)
     suite = cfg.study(MomentSuiteSpec)
-    _gate(cfg, force, "moment_suite section: eta", [suite.eta], suite.delta)
-    out = _manifest(out_dir, "moment-suite", cfg, ["moment_suite.json", "plot_data.csv"])
+    gate = _gate(cfg, force, "moment_suite section: eta", [suite.eta], suite.delta)
+    out = _manifest(out_dir, "moment-suite", cfg, gate, ["moment_suite.json", "plot_data.csv"])
     res = moment_suite(cfg.net, cfg.mdp, cfg.q, cfg.algo, suite)
     _dump(out / "moment_suite.json", asdict(res))
     rows_to_csv(out / "plot_data.csv",

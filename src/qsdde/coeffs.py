@@ -28,6 +28,7 @@ from .mdp import MdpSpec
 from .qnet import QNetSpec, max_q_by_state, pair_heads, q_values_batch
 
 EIG_HARD_FLOOR = -1e-10  # below this a negative eigenvalue is a bug, not noise
+GATE_SAFETY = 2.0  # the step-size gate inflates the estimated L and K by this factor
 _TINY = 1e-300
 
 
@@ -254,12 +255,11 @@ def estimate_constants(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_pairs: int
 
 @dataclass
 class GateResult:
-    """Step-size admissibility under the estimated constants (2x safety)."""
+    """Step-size admissibility under the estimated constants, inflated by GATE_SAFETY."""
 
     eta_max: float
     constraints: dict[str, float]
     delta_ok: bool
-    safety: float
 
     def passes(self, eta: float) -> bool:
         return self.delta_ok and eta <= self.eta_max
@@ -273,15 +273,14 @@ class GateResult:
         return min(viol, key=viol.get)
 
 
-def step_size_gate(est: AssumptionEstimates, delta: float, safety: float = 2.0) -> GateResult:
-    """eta <= min(delta, 1/(64 L), L/(8 K^2)) with safety-inflated constants."""
-    L = safety * est.L_hat
-    K = safety * est.K_hat
+def step_size_gate(est: AssumptionEstimates, delta: float) -> GateResult:
+    """eta <= min(delta, 1/(64 L), L/(8 K^2)) with GATE_SAFETY-inflated constants."""
+    L = GATE_SAFETY * est.L_hat
+    K = GATE_SAFETY * est.K_hat
     constraints = {
         "delta": delta,
         "lipschitz_1_over_64L": np.inf if L == 0.0 else 1.0 / (64.0 * L),
         "growth_L_over_8K2": np.inf if K == 0.0 else est.L_hat / (8.0 * K * K),
     }
     return GateResult(eta_max=float(min(constraints.values())),
-                      constraints=constraints, delta_ok=0.0 < delta <= 1.0,
-                      safety=safety)
+                      constraints=constraints, delta_ok=0.0 < delta <= 1.0)

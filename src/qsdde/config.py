@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .chain import AlgoConfig
-from .diagnostics import AssumptionReport, assumption_report
+from .coeffs import AssumptionEstimates
+from .diagnostics import assumption_report
 from .mdp import (_COUNT, _NUMBER, _OBJECT, IdealizedReplay, MdpSpec, ReplayModel,
                   _convert, _index, _json_file, _real, load_mdp, uniform_q, validate_mdp)
 from .qnet import QNetSpec, init_theta
@@ -76,9 +77,9 @@ class ExperimentConfig:
         return uniform_q(self.mdp.n_states, self.mdp.n_actions)
 
     @cached_property
-    def assumptions(self) -> AssumptionReport:
-        """The run's one estimate of the regularity constants, and the gate on algo."""
-        return assumption_report(self.net, self.mdp, self.q, self.algo,
+    def estimates(self) -> AssumptionEstimates:
+        """The run's one estimate of the regularity constants."""
+        return assumption_report(self.net, self.mdp, self.q,
                                  spawn_generator(self.algo.seed, SNAPSHOT_PATH))
 
     def study(self, spec_cls):

@@ -19,12 +19,11 @@ pointwise value is the leading (s = 0) term, and reports label it as such.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coeffs import (AssumptionEstimates, GateResult, estimate_constants,
-                     sigma_matrix, step_size_gate)
+from .coeffs import AssumptionEstimates, estimate_constants, sigma_matrix
 from .chain import AlgoConfig, cumulative_tables, replay_step
 from .mdp import MdpSpec
 from .qnet import QNetSpec
@@ -151,50 +150,8 @@ def generator_gap(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
                      fitted_order=order)
 
 
-@dataclass
-class AssumptionReport:
-    """Estimated regularity constants plus the step-size gate verdict."""
-
-    estimates: AssumptionEstimates
-    gate: GateResult
-    eta: float
-    delta: float
-    passes: bool
-    binding: str | None
-    warnings: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {"estimates": asdict(self.estimates),
-                "gate": {"eta_max": self.gate.eta_max,
-                         "constraints": {k: (v if np.isfinite(v) else "inf")
-                                         for k, v in self.gate.constraints.items()},
-                         "safety": self.gate.safety},
-                "eta": self.eta, "delta": self.delta, "passes": self.passes,
-                "binding_constraint": self.binding, "warnings": self.warnings}
-
-    def __str__(self) -> str:
-        e = self.estimates
-        lines = [
-            "assumption report",
-            f"  L_hat        = {e.L_hat:.6g}",
-            f"  K_hat        = {e.K_hat:.6g}",
-            f"  beta_max_hat = {e.beta_max_hat:.6g}",
-            f"  |b(0,0)|     = {e.b00_norm:.6g}",
-            f"  gate: eta <= {self.gate.eta_max:.6g} (safety x{self.gate.safety:g}), "
-            f"delta <= 1: {'yes' if self.gate.delta_ok else 'NO'}",
-            f"  eta = {self.eta:.6g}, delta = {self.delta:.6g} -> "
-            + ("PASS" if self.passes else f"FAIL (binding: {self.binding})"),
-        ]
-        lines.extend(f"  warning: {w}" for w in self.warnings)
-        return "\n".join(lines)
-
-
-def assumption_report(net: QNetSpec, spec: MdpSpec, q: np.ndarray, cfg: AlgoConfig,
-                      rng: np.random.Generator) -> AssumptionReport:
-    """Regularity constants from 200 probe pairs in radius 5, and the gate for cfg."""
-    est = estimate_constants(net, spec, q, n_pairs=200, radius=5.0, rng=rng)
-    gate = step_size_gate(est, cfg.delta)
-    warnings = [f"delta = {cfg.delta} exceeds 1"] if cfg.delta > 1.0 else []
-    return AssumptionReport(estimates=est, gate=gate, eta=cfg.eta, delta=cfg.delta,
-                            passes=gate.passes(cfg.eta), binding=gate.binding(cfg.eta),
-                            warnings=warnings)
+def assumption_report(net: QNetSpec, spec: MdpSpec, q: np.ndarray,
+                      rng: np.random.Generator) -> AssumptionEstimates:
+    """Regularity constants from 200 probe pairs in radius 5: the estimate that
+    every step-size gate of a run reads."""
+    return estimate_constants(net, spec, q, n_pairs=200, radius=5.0, rng=rng)

@@ -186,15 +186,13 @@ def _run_arms(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_traj: int, arms,
 
 
 def rate_sweep(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
-               algo: AlgoConfig, sweep: RateSweepSpec, gate: dict | None = None,
-               threads: int = 1) -> RateSweepResult:
+               algo: AlgoConfig, sweep: RateSweepSpec, threads: int = 1) -> RateSweepResult:
     """W1 scaling study: W1(L(theta_T), L(X_{T eta})) across a step grid.
 
     Arm i runs ``sweep.arms(algo)[i]``, all at the horizon T*eta of algo; the
     final-checkpoint laws are compared with independent noise.  The slope is
     fitted on the sliced estimates over the full grid; rows whose estimate
-    sits below twice the split-half baseline are flagged unreliable.  gate is
-    the grid's step-size verdict, recorded in meta.
+    sits below twice the split-half baseline are flagged unreliable.
     """
     cfgs = sweep.arms(algo)
     tracked_idx = _tracked_indices(net.d, sweep.tracked_coords)
@@ -241,7 +239,7 @@ def rate_sweep(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
         reliable_below_envelope=bool(rel.any() and
                                      np.all(vals[rel] <= c_env * bshape[rel] + 1e-12)),
         tracked_coords=tracked_idx,
-        meta={"gate": gate, "T0": algo.T, "eta0": algo.eta, "rho": algo.rho,
+        meta={"T0": algo.T, "eta0": algo.eta, "rho": algo.rho,
               "n_proj": sweep.n_proj, "assignment_cap": sweep.assignment_cap,
               "seed": algo.seed})
 

@@ -24,6 +24,12 @@ def config_hash(cfg_dict: dict) -> str:
     return hashlib.sha256(canonical_json(cfg_dict).encode("utf-8")).hexdigest()
 
 
+def json_text(obj, sort_keys: bool = False) -> str:
+    """obj as indented strict JSON plus a newline: a non-finite float is null."""
+    plain = json.loads(json.dumps(obj), parse_constant=lambda token: None)
+    return json.dumps(plain, indent=2, sort_keys=sort_keys, allow_nan=False) + "\n"
+
+
 def atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -37,8 +43,9 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_manifest(out_dir: Path, subcommand: str, cfg_dict: dict, seed: int,
-                   outputs: list[str], assumption_snapshot: dict | None = None) -> Path:
-    """Write manifest.json (before outputs) and return its path."""
+                   outputs: list[str], gate: dict) -> Path:
+    """Write manifest.json (before outputs), with the run's step-size gate
+    record, and return its path."""
     from . import __version__
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -50,10 +57,10 @@ def write_manifest(out_dir: Path, subcommand: str, cfg_dict: dict, seed: int,
         "code_version": __version__,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": outputs,
-        "assumption_report": assumption_snapshot,
+        "gate": gate,
     }
     path = out_dir / "manifest.json"
-    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json_text(manifest, sort_keys=True))
     return path
 
 

@@ -55,6 +55,16 @@ _NUMBER = (_real, np.isfinite, "a finite number")
 _OBJECT = (lambda v: v, lambda v: isinstance(v, dict), "a JSON object")
 
 
+def _reals(key: str, given) -> np.ndarray:
+    """Nested lists of numbers as a float64 array, every entry read by _real;
+    a bool, a string or null is a ValueError naming the entry."""
+    def entry(v, at):
+        return ([entry(x, f"{at}[{i}]") for i, x in enumerate(v)] if isinstance(v, list)
+                else _convert(at, v, _real, lambda x: True, "a number"))
+    nested = _convert(key, given, lambda v: v, lambda v: isinstance(v, list), "a list")
+    return np.asarray(entry(nested, key), dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class MdpSpec:
     """Finite MDP with rewards r(s,a) ~ Normal(R(s,a), V(s,a)^2).
@@ -214,7 +224,8 @@ def load_mdp(source: str | Path | dict) -> tuple[MdpSpec, ReplayModel]:
     if missing:
         raise ValueError(f"MDP document missing keys: {missing}")
     S, A = (_convert(k, doc[k], *_COUNT) for k in ("states", "actions"))
-    spec = MdpSpec(doc["p"], doc["R"], doc["V"], _convert("gamma", doc["gamma"], *_NUMBER))
+    spec = MdpSpec(*(_reals(k, doc[k]) for k in ("p", "R", "V")),
+                   _convert("gamma", doc["gamma"], *_NUMBER))
     if spec.p.shape != (S, A, S):
         raise ValueError(f"p has shape {spec.p.shape}, expected ({S}, {A}, {S})")
     replay_doc = doc.get("replay", None)
@@ -222,7 +233,7 @@ def load_mdp(source: str | Path | dict) -> tuple[MdpSpec, ReplayModel]:
         return spec, IdealizedReplay(uniform_q(S, A))
     mode = _convert("replay", replay_doc, *_OBJECT).get("mode")
     if mode == "idealized":
-        replay: ReplayModel = IdealizedReplay(replay_doc.get("q"))
+        replay: ReplayModel = IdealizedReplay(_reals("q", replay_doc.get("q")))
     elif mode == "online_buffer":
         replay = OnlineBufferReplay(
             capacity=_convert("capacity", replay_doc.get("capacity"), *_COUNT),

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from qsdde.cli import main
+from qsdde.coeffs import step_size_gate
 from qsdde.config import ConfigError, load_config
 from qsdde.manifest import read_ensemble_csv
 
@@ -276,8 +277,9 @@ def test_check_assumptions_cli(tmp_path, config_file):
                                     str(config_file), "--out", str(out_file),
                                     "--force"])
     assert "assumption report" in res.output
-    payload = json.loads(out_file.read_text())
-    assert "estimates" in payload and "gate" in payload
+    payload = json.loads(out_file.read_text())  # the gate record of algo.eta
+    assert "estimates" in payload and "eta_max" in payload
+    assert payload["etas"] == [0.05] and payload["source"] == "algo section: eta"
 
 
 def test_check_assumptions_reports_a_strict_gate_refusal(tmp_path):
@@ -292,7 +294,8 @@ def test_check_assumptions_reports_a_strict_gate_refusal(tmp_path):
                                     "--out", str(out_file)])
     assert res.exit_code == 1, res.output
     assert "FAIL (binding: " in res.output and "[forced]" not in res.output
-    assert json.loads(out_file.read_text())["passes"] is False
+    record = json.loads(out_file.read_text())
+    assert record["rejected"] == [0.2] and not record["forced"]
     res = CliRunner().invoke(main, ["check-assumptions", "--config", str(path), "--force"])
     assert res.exit_code == 0, res.output
     assert "[forced]" in res.output and "FAIL (binding: " in res.output
@@ -394,7 +397,12 @@ def test_malformed_point_files_name_the_file(tmp_path, config_file):
              ("generator-gap", {"pts": [[0.0] * d]}, f"d = {d}"),
              ("generator-gap", {"points": [[0.0] * d, [0.0] * (d + 1)]}, f"d = {d}"),
              ("generator-gap", {"points": [[0.0] * d], "target": [1.0]}, f"d = {d}"),
-             ("generator-gap", {"points": [[0.0] * d], "n_mc": 10}, "n_mc must be >= 1e3"),
+             ("generator-gap", {"points": [[0.0] * d], "n_mc": 10},
+              "n_mc must be an integer >= 1000, got 10"),
+             ("generator-gap", {"points": [[0.0] * d], "n_mc": 1000.9},
+              "n_mc must be an integer >= 1000, got 1000.9"),
+             ("generator-gap", {"points": [[0.0] * d], "n_mc": "1000"},
+              "n_mc must be an integer >= 1000, got '1000'"),
              ("generator-gap", [[0.0] * d], "expected a JSON object"),
              ("dump-coefficients", '{"x": [1, 2', "JSON parse error at line 1")]
     for cmd, doc, message in cases:
@@ -552,7 +560,7 @@ def test_threads_must_be_positive(tmp_path, config_file):
 
 
 def test_one_constants_estimate_per_rate_sweep(tmp_path, monkeypatch):
-    # the strict gate, the manifest snapshot and the grid's gate share one estimate
+    # the grid's gate and its record in the manifest share one estimate
     import sys
     import qsdde.coeffs as coeffs
     calls = []
@@ -574,11 +582,11 @@ def test_one_constants_estimate_per_rate_sweep(tmp_path, monkeypatch):
                                     "--force"])
     assert res.exit_code == 0, res.output
     assert len(calls) == 1
-    gate = json.loads((out / "rate_sweep.json").read_text())["meta"]["gate"]
-    snapshot = json.loads((out / "manifest.json").read_text())["assumption_report"]
-    assert set(gate) == {"estimates", "eta_max", "rejected", "forced"}
-    assert gate["estimates"] == snapshot["estimates"]
-    assert gate["eta_max"] == snapshot["gate"]["eta_max"]
+    assert "gate" not in json.loads((out / "rate_sweep.json").read_text())["meta"]
+    gate = json.loads((out / "manifest.json").read_text())["gate"]
+    assert set(gate) == {"source", "etas", "delta", "eta_max", "constraints", "binding",
+                         "rejected", "enforced", "forced", "estimates"}
+    assert gate["etas"] == gate["rejected"] == [0.08, 0.04] and gate["forced"]
 
 
 # the etas each command runs, where they come from, and whether the gate
@@ -593,6 +601,11 @@ _GATE_TABLE = [
     ("rate-sweep", "rate_sweep section: eta_grid", True),
     ("check-assumptions", "algo section: eta", True),
 ]
+
+
+def _eta_max(delta: float = 0.5) -> float:
+    """The gate's eta_max on the test config at delta."""
+    return step_size_gate(load_config(_config_doc()).estimates, delta).eta_max
 
 
 def _gate_run(tmp_path, cmd: str, strict: bool, run_eta: float, algo_eta: float, *extra):
@@ -627,7 +640,7 @@ def test_every_command_gates_the_etas_it_runs(tmp_path, cmd, source, always, str
                                               verdict):
     # the eta a command does not run (algo.eta of moment-suite, rate-sweep and
     # generator-gap) gets the other verdict, and does not count
-    eta_max = load_config(_config_doc()).assumptions.gate.eta_max
+    eta_max = _eta_max()
     good, bad = eta_max / 2, 0.05
     assert bad > 10 * eta_max
     run_eta = good if verdict == "admitted" else bad
@@ -642,7 +655,7 @@ def test_every_command_gates_the_etas_it_runs(tmp_path, cmd, source, always, str
         assert "binding constraint: " in res.output and "pass --force" in res.output
         if cmd == "check-assumptions":  # the report and --out come first
             assert "FAIL (binding: " in res.output
-            assert json.loads(out.read_text())["passes"] is False
+            assert json.loads(out.read_text())["rejected"] == [bad]
         else:
             assert not out.exists()
         return
@@ -653,7 +666,7 @@ def test_every_command_gates_the_etas_it_runs(tmp_path, cmd, source, always, str
 
 def test_moment_suite_gates_its_eta_at_its_own_delta(tmp_path):
     # the block's delta > 1 fails the gate's delta constraint, whatever algo.delta
-    good = load_config(_config_doc()).assumptions.gate.eta_max / 2
+    good = _eta_max() / 2
     doc = _config_doc(strict_gate=True, moment_suite={
         "eta": good, "delta": 1.5, "n_traj": 8, "T": 4, "rho": 2, "checkpoints": [2, 4]})
     doc["algo"]["eta"] = good
@@ -663,6 +676,72 @@ def test_moment_suite_gates_its_eta_at_its_own_delta(tmp_path):
     assert res.exit_code == 1, res.output
     assert "moment_suite section: eta" in res.output
     assert "binding constraint: delta" in res.output and not out.exists()
+
+
+# the commands that write a manifest, and whether they enforce the gate
+# without strict_gate (the table under "Command line" in README.md)
+_RECORDED = [("simulate-dqn", False), ("simulate-sdde", False), ("variance-study", False),
+             ("moment-suite", False), ("rate-sweep", True)]
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("cmd, always", _RECORDED)
+def test_manifest_gate_record_holds_what_the_command_ran(tmp_path, cmd, always, strict):
+    # algo.eta = 0.05 is rejected; the grid and the moment block run an admitted eta too
+    good = _eta_max(0.25) / 2
+    doc = _config_doc(strict_gate=strict,
+                      rate_sweep={"eta_grid": [good, 0.05], "n_traj": 8, "n_proj": 4,
+                                  "assignment_cap": 8},
+                      variance_study={"n_traj": 8},
+                      moment_suite={"eta": good, "delta": 0.25, "n_traj": 8, "T": 4,
+                                    "rho": 2, "checkpoints": [2, 4]})
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, [cmd, "--config", str(path), "--out", str(out), "--force"])
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    gate = manifest["gate"]
+    ran = {"rate-sweep": ([0.05, good], 0.5), "moment-suite": ([good], 0.25)}
+    assert (gate["etas"], gate["delta"]) == ran.get(cmd, ([0.05], 0.5))
+    assert gate["enforced"] == (always or strict)
+    assert set(gate["rejected"]) <= set(gate["etas"])
+    assert gate["rejected"] == ([] if cmd == "moment-suite" else [0.05])
+    assert gate["forced"] == (gate["enforced"] and bool(gate["rejected"]))
+    assert res.output.count("[forced]") == gate["forced"], res.output
+    assert "assumption_report" not in manifest
+    for name in manifest["outputs"]:  # no study JSON restates the record
+        if name.endswith(".json"):
+            assert "gate" not in json.loads((out / name).read_text())["meta"]
+
+
+def test_two_point_sweep_writes_strict_json(tmp_path):
+    # a two-point fit has no slope stderr: null, never a NaN token
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    path, out = tmp_path / "cfg.json", tmp_path / "sweep"
+    path.write_text(json.dumps(_config_doc(rate_sweep={
+        "eta_grid": [0.08, 0.04], "n_traj": 8, "n_proj": 4, "assignment_cap": 8})))
+    res = CliRunner().invoke(main, ["rate-sweep", "--config", str(path), "--out", str(out),
+                                    "--force"])
+    assert res.exit_code == 0, res.output
+    docs = {p.name: json.loads(p.read_text(), parse_constant=refuse)
+            for p in out.iterdir() if p.suffix == ".json"}
+    assert set(docs) == {"manifest.json", "rate_sweep.json"}
+    sweep = docs["rate_sweep.json"]
+    assert sweep["slope_stderr"] is None and sweep["slope_ci95"] == [None, None]
+    # a saturated network has L = K = 0, so its gate constraints 1/(64 L) and
+    # L/(8 K^2) are infinite: null in the record
+    saturated = _config_doc()
+    saturated["net"]["bound_C"] = 1e-300
+    path.write_text(json.dumps(saturated))
+    out_file = tmp_path / "assumptions.json"
+    res = CliRunner().invoke(main, ["check-assumptions", "--config", str(path),
+                                    "--out", str(out_file)])
+    assert res.exit_code == 0, res.output
+    gate = json.loads(out_file.read_text(), parse_constant=refuse)
+    assert gate["constraints"] == {"delta": 0.5, "lipschitz_1_over_64L": None,
+                                   "growth_L_over_8K2": None}
 
 
 @pytest.mark.parametrize("cmd", ["dump-coefficients", "generator-gap"])
@@ -689,6 +768,12 @@ def test_no_constants_estimate_without_a_gate_or_manifest(tmp_path, cmd, monkeyp
      ["capacity must be an integer >= 1, got '7'"]),
     ({"replay": {"mode": "online_buffer", "capacity": 7, "epsilon": "0.3"}},
      ["epsilon must be a finite number, got '0.3'"]),
+    ({"R": [[0.0, True], [0.0, 0.0]]}, ["R[0][1] must be a number, got True"]),
+    ({"V": [["0.1", "0.1"], ["0.1", "0.1"]]}, ["V[0][0] must be a number, got '0.1'"]),
+    ({"replay": {"mode": "idealized", "q": [[0.25, 0.25], [0.25, True]]}},
+     ["q[1][1] must be a number, got True"]),
+    ({"p": [[[1.0, 0.0], [0.5, "0.5"]], [[0.0, 1.0], [1.0, 0.0]]]},
+     ["p[0][1][1] must be a number, got '0.5'"]),
 ])
 @pytest.mark.parametrize("cmd", ["validate-mdp", "simulate-dqn"])
 def test_bad_mdp_value_is_one_error(tmp_path, cmd, doc, words):

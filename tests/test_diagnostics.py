@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsdde.chain import AlgoConfig
-from qsdde.coeffs import exact_drift_b, sigma_matrix
+from qsdde.coeffs import exact_drift_b, sigma_matrix, step_size_gate
 from qsdde.diagnostics import (Quadratic, assumption_report, generator_X,
                                generator_gap, generator_theta)
 from qsdde.qnet import QNetSpec, init_theta
@@ -154,26 +154,23 @@ def test_bump_taylor_remainder_shrinks_superlinearly(net, mdp, q_table):
 def test_assumption_report_saturated_passes(net, mdp, q_table):
     flat = QNetSpec(n_states=mdp.n_states, n_actions=mdp.n_actions, hidden=(4,),
                     bound=1e-300)
-    cfg = _cfg(eta=0.49, delta=0.5)
-    rep = assumption_report(flat, mdp, q_table, cfg, np.random.default_rng(0))
-    assert rep.passes and rep.binding is None
+    gate = step_size_gate(assumption_report(flat, mdp, q_table, np.random.default_rng(0)),
+                          delta=0.5)
+    assert gate.passes(0.49) and gate.binding(0.49) is None
 
 
 def test_assumption_report_huge_eta_fails_with_binding(net, mdp, q_table):
-    cfg = AlgoConfig(eta=50.0, delta=0.5, m=5, T=10, seed=0)
-    rep = assumption_report(net, mdp, q_table, cfg, np.random.default_rng(1))
-    assert not rep.passes
-    assert rep.binding in ("delta", "lipschitz_1_over_64L", "growth_L_over_8K2")
-    assert "FAIL" in str(rep)
-    payload = rep.as_dict()
-    assert payload["binding_constraint"] == rep.binding
+    est = assumption_report(net, mdp, q_table, np.random.default_rng(1))
+    assert (est.n_pairs, est.radius) == (200, 5.0)
+    gate = step_size_gate(est, delta=0.5)
+    assert not gate.passes(50.0)
+    assert gate.binding(50.0) in ("delta", "lipschitz_1_over_64L", "growth_L_over_8K2")
 
 
 def test_assumption_report_deterministic_under_seed(net, mdp, q_table):
-    cfg = _cfg()
-    a = assumption_report(net, mdp, q_table, cfg, np.random.default_rng(5))
-    b = assumption_report(net, mdp, q_table, cfg, np.random.default_rng(5))
-    assert a.as_dict() == b.as_dict()
+    a = assumption_report(net, mdp, q_table, np.random.default_rng(5))
+    b = assumption_report(net, mdp, q_table, np.random.default_rng(5))
+    assert a == b
 
 
 def test_generator_theta_requires_minimum_samples(net, mdp, q_table, theta):

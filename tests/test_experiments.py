@@ -8,6 +8,7 @@ import pytest
 
 from qsdde.chain import AlgoConfig
 from qsdde.cli import _gate
+from qsdde.coeffs import step_size_gate
 from qsdde.diagnostics import assumption_report
 from qsdde.config import ConfigError
 from qsdde.experiments import (MomentSuiteSpec, RateSweepSpec,
@@ -26,16 +27,19 @@ def test_bound_shape_values():
 
 
 def test_gate_rejects_and_force_overrides(net, mdp, q_table):
-    # the grid gate of rate-sweep: its refusal, and under force meta.gate
-    report = assumption_report(net, mdp, q_table, AlgoConfig(eta=5.0, delta=0.5, m=1, T=1),
-                               np.random.default_rng(0))
-    run = SimpleNamespace(assumptions=report, strict_gate=False)
+    # the grid gate of rate-sweep: its refusal, and under force its record
+    est = assumption_report(net, mdp, q_table, np.random.default_rng(0))
+    run = SimpleNamespace(estimates=est, strict_gate=False,
+                          algo=AlgoConfig(eta=5.0, delta=0.5, m=1, T=1))
     grid = RateSweepSpec(eta_grid=(5.0,)).eta_grid
     with pytest.raises(ConfigError, match="--force"):
         _gate(run, False, "rate_sweep section: eta_grid", grid, always=True)
+    gate = step_size_gate(est, 0.5)
     info = _gate(run, True, "rate_sweep section: eta_grid", grid, always=True)
-    assert info == {"estimates": asdict(report.estimates), "eta_max": report.gate.eta_max,
-                    "rejected": [5.0], "forced": True}
+    assert info == {"source": "rate_sweep section: eta_grid", "etas": [5.0], "delta": 0.5,
+                    "eta_max": gate.eta_max, "constraints": gate.constraints,
+                    "binding": gate.binding(5.0), "rejected": [5.0], "enforced": True,
+                    "forced": True, "estimates": asdict(est)}
 
 
 def test_rate_sweep_deterministic_rows(net, mdp, q_table, theta):
