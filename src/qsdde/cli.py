@@ -49,24 +49,20 @@ def _gate(cfg: ExperimentConfig, force: bool, source: str, etas, delta: float | 
     The gate is enforced under strict_gate or always: a rejected eta is then one
     ConfigError naming source, or under force one [forced] warning.  A command
     that neither enforces the gate nor stores the record (record=False) gets
-    None and makes no estimate.  show(record, gate) runs before any refusal.
+    None and makes no estimate.  show(record) runs before any refusal.
     """
     enforced = always or cfg.strict_gate
     if not (enforced or record):
         return None
-    delta = cfg.algo.delta if delta is None else delta
-    gate = step_size_gate(cfg.estimates, delta)
-    rejected = [eta for eta in etas if not gate.passes(eta)]
-    binding = gate.binding(max(rejected)) if rejected else None
-    rec = {"source": source, "etas": list(etas), "delta": delta, "eta_max": gate.eta_max,
-           "constraints": gate.constraints, "binding": binding, "rejected": rejected,
-           "enforced": enforced, "forced": bool(force and enforced and rejected),
-           "estimates": asdict(cfg.estimates)}
+    verdict = step_size_gate(cfg.estimates, cfg.algo.delta if delta is None else delta, etas)
+    rejected = verdict["rejected"]
+    rec = {"source": source, **verdict, "enforced": enforced,
+           "forced": bool(force and enforced and rejected), "estimates": asdict(cfg.estimates)}
     if show:
-        show(rec, gate)
+        show(rec)
     if enforced and rejected:
         msg = (f"{source} {rejected} rejected by the step-size gate: eta_max = "
-               f"{gate.eta_max:.6g} (binding constraint: {binding})")
+               f"{rec['eta_max']:.6g} (binding constraint: {rec['binding']})")
         if not force:
             raise ConfigError([f"{msg}; pass --force to override"])
         click.echo(f"warning: {msg} [forced]", err=True)
@@ -290,15 +286,15 @@ def check_assumptions_cmd(config_path, seed_override, force, out_file):
     cfg = load_config(config_path, seed_override=seed_override)
     eta, e = cfg.algo.eta, cfg.estimates
 
-    def report(rec, gate):
+    def report(rec):
         click.echo("\n".join([
             "assumption report",
             f"  L_hat        = {e.L_hat:.6g}",
             f"  K_hat        = {e.K_hat:.6g}",
             f"  beta_max_hat = {e.beta_max_hat:.6g}",
             f"  |b(0,0)|     = {e.b00_norm:.6g}",
-            f"  gate: eta <= {gate.eta_max:.6g} (safety x{GATE_SAFETY:g}), "
-            f"delta <= 1: {'yes' if gate.delta_ok else 'NO'}",
+            f"  gate: eta <= {rec['eta_max']:.6g} (safety x{GATE_SAFETY:g}), "
+            f"delta <= 1: {'yes' if 0.0 < rec['delta'] <= 1.0 else 'NO'}",
             f"  eta = {eta:.6g}, delta = {rec['delta']:.6g} -> "
             + (f"FAIL (binding: {rec['binding']})" if rec["rejected"] else "PASS")]))
         if out_file:

@@ -36,22 +36,6 @@ class CoefficientError(RuntimeError):
     """Signals a broken covariance computation (structurally negative modes)."""
 
 
-@dataclass
-class HeadStats:
-    """Per-head quantities shared by all coefficient formulas.
-
-    q_flat : (K,) sampling weights; g: (N, K, d) head gradients at x;
-    Qx     : (N, K) head values at x;
-    Ec, Ec2: (N, K) first and second moments of the Bellman residual over s'.
-    """
-
-    q_flat: np.ndarray
-    g: np.ndarray
-    Qx: np.ndarray
-    Ec: np.ndarray
-    Ec2: np.ndarray
-
-
 def delay_moments(spec: MdpSpec, maxq_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mu1, mu2), each (K, N): the p-weighted first and second moments over s'
     of the delay table maxq_y (N, S) of max_a Q(s, a; y_n)."""
@@ -69,15 +53,17 @@ def residual_moments(spec: MdpSpec, Qx: np.ndarray, mu1: np.ndarray,
     return Ec, Ec2
 
 
-def head_stats(net: QNetSpec, spec: MdpSpec, q: np.ndarray, thetas_x: np.ndarray,
-               maxq_y: np.ndarray) -> HeadStats:
-    """Compute HeadStats for a batch of points x given max-Q values at y.
+def head_stats(net: QNetSpec, spec: MdpSpec, thetas_x: np.ndarray, maxq_y: np.ndarray):
+    """(Qx, g, Ec, Ec2), the per-head quantities every coefficient reads, at a
+    batch of points x given max-Q values at y: head values Qx (N, K), head
+    gradients g (N, K, d), and the first and second moments Ec, Ec2 (N, K) of
+    the Bellman residual over s'.
 
     thetas_x: (N, d); maxq_y: (N, S) table of max_a Q(s, a; y_n).
     """
     Qx, g = q_values_batch(net, thetas_x, pair_heads(net), with_grad=True)
     Ec, Ec2 = residual_moments(spec, Qx.T, *delay_moments(spec, maxq_y))
-    return HeadStats(np.asarray(q, dtype=np.float64).reshape(-1), g, Qx, Ec.T, Ec2.T)
+    return Qx, g, Ec.T, Ec2.T
 
 
 def noise_cotangent(q_flat: np.ndarray, Ec: np.ndarray, Ec2: np.ndarray,
@@ -107,10 +93,10 @@ def noise_cotangent(q_flat: np.ndarray, Ec: np.ndarray, Ec2: np.ndarray,
     return Dh * (xi - u * ((u * xi).sum(axis=0) / (1.0 + np.sqrt(1.0 - np.minimum(nu2, 1.0)))))
 
 
-def drift_from_stats(stats: HeadStats) -> np.ndarray:
-    """Exact drift b for each batch point, shape (N, d)."""
-    w = stats.q_flat[None, :] * stats.Ec  # (N, K)
-    return -(w[:, None, :] @ stats.g)[:, 0, :]
+def drift_from_stats(q: np.ndarray, Ec: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Exact drift b = -sum_k q_k Ec_k g_k for each batch point, shape (N, d)."""
+    w = np.reshape(q, -1) * Ec  # (N, K)
+    return -(w[:, None, :] @ g)[:, 0, :]
 
 
 def exact_drift_b(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
@@ -118,7 +104,8 @@ def exact_drift_b(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     """Exact drift b(x, y) by enumeration over the replay support."""
     x = np.atleast_2d(x)
     y = np.atleast_2d(y)
-    b = drift_from_stats(head_stats(net, spec, q, x, max_q_by_state(net, y)))
+    _, g, Ec, _ = head_stats(net, spec, x, max_q_by_state(net, y))
+    b = drift_from_stats(q, Ec, g)
     return b[0] if b.shape[0] == 1 else b
 
 
@@ -161,33 +148,35 @@ def sigma_matrix(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     """Dense (b, Sigma, beta_bar, sigma) at (x, y) by exact enumeration."""
     if not (eta > 0.0 and delta > 0.0):
         raise ValueError("eta and delta must be positive")
-    stats = head_stats(net, spec, q, x[None, :], max_q_by_state(net, y[None, :]))
-    g = stats.g[0]  # (K, d)
-    b = drift_from_stats(stats)[0]
-    second = (g * (stats.q_flat * stats.Ec2[0])[:, None]).T @ g
+    _, g, Ec, Ec2 = head_stats(net, spec, x[None, :], max_q_by_state(net, y[None, :]))
+    q_flat = np.reshape(q, -1)
+    b = drift_from_stats(q_flat, Ec, g)[0]
+    g = g[0]  # (K, d)
+    second = (g * (q_flat * Ec2[0])[:, None]).T @ g
     Sigma = second - np.outer(b, b)
     Sigma = 0.5 * (Sigma + Sigma.T)
     V2 = spec.V.reshape(-1) ** 2
-    beta = (g * (stats.q_flat * V2)[:, None]).T @ g
+    beta = (g * (q_flat * V2)[:, None]).T @ g
     beta = 0.5 * (beta + beta.T)
     S = Sigma + beta + (delta / eta) * np.eye(net.d)
     sig = spd_sqrt(S, hard_floor=delta / eta + EIG_HARD_FLOOR)
     return CoefficientSet(b=b, Sigma=Sigma, beta_bar=beta, sigma=sig, eta=eta, delta=delta)
 
 
-def lowrank_ghat(stats: HeadStats, V_flat: np.ndarray) -> np.ndarray:
-    """Dense factor G^T F, (N, d, K), with Ghat Ghat^T = Sigma + beta_bar.
+def lowrank_ghat(stats, q: np.ndarray, V_flat: np.ndarray) -> np.ndarray:
+    """Dense factor G^T F, (N, d, K), with Ghat Ghat^T = Sigma + beta_bar, from
+    the ``head_stats`` tuple and the sampling weights q.
 
     Nothing in the package calls it: ``run_sdde`` applies F xi through
     noise_cotangent and one vector-Jacobian product.  It is kept because
     ``perfbench/tracer.py`` looks it up by name.
     """
-    n, K, _ = stats.g.shape
-    Ec, Ec2 = stats.Ec.T, stats.Ec2.T
-    F = np.stack([noise_cotangent(stats.q_flat, Ec, Ec2, V_flat,
+    _, g, Ec, Ec2 = stats
+    n, K, _ = g.shape
+    F = np.stack([noise_cotangent(np.reshape(q, -1), Ec.T, Ec2.T, V_flat,
                                   np.broadcast_to(e[:, None], (K, n))).T
                   for e in np.eye(K)], axis=2)
-    return stats.g.transpose(0, 2, 1) @ F
+    return g.transpose(0, 2, 1) @ F
 
 
 @dataclass
@@ -221,17 +210,17 @@ def estimate_constants(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_pairs: int
 
     def batch(nx, ny):
         maxq_y = max_q_by_state(net, ny)
-        st = head_stats(net, spec, q, nx, maxq_y)
-        b = drift_from_stats(st)
+        Qx, g, Ec, _ = head_stats(net, spec, nx, maxq_y)
+        b = drift_from_stats(q_flat, Ec, g)
         # exact sup over transitions of |c| per head (residual is monotone in maxQ)
         hi = np.where(reachable[None, :, :], maxq_y[:, None, :], -np.inf).max(axis=2)
         lo = np.where(reachable[None, :, :], maxq_y[:, None, :], np.inf).min(axis=2)
-        base = spec.R.reshape(-1)[None, :] - st.Qx
+        base = spec.R.reshape(-1)[None, :] - Qx
         supc = np.maximum(np.abs(base + spec.gamma * hi), np.abs(base + spec.gamma * lo))
-        gnorm = np.linalg.norm(st.g, axis=2)
+        gnorm = np.linalg.norm(g, axis=2)
         sup_bn = np.where(q_flat[None, :] > 0.0, supc * gnorm, 0.0).max(axis=1)
         w = q_flat * V_flat ** 2
-        gg = np.einsum("nkd,nld->nkl", st.g, st.g)
+        gg = np.einsum("nkd,nld->nkl", g, g)
         beta_fro = np.sqrt(np.einsum("k,l,nkl->n", w, w, gg ** 2))
         return b, sup_bn, beta_fro
 
@@ -253,28 +242,14 @@ def estimate_constants(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_pairs: int
                                n_pairs=n_pairs, radius=radius)
 
 
-@dataclass
-class GateResult:
-    """Step-size admissibility under the estimated constants, inflated by GATE_SAFETY."""
+def step_size_gate(est: AssumptionEstimates, delta: float, etas=()) -> dict:
+    """The gate's verdict on etas: eta <= min(delta, 1/(64 L), L/(8 K^2)) with
+    GATE_SAFETY-inflated constants, and 0 < delta <= 1.
 
-    eta_max: float
-    constraints: dict[str, float]
-    delta_ok: bool
-
-    def passes(self, eta: float) -> bool:
-        return self.delta_ok and eta <= self.eta_max
-
-    def binding(self, eta: float) -> str | None:
-        if not self.delta_ok:
-            return "delta"
-        viol = {k: v for k, v in self.constraints.items() if eta > v}
-        if not viol:
-            return None
-        return min(viol, key=viol.get)
-
-
-def step_size_gate(est: AssumptionEstimates, delta: float) -> GateResult:
-    """eta <= min(delta, 1/(64 L), L/(8 K^2)) with GATE_SAFETY-inflated constants."""
+    Returns etas, delta, eta_max, constraints, the rejected etas, and binding:
+    None when none is rejected, "delta" when delta is outside (0, 1], else the
+    tightest constraint the largest rejected eta breaks.
+    """
     L = GATE_SAFETY * est.L_hat
     K = GATE_SAFETY * est.K_hat
     constraints = {
@@ -282,5 +257,12 @@ def step_size_gate(est: AssumptionEstimates, delta: float) -> GateResult:
         "lipschitz_1_over_64L": np.inf if L == 0.0 else 1.0 / (64.0 * L),
         "growth_L_over_8K2": np.inf if K == 0.0 else est.L_hat / (8.0 * K * K),
     }
-    return GateResult(eta_max=float(min(constraints.values())),
-                      constraints=constraints, delta_ok=0.0 < delta <= 1.0)
+    eta_max = float(min(constraints.values()))
+    delta_ok = 0.0 < delta <= 1.0
+    rejected = [eta for eta in etas if not (delta_ok and eta <= eta_max)]
+    binding = None
+    if rejected:
+        broken = [k for k, v in constraints.items() if max(rejected) > v]
+        binding = min(broken, key=constraints.get, default=None) if delta_ok else "delta"
+    return {"etas": list(etas), "delta": delta, "eta_max": eta_max,
+            "constraints": constraints, "binding": binding, "rejected": rejected}

@@ -1,12 +1,12 @@
 """Experiment configuration: JSON loading, defaults, validation.
 
 A config document bundles the MDP, the network architecture, the algorithm
-parameters and per-study blocks.  Loading fills defaults, checks every
-module-level invariant and aggregates all violations into one error.  It
-does not gate the step size: each command gates the step sizes it runs
-(``cli._gate``), reading the run's one estimate of the regularity
-constants, made on first use.  A study block is checked only when a command
-asks for its spec.
+parameters and per-study blocks.  Loading fills defaults, refuses unknown
+keys, checks every module-level invariant and aggregates all violations
+into one error.  It does not gate the step size: each command gates the
+step sizes it runs (``cli._gate``), reading the run's one estimate of the
+regularity constants, made on first use.  A study block is checked only
+when a command asks for its spec.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .chain import AlgoConfig
 from .coeffs import AssumptionEstimates
 from .diagnostics import assumption_report
 from .mdp import (_COUNT, _NUMBER, _OBJECT, IdealizedReplay, MdpSpec, ReplayModel,
-                  _convert, _index, _json_file, _real, load_mdp, uniform_q, validate_mdp)
+                  _convert, _index, _json_file, _known, _real, load_mdp, uniform_q,
+                  validate_mdp)
 from .qnet import QNetSpec, init_theta
 from .rng import SNAPSHOT_PATH, THETA0_PATH, spawn_generator
 
@@ -33,6 +34,8 @@ DEFAULTS = {
     "algo": {"eta": 0.05, "delta": 0.5, "m": 5, "T": 40, "rho": 20},
     "n_traj": 256,
 }
+# every top-level key; a study block's own keys are checked when a command reads it
+TOP_LEVEL = (*DEFAULTS, "mdp", "checkpoints", "rate_sweep", "variance_study", "moment_suite")
 
 
 class ConfigError(ValueError):
@@ -48,9 +51,9 @@ def _steps(values) -> tuple[int, ...]:
 _SEED = (_index, lambda n: n >= 0, "an integer >= 0")
 
 
-def _checkpoints(T: int):  # the rule on the checkpoints of a horizon of T steps
-    return _steps, lambda cs: cs and cs[0] >= 0 and cs[-1] <= T, \
-        f"a non-empty list of steps in [0, T={T}]"
+def _checkpoints(T: int, last: int = 0):  # the rule on steps in [0, T], the last >= last
+    return _steps, lambda cs: cs and cs[0] >= 0 and last <= cs[-1] <= T, \
+        f"a non-empty list of steps in [0, T={T}]" + (", not all 0" if last else "")
 
 
 def _floats(d: int):  # the rule on a point of R^d
@@ -89,9 +92,7 @@ class ExperimentConfig:
         try:
             if not isinstance(block, dict):
                 raise ValueError("must be a JSON object")
-            unknown = sorted(set(block) - {f.name for f in fields(spec_cls)})
-            if unknown:
-                raise ValueError(f"unknown keys {unknown}")
+            _known(block, [f.name for f in fields(spec_cls)])
             return spec_cls.from_block(block, self)
         except ValueError as err:
             raise ConfigError([f"{spec_cls.section} section: {err}"]) from err
@@ -136,12 +137,17 @@ def load_config(source: str | Path | dict, seed_override: int | None = None) -> 
         raise ConfigError([f"mdp section: {err}"]) from err
     report = validate_mdp(spec, replay)
     errors.extend(report.failures)
+    try:
+        _known(doc, TOP_LEVEL)
+    except ValueError as err:
+        errors.append(f"top level: {err}")
     seed = read("top level", doc, "seed", *_SEED)
     n_traj = read("top level", doc, "n_traj", *_COUNT)
 
     net_doc = doc["net"]
     net = None
     try:
+        _known(net_doc, (*DEFAULTS["net"], "theta0"))
         net = QNetSpec(n_states=spec.n_states, n_actions=spec.n_actions,
                        hidden=_convert("hidden", net_doc["hidden"], lambda hs: tuple(
                            map(_index, hs)), bool, "a non-empty list of integers"),
@@ -152,6 +158,7 @@ def load_config(source: str | Path | dict, seed_override: int | None = None) -> 
     algo_doc = doc["algo"]
     algo = None
     try:
+        _known(algo_doc, DEFAULTS["algo"])
         algo = AlgoConfig(eta=_convert("eta", algo_doc["eta"], *_NUMBER),
                           delta=_convert("delta", algo_doc["delta"], *_NUMBER),
                           **{k: _convert(k, algo_doc[k], *_COUNT) for k in ("m", "T", "rho")},
@@ -168,6 +175,7 @@ def load_config(source: str | Path | dict, seed_override: int | None = None) -> 
     if net is not None:
         try:
             init = _convert("init", net_doc["init"], *_OBJECT)
+            _known(init, DEFAULTS["net"]["init"], "init.")
             if init.get("dist", "normal") != "normal":
                 raise ValueError(f"init.dist must be 'normal', got {init.get('dist')!r}")
             if "theta0" in net_doc:

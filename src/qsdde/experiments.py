@@ -45,7 +45,7 @@ class RateSweepSpec:
     tracked_coords: int = 4
 
     def __post_init__(self):
-        _check(self, "eta_grid", lambda g: tuple(sorted(map(_real, g), reverse=True)),
+        _check(self, "eta_grid", lambda g: tuple(sorted(set(map(_real, g)), reverse=True)),
                lambda g: g and all(e > 0.0 for e in g), "a non-empty list of positive steps")
         _check(self, "n_traj n_proj assignment_cap tracked_coords", *_COUNT)
 
@@ -78,8 +78,8 @@ class VarianceStudySpec:
         _check(self, "m_values", _steps, lambda ms: 1 in ms and ms[0] >= 1,
                "a list of target periods >= 1 that includes the undelayed m = 1")
         _check(self, "n_traj", _index, lambda n: n >= 2, "an integer >= 2")
-        _check(self, "checkpoints", _steps, lambda cs: cs and cs[0] >= 0,
-               "a non-empty list of steps >= 0")
+        _check(self, "checkpoints", _steps, lambda cs: cs and cs[0] >= 0 and cs[-1] > 0,
+               "a non-empty list of steps >= 0, not all 0")
 
     @classmethod
     def from_block(cls, block: dict, run) -> VarianceStudySpec:
@@ -108,8 +108,8 @@ class MomentSuiteSpec:
     def __post_init__(self):
         _check(self, "eta delta", _real, lambda x: x > 0.0, "positive")
         _check(self, "m T rho n_traj", *_COUNT)
-        _check(self, "checkpoints", *_checkpoints(self.T))
-        _check(self, "ic_scales", lambda ss: tuple(map(_real, ss)),
+        _check(self, "checkpoints", *_checkpoints(self.T, 1))
+        _check(self, "ic_scales", lambda ss: tuple(dict.fromkeys(map(_real, ss))),
                lambda ss: ss and all(map(np.isfinite, ss)), "a non-empty list of finite numbers")
 
     @classmethod

@@ -49,6 +49,13 @@ def _json_file(path):
                              f"{err.msg}") from None
 
 
+def _known(block: dict, keys, prefix: str = "") -> None:
+    """A ValueError listing block's keys outside keys, each led by prefix."""
+    unknown = sorted(f"{prefix}{k}" for k in set(block) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+
+
 _index = lambda v: _real(v, operator.index)  # noqa: E731
 _COUNT = (_index, lambda n: n >= 1, "an integer >= 1")
 _NUMBER = (_real, np.isfinite, "a finite number")
@@ -216,13 +223,16 @@ def load_mdp(source: str | Path | dict) -> tuple[MdpSpec, ReplayModel]:
 
     Schema: {"states": n, "actions": k, "p": [[[...]]], "R": [[...]],
     "V": [[...]], "gamma": g, "replay": {"mode": "idealized", "q": [[...]]}
-    or {"mode": "online_buffer", "capacity": c, "epsilon": e}}.
+    or {"mode": "online_buffer", "capacity": c, "epsilon": e}}; any other key
+    is refused.
     """
     doc = _json_file(source) if isinstance(source, (str, Path)) else source
     _convert("the MDP document", doc, *_OBJECT)
-    missing = [k for k in ("states", "actions", "p", "R", "V", "gamma") if k not in doc]
+    keys = ("states", "actions", "p", "R", "V", "gamma")
+    missing = [k for k in keys if k not in doc]
     if missing:
         raise ValueError(f"MDP document missing keys: {missing}")
+    _known(doc, (*keys, "replay"))
     S, A = (_convert(k, doc[k], *_COUNT) for k in ("states", "actions"))
     spec = MdpSpec(*(_reals(k, doc[k]) for k in ("p", "R", "V")),
                    _convert("gamma", doc["gamma"], *_NUMBER))
@@ -233,8 +243,10 @@ def load_mdp(source: str | Path | dict) -> tuple[MdpSpec, ReplayModel]:
         return spec, IdealizedReplay(uniform_q(S, A))
     mode = _convert("replay", replay_doc, *_OBJECT).get("mode")
     if mode == "idealized":
+        _known(replay_doc, ("mode", "q"), "replay.")
         replay: ReplayModel = IdealizedReplay(_reals("q", replay_doc.get("q")))
     elif mode == "online_buffer":
+        _known(replay_doc, ("mode", "capacity", "epsilon"), "replay.")
         replay = OnlineBufferReplay(
             capacity=_convert("capacity", replay_doc.get("capacity"), *_COUNT),
             epsilon=_convert("epsilon", replay_doc.get("epsilon"), *_NUMBER))

@@ -341,6 +341,23 @@ def test_variance_study_cli(tmp_path, config_file):
     assert len(rows) == 1 + 2 * 3  # header + |m_values| x |checkpoints|
 
 
+def test_variance_study_runs_an_online_buffer_config_on_uniform_q(tmp_path):
+    # only simulate-dqn runs the buffer loop; the studies run the idealized
+    # model at uniform q (ExperimentConfig.q)
+    written = []
+    for replay in ({"mode": "online_buffer", "capacity": 7, "epsilon": 0.3},
+                   {"mode": "idealized", "q": [[0.25, 0.25], [0.25, 0.25]]}):
+        doc = _config_doc(variance_study={"n_traj": 8})
+        doc["mdp"]["replay"] = replay
+        path, out = tmp_path / f"{replay['mode']}.json", tmp_path / replay["mode"]
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, ["variance-study", "--config", str(path),
+                                        "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        written.append((out / "variance_study.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_moment_suite_cli(tmp_path, config_file):
     out = tmp_path / "ms"
     res = CliRunner().invoke(main, ["moment-suite", "--config", str(config_file),
@@ -351,10 +368,12 @@ def test_moment_suite_cli(tmp_path, config_file):
     assert (out / "plot_data.csv").exists()
 
 
-def test_moment_suite_cli_integer_scales_key_the_maps(tmp_path):
+@pytest.mark.parametrize("scales", [[0, 1, 5], [0, 1, 1.0, 5, 0.0]])
+def test_moment_suite_cli_integer_scales_key_the_maps(tmp_path, scales):
+    # a repeated scale runs once: the scales keep their first-seen order
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_config_doc(moment_suite={
-        "ic_scales": [0, 1, 5], "n_traj": 8, "T": 4, "rho": 2, "checkpoints": [2, 4]})))
+        "ic_scales": scales, "n_traj": 8, "T": 4, "rho": 2, "checkpoints": [2, 4]})))
     out = tmp_path / "ms"
     res = CliRunner().invoke(main, ["moment-suite", "--config", str(path), "--out", str(out)])
     assert res.exit_code == 0, res.output
@@ -364,9 +383,11 @@ def test_moment_suite_cli_integer_scales_key_the_maps(tmp_path):
         assert list(payload[name]) == ["0.0", "1.0", "5.0"], name
 
 
-def test_rate_sweep_cli_small(tmp_path):
+@pytest.mark.parametrize("grid", [[0.08, 0.04], [0.04, 0.08, 0.04]])
+def test_rate_sweep_cli_small(tmp_path, grid):
+    # a repeated eta runs once, and the grid runs largest first
     doc = _config_doc()
-    doc["rate_sweep"] = {"eta_grid": [0.08, 0.04], "n_traj": 32, "n_proj": 8,
+    doc["rate_sweep"] = {"eta_grid": grid, "n_traj": 32, "n_proj": 8,
                          "assignment_cap": 32}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
@@ -376,7 +397,7 @@ def test_rate_sweep_cli_small(tmp_path):
     assert res.exit_code == 0, res.output
     assert (out / "rate_sweep.csv").exists()
     payload = json.loads((out / "rate_sweep.json").read_text())
-    assert len(payload["rows"]) == 2
+    assert [row["eta"] for row in payload["rows"]] == [0.08, 0.04]
 
 
 def test_estimate_w1_rejects_zero_projections_and_cap(tmp_path, config_file):
@@ -471,6 +492,8 @@ def test_stream_keys_unique_within_a_run(tmp_path, config_file, monkeypatch):
     ("variance_study", {"n_traj": True}, ["n_traj must be an integer >= 2, got True"], []),
     ("variance_study", {"m_values": [True]}, ["m_values", "[True]"], []),
     ("rate_sweep", {"n_proj": 4.0}, ["n_proj must be an integer >= 1"], ["--force"]),
+    ("moment_suite", {"checkpoints": [0]}, ["checkpoints must be", "not all 0"], []),
+    ("variance_study", {"checkpoints": [0]}, ["checkpoints must be", "not all 0"], []),
 ])
 def test_bad_study_block_is_one_error_before_the_manifest(tmp_path, section, block, words,
                                                           extra):
@@ -509,6 +532,10 @@ def test_bad_study_block_is_one_error_before_the_manifest(tmp_path, section, blo
     ("net", "init", {"stddev": -1}, ["net section: init.stddev must be a finite number >= 0"]),
     ("net", "theta0", "abc", ["net section: theta0 must be a list of d = ", "got 'abc'"]),
     ("net", "theta0", [0.0, True], ["net section: theta0 must be a list of d = "]),
+    (None, "n_trajs", 5, ["top level: unknown keys ['n_trajs']"]),
+    ("algo", "rhoo", 40, ["algo section: unknown keys ['rhoo']"]),
+    ("net", "hiden", [16], ["net section: unknown keys ['hiden']"]),
+    ("net", "init", {"stdev": 3.0}, ["net section: unknown keys ['init.stdev']"]),
 ])
 def test_bad_top_level_value_is_one_error_before_the_manifest(tmp_path, section, key, value,
                                                               words):
@@ -605,7 +632,7 @@ _GATE_TABLE = [
 
 def _eta_max(delta: float = 0.5) -> float:
     """The gate's eta_max on the test config at delta."""
-    return step_size_gate(load_config(_config_doc()).estimates, delta).eta_max
+    return step_size_gate(load_config(_config_doc()).estimates, delta)["eta_max"]
 
 
 def _gate_run(tmp_path, cmd: str, strict: bool, run_eta: float, algo_eta: float, *extra):
@@ -774,6 +801,11 @@ def test_no_constants_estimate_without_a_gate_or_manifest(tmp_path, cmd, monkeyp
      ["q[1][1] must be a number, got True"]),
     ({"p": [[[1.0, 0.0], [0.5, "0.5"]], [[0.0, 1.0], [1.0, 0.0]]]},
      ["p[0][1][1] must be a number, got '0.5'"]),
+    ({"gama": 0.9}, ["unknown keys ['gama']"]),
+    ({"replay": {"mode": "idealized", "q": [[0.25, 0.25], [0.25, 0.25]], "capcity": 5}},
+     ["unknown keys ['replay.capcity']"]),
+    ({"replay": {"mode": "online_buffer", "capacity": 7, "epsilon": 0.3, "capcity": 5}},
+     ["unknown keys ['replay.capcity']"]),
 ])
 @pytest.mark.parametrize("cmd", ["validate-mdp", "simulate-dqn"])
 def test_bad_mdp_value_is_one_error(tmp_path, cmd, doc, words):

@@ -192,8 +192,8 @@ def test_lowrank_matches_dense(net, mdp, q_table):
         cs = sigma_matrix(net, mdp, q_table, x, y, eta, delta)
         A = noise_matrix(net, mdp, q_table, x[None, :], y[None, :])[0]
         assert np.allclose(A @ A.T, cs.Sigma + cs.beta_bar, atol=1e-11)
-        stats = head_stats(net, mdp, q_table, x[None, :], max_q_by_state(net, y[None, :]))
-        G = lowrank_ghat(stats, mdp.V.reshape(-1))[0]
+        stats = head_stats(net, mdp, x[None, :], max_q_by_state(net, y[None, :]))
+        G = lowrank_ghat(stats, q_table, mdp.V.reshape(-1))[0]
         assert np.allclose(G @ G.T, cs.Sigma + cs.beta_bar, atol=1e-11)
         assert np.allclose(G, A, rtol=0.0, atol=1e-12)
 
@@ -321,17 +321,16 @@ def test_step_size_gate_saturated_passes_any_eta_below_delta():
         QNetSpec(n_states=2, n_actions=2, hidden=(2,), bound=1e-300),
         make_mdp(n_states=2, n_actions=2), uniform_q(2, 2), 100, 2.0,
         np.random.default_rng(0))
-    gate = step_size_gate(est_zero, delta=0.5)
-    assert gate.passes(0.5) and gate.passes(1e-9)
-    assert not gate.passes(0.6)
-    assert gate.binding(0.6) == "delta"
+    assert step_size_gate(est_zero, 0.5, [0.5, 1e-9])["rejected"] == []
+    gate = step_size_gate(est_zero, 0.5, [0.6, 0.5])
+    assert gate["rejected"] == [0.6] and gate["binding"] == "delta"
 
 
 def test_step_size_gate_binding_constraint(net, mdp, q_table):
     est = estimate_constants(net, mdp, q_table, 100, 5.0,
                              np.random.default_rng(0))
-    gate = step_size_gate(est, delta=0.5)
-    assert gate.eta_max < 0.5
-    assert not gate.passes(10.0)
-    assert gate.binding(10.0) in ("lipschitz_1_over_64L", "growth_L_over_8K2")
-    assert gate.passes(gate.eta_max * 0.999)
+    eta_max = step_size_gate(est, 0.5)["eta_max"]
+    assert eta_max < 0.5
+    gate = step_size_gate(est, 0.5, [eta_max * 0.999, 10.0])
+    assert gate["rejected"] == [10.0]
+    assert gate["binding"] in ("lipschitz_1_over_64L", "growth_L_over_8K2")

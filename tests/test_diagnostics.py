@@ -155,16 +155,16 @@ def test_assumption_report_saturated_passes(net, mdp, q_table):
     flat = QNetSpec(n_states=mdp.n_states, n_actions=mdp.n_actions, hidden=(4,),
                     bound=1e-300)
     gate = step_size_gate(assumption_report(flat, mdp, q_table, np.random.default_rng(0)),
-                          delta=0.5)
-    assert gate.passes(0.49) and gate.binding(0.49) is None
+                          0.5, [0.49])
+    assert gate["rejected"] == [] and gate["binding"] is None
 
 
 def test_assumption_report_huge_eta_fails_with_binding(net, mdp, q_table):
     est = assumption_report(net, mdp, q_table, np.random.default_rng(1))
     assert (est.n_pairs, est.radius) == (200, 5.0)
-    gate = step_size_gate(est, delta=0.5)
-    assert not gate.passes(50.0)
-    assert gate.binding(50.0) in ("delta", "lipschitz_1_over_64L", "growth_L_over_8K2")
+    gate = step_size_gate(est, 0.5, [50.0])
+    assert gate["rejected"] == [50.0]
+    assert gate["binding"] in ("delta", "lipschitz_1_over_64L", "growth_L_over_8K2")
 
 
 def test_assumption_report_deterministic_under_seed(net, mdp, q_table):

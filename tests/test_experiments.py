@@ -37,9 +37,12 @@ def test_gate_rejects_and_force_overrides(net, mdp, q_table):
     gate = step_size_gate(est, 0.5)
     info = _gate(run, True, "rate_sweep section: eta_grid", grid, always=True)
     assert info == {"source": "rate_sweep section: eta_grid", "etas": [5.0], "delta": 0.5,
-                    "eta_max": gate.eta_max, "constraints": gate.constraints,
-                    "binding": gate.binding(5.0), "rejected": [5.0], "enforced": True,
-                    "forced": True, "estimates": asdict(est)}
+                    "eta_max": gate["eta_max"], "constraints": gate["constraints"],
+                    "binding": step_size_gate(est, 0.5, [5.0])["binding"],
+                    "rejected": [5.0], "enforced": True, "forced": True,
+                    "estimates": asdict(est)}
+    assert list(info) == ["source", "etas", "delta", "eta_max", "constraints", "binding",
+                          "rejected", "enforced", "forced", "estimates"]
 
 
 def test_rate_sweep_deterministic_rows(net, mdp, q_table, theta):
