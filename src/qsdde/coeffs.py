@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import MdpSpec
-from .qnet import QNetSpec, max_q_by_state, pair_heads, q_values_batch
+from .qnet import QNetSpec, _sum, max_q_by_state, pair_heads, q_values_batch
 
 EIG_HARD_FLOOR = -1e-10  # below this a negative eigenvalue is a bug, not noise
 GATE_SAFETY = 2.0  # the step-size gate inflates the estimated L and K by this factor
@@ -39,8 +39,10 @@ class CoefficientError(RuntimeError):
 def delay_moments(spec: MdpSpec, maxq_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mu1, mu2), each (K, N): the p-weighted first and second moments over s'
     of the delay table maxq_y (N, S) of max_a Q(s, a; y_n)."""
-    p_flat = spec.p.reshape(-1, spec.n_states)  # (K, S)
-    return p_flat @ maxq_y.T, p_flat @ (maxq_y ** 2).T
+    p_flat, n = spec.p.reshape(-1, spec.n_states), len(maxq_y)  # (K, S)
+    # BLAS rounds a matrix-vector product unlike the matrix product of a wider batch
+    m = maxq_y.T if n > 1 else np.repeat(maxq_y.T, 2, axis=1)
+    return (p_flat @ m)[:, :n], (p_flat @ m ** 2)[:, :n]
 
 
 def residual_moments(spec: MdpSpec, Qx: np.ndarray, mu1: np.ndarray,
@@ -49,7 +51,11 @@ def residual_moments(spec: MdpSpec, Qx: np.ndarray, mu1: np.ndarray,
     from head values Qx (K, N) and the delay moments of ``delay_moments``."""
     base = spec.R.reshape(-1, 1) - Qx
     Ec = base + spec.gamma * mu1
-    Ec2 = base ** 2 + 2.0 * spec.gamma * base * mu1 + spec.gamma ** 2 * mu2
+    Ec2 = base ** 2  # + 2 gamma base mu1 + gamma^2 mu2, in place
+    base *= 2.0 * spec.gamma
+    base *= mu1
+    Ec2 += base
+    Ec2 += spec.gamma ** 2 * mu2
     return Ec, Ec2
 
 
@@ -66,13 +72,14 @@ def head_stats(net: QNetSpec, spec: MdpSpec, thetas_x: np.ndarray, maxq_y: np.nd
     return Qx, g, Ec.T, Ec2.T
 
 
-def noise_cotangent(q_flat: np.ndarray, Ec: np.ndarray, Ec2: np.ndarray,
-                    V_flat: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def noise_cotangent(q: np.ndarray, Ec: np.ndarray, Ec2: np.ndarray,
+                    V2: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """F xi, (K, N), for the closed-form factor F F^T = M of the core.
 
-    Ec, Ec2, xi are head-major (K, N).  Sigma + beta_bar = G^T M G with
-    M = diag(q*(Ec2 + V^2)) - v v^T, v = q*Ec, which is PSD by the weighted
-    Cauchy-Schwarz inequality.  With D = diag(q*(Ec2 + V^2)) and
+    q and V2 are (K, 1) columns of the sampling weights and the reward-noise
+    variances V^2; Ec, Ec2, xi are head-major (K, N).  Sigma + beta_bar =
+    G^T M G with M = diag(q*(Ec2 + V^2)) - v v^T, v = q*Ec, which is PSD by
+    the weighted Cauchy-Schwarz inequality.  With D = diag(q*(Ec2 + V^2)) and
     u = D^{-1/2} v, |u| <= 1, the factor D^{1/2}(I - s uhat uhat^T) with
     s = 1 - sqrt(1 - |u|^2) applies as
 
@@ -84,13 +91,16 @@ def noise_cotangent(q_flat: np.ndarray, Ec: np.ndarray, Ec2: np.ndarray,
     state and no reward noise.  G^T F xi with xi ~ N(0, I_K) then has
     covariance Sigma + beta_bar.
     """
-    q_col = q_flat[:, None]
-    D = q_col * (Ec2 + V_flat[:, None] ** 2)
+    D = Ec2 + V2
+    D *= q
     Dh = np.sqrt(np.maximum(D, 0.0))
-    u = np.where(D > _TINY, q_col * Ec / np.maximum(Dh, _TINY), 0.0)
-    nu2 = (u * u).sum(axis=0)
-    u = u / np.sqrt(np.maximum(nu2, 1.0))  # rounding can put u just outside the unit ball
-    return Dh * (xi - u * ((u * xi).sum(axis=0) / (1.0 + np.sqrt(1.0 - np.minimum(nu2, 1.0)))))
+    u = np.where(D > _TINY, q * Ec / np.maximum(Dh, _TINY), 0.0)
+    nu2 = _sum(u * u, 0)  # in head order, whatever the batch
+    u /= np.sqrt(np.maximum(nu2, 1.0))  # rounding can put u just outside the unit ball
+    u *= _sum(u * xi, 0) / (1.0 + np.sqrt(1.0 - np.minimum(nu2, 1.0)))
+    np.subtract(xi, u, out=u)
+    u *= Dh
+    return u
 
 
 def drift_from_stats(q: np.ndarray, Ec: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -165,15 +175,12 @@ def sigma_matrix(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
 
 def lowrank_ghat(stats, q: np.ndarray, V_flat: np.ndarray) -> np.ndarray:
     """Dense factor G^T F, (N, d, K), with Ghat Ghat^T = Sigma + beta_bar, from
-    the ``head_stats`` tuple and the sampling weights q.
-
-    Nothing in the package calls it: ``run_sdde`` applies F xi through
-    noise_cotangent and one vector-Jacobian product.  It is kept because
-    ``perfbench/tracer.py`` looks it up by name.
-    """
+    the ``head_stats`` tuple and the sampling weights q.  Nothing in the package
+    calls it (``run_sdde`` applies F xi through one vector-Jacobian product);
+    it is kept because ``perfbench/tracer.py`` looks it up by name."""
     _, g, Ec, Ec2 = stats
     n, K, _ = g.shape
-    F = np.stack([noise_cotangent(np.reshape(q, -1), Ec.T, Ec2.T, V_flat,
+    F = np.stack([noise_cotangent(np.reshape(q, (-1, 1)), Ec.T, Ec2.T, V_flat[:, None] ** 2,
                                   np.broadcast_to(e[:, None], (K, n))).T
                   for e in np.eye(K)], axis=2)
     return g.transpose(0, 2, 1) @ F

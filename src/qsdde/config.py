@@ -22,7 +22,7 @@ from .chain import AlgoConfig
 from .coeffs import AssumptionEstimates
 from .diagnostics import assumption_report
 from .mdp import (_COUNT, _NUMBER, _OBJECT, IdealizedReplay, MdpSpec, ReplayModel,
-                  _convert, _index, _json_file, _known, _real, load_mdp, uniform_q,
+                  RuleError, _convert, _index, _json_file, _known, _real, load_mdp, uniform_q,
                   validate_mdp)
 from .qnet import QNetSpec, init_theta
 from .rng import SNAPSHOT_PATH, THETA0_PATH, spawn_generator
@@ -87,7 +87,8 @@ class ExperimentConfig:
 
     def study(self, spec_cls):
         """The spec of the study block spec_cls.section over the run's defaults;
-        a bad block is one ConfigError naming the section and the key."""
+        a bad block is one ConfigError naming the section and the key, and for
+        a value the block left to the run, that it is inherited and as written."""
         block = self.raw.get(spec_cls.section, {})
         try:
             if not isinstance(block, dict):
@@ -95,7 +96,13 @@ class ExperimentConfig:
             _known(block, [f.name for f in fields(spec_cls)])
             return spec_cls.from_block(block, self)
         except ValueError as err:
-            raise ConfigError([f"{spec_cls.section} section: {err}"]) from err
+            msg = str(err)
+            # a value the block left to the run: the algo values meet every block's
+            # rules, so it is the top-level n_traj or checkpoints (written or default)
+            if isinstance(err, RuleError) and err.key not in block:
+                msg = (f"{err.key} inherited from top-level {err.key} must be {err.need}, "
+                       f"got {self.raw.get(err.key, self.checkpoints)!r}")
+            raise ConfigError([f"{spec_cls.section} section: {msg}"]) from err
 
 
 def _merge_defaults(doc: dict) -> dict:

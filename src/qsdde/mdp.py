@@ -27,15 +27,21 @@ def _real(v, convert=float):
     return convert(v)
 
 
+class RuleError(ValueError):
+    def __init__(self, key: str, need: str, given):
+        super().__init__(f"{key} must be {need}, got {given!r}")
+        self.key, self.need = key, need
+
+
 def _convert(key: str, given, convert, ok, need: str):
-    """convert(given) if that succeeds and passes ok, else a ValueError naming
+    """convert(given) if that succeeds and passes ok, else a RuleError naming
     the key: the one converter of the mdp section here and of ``config``."""
     try:
         value = convert(given)
     except (TypeError, ValueError):
         value = None
     if value is None or not ok(value):
-        raise ValueError(f"{key} must be {need}, got {given!r}")
+        raise RuleError(key, need, given)
     return value
 
 

@@ -7,19 +7,21 @@ all orders in theta.  Gradients are analytic reverse-mode accumulation
 written here (no external autodiff).
 
 The one implementation is a kernel over parameter-major batches: thetas is
-(d, N), one column per trajectory, and heads are (s, a) index pairs, so the
-one-hot input is never formed.  The first layer is the column gather
-W1[:, s] + W1[:, S + a] + b1 and its weight gradient a scatter-add into
-those two columns; deeper layers are elementwise products summed over the
-layer input, vectorised along N.  ``_forward`` returns the (K, N) head
-values and a cache, ``_vjp`` turns a (K, N) cotangent into
-sum_k cot_k grad Q_k, (d, N), in one reverse pass.  ``q_values_batch`` keeps
-the trajectory-major interface, (N, d) parameters and integer (s, a) rows,
-(K, 2) shared or (N, K, 2) per trajectory; its dense per-head gradients are
-K passes with unit cotangents."""
+(d, N), one column per trajectory, and heads are every (s, a) pair or listed
+(s, a) index pairs, so the one-hot input is never formed.  The first layer
+is W1[:, s] + W1[:, S + a] + b1: an outer sum over every pair, a column
+gather for listed heads.  Every other sum is one broadcast product and one
+``_sum``, which adds the terms in index order whatever the batch size, so a
+trajectory's result does not depend on how many share the batch.
+``_forward`` returns the (K, N) head values and a cache, ``_vjp`` turns a
+(K, N) cotangent into sum_k cot_k grad Q_k, (d, N), in one reverse pass.
+``q_values_batch`` keeps the trajectory-major interface, (N, d) parameters
+and integer (s, a) rows, (K, 2) shared or (N, K, 2) per trajectory; its
+dense per-head gradients are K passes with unit cotangents."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,8 +85,7 @@ def pair_heads(spec: QNetSpec) -> np.ndarray:
 
 def _layers(spec: QNetSpec, thetas: np.ndarray):
     """Views of a (d, N) parameter batch as per-layer ((out, in, N), (out, N))."""
-    layers, off = [], 0
-    n = thetas.shape[1]
+    layers, off, n = [], 0, thetas.shape[1]
     for (o, i) in spec.layer_shapes:
         w = thetas[off:off + o * i].reshape(o, i, n)
         off += o * i
@@ -101,31 +102,37 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.reciprocal(z, out=z)
 
 
+def _sum(p: np.ndarray, axis: int, out=None, initial: float = -0.0) -> np.ndarray:
+    """initial + p[0] + p[1] + ... along axis, added in index order: np.add.reduce
+    keeps that order only while a longer axis follows the summed one, else (one
+    trajectory, say) it adds pairwise from 8 terms on, so there the sum is the
+    last partial sum of np.add.accumulate.  initial -0.0 keeps the first term."""
+    if math.prod(p.shape[axis + 1:]) > 1:
+        return np.add.reduce(p, axis, out=out, initial=initial)
+    return np.add(np.add.accumulate(p, axis).take(-1, axis), initial, out=out)
+
+
 def _forward(spec: QNetSpec, thetas: np.ndarray, heads):
     """Forward pass over parameter-major thetas (d, N), trajectories last.
 
-    heads: (s, a) integer arrays, both (K,) shared by every trajectory or
-    both (K, N) per trajectory.  The one-hot first layer is the column
-    gather W1[:, s] + W1[:, S + a] + b1.  Returns (q (K, N), cache for _vjp).
+    heads: None for every pair in ``pair_heads`` order, k = s*A + a, or (s, a)
+    integer arrays, both (K,) shared by every trajectory or both (K, N) per
+    trajectory.  Returns (q (K, N), cache for _vjp).
     """
     layers = _layers(spec, thetas)
-    s, a = heads
+    S, n = spec.n_states, thetas.shape[1]
     w1, b1 = layers[0]
-    if s.ndim == 1:
-        z = w1[:, s]
-        z += w1[:, spec.n_states + a]
+    if heads is None:
+        z = (w1[:, :S, None] + w1[:, None, S:]).reshape(len(w1), -1, n)
     else:  # column c of trajectory j sits at c*N + j of the flattened layer
-        n = thetas.shape[1]
-        flat, traj = w1.reshape(w1.shape[0], -1), np.arange(n)
-        z = np.take(flat, s * n + traj, axis=1)
-        z += np.take(flat, (spec.n_states + a) * n + traj, axis=1)
+        flat, traj = w1.reshape(len(w1), -1), np.arange(n)
+        s, a = (np.reshape(c, (len(c), -1)) * n + traj for c in (heads[0], S + heads[1]))
+        z = flat.take(s, axis=1)
+        z += flat.take(a, axis=1)
     z += b1[:, None, :]
     acts = [_sigmoid(z)]  # (out, K, N) per hidden layer
     for w, b in layers[1:]:
-        h = acts[-1]
-        z = w[:, 0, None, :] * h[0]
-        for i in range(1, h.shape[0]):
-            z += w[:, i, None, :] * h[i]
+        z = _sum(w[:, :, None, :] * acts[-1], 1)  # over the layer input
         z += b[:, None, :]
         acts.append(z)
         if len(acts) <= len(spec.hidden):
@@ -133,7 +140,7 @@ def _forward(spec: QNetSpec, thetas: np.ndarray, heads):
     t = np.tanh(0.5 * acts.pop()[0])  # (K, N)
     # clip only the value, so |Q| < bound even where tanh saturates in float;
     # the derivative keeps the raw tanh (exactly 0 at float saturation)
-    q = spec.bound * np.clip(t, -_SAT, _SAT)
+    q = spec.bound * np.minimum(np.maximum(t, -_SAT), _SAT)
     return q, (layers, heads, acts, t)
 
 
@@ -142,53 +149,32 @@ def _vjp(spec: QNetSpec, cache, cot: np.ndarray) -> np.ndarray:
 
     One reverse pass over the activations cached by _forward; cot is (K, N).
     Each weight gradient contracts the K heads, so no per-head gradient is
-    formed; the first layer's is a scatter-add of its pre-activation
-    gradient into the two columns s and S + a of each head.  Every sum over
-    heads or units is an explicit loop of elementwise updates, so a
-    trajectory's result does not depend on how many share the batch.
-    """
-    layers, (s, a), acts, t = cache
-    K, n = cot.shape
-    out = np.empty((spec.d, n))
+    formed.  In the first layer each head's pre-activation gradient goes to
+    its columns s and S + a: for every pair, column s sums over a and column
+    S + a over s; for listed heads, through their 0/1 incidence."""
+    layers, heads, acts, t = cache
+    out = np.empty((spec.d, cot.shape[1]))
     # d/dz [bound * tanh(z/2)] = bound/2 * (1 - tanh(z/2)^2)
     dz = 1.0 - t * t
     dz *= 0.5 * spec.bound
     dz *= cot
     dz = dz[None]  # (1, K, N)
-    off = spec.d
-    for l in range(len(layers) - 1, -1, -1):
-        (o, i), (w, _) = spec.layer_shapes[l], layers[l]
-        off -= o
-        gb = out[off:off + o]
-        gb[:] = dz[:, 0]
-        for k in range(1, K):
-            gb += dz[:, k]
-        off -= o * i
-        gw = out[off:off + o * i].reshape(o, i, n)
-        if l == 0:
-            S = spec.n_states
-            if s.ndim == 1:  # shared heads: each adds into its two columns
-                gw[:] = 0.0
-                for k in range(K):
-                    gw[:, s[k]] += dz[:, k]
-                    gw[:, S + a[k]] += dz[:, k]
-            else:  # per-trajectory heads: through their (in, K, N) 0/1 incidence
-                c = np.arange(i)[:, None, None]
-                hit = (c == s) | (c == S + a)
-                np.multiply(dz[:, None, 0], hit[:, 0], out=gw)
-                for k in range(1, K):
-                    gw += dz[:, None, k] * hit[:, k]
-            break
-        h = acts[l - 1]
-        gw[:] = dz[:, None, 0] * h[None, :, 0]
-        for k in range(1, K):
-            gw += dz[:, None, k] * h[None, :, k]
-        dh = w[0, :, None, :] * dz[0]  # (in, K, N), then through the sigmoid
-        for j in range(1, o):
-            dh += w[j, :, None, :] * dz[j]
-        dh *= h
-        dh -= dh * h
-        dz = dh
+    for l, (gw, gb) in reversed(list(enumerate(_layers(spec, out)))):
+        _sum(dz, 1, gb)
+        if l > 0:
+            h, w = acts[l - 1], layers[l][0]
+            _sum(dz[:, None] * h, 2, gw)
+            dz = _sum(w[:, :, None, :] * dz[:, None], 0)  # (in, K, N), then through the sigmoid
+            dz *= h
+            dz -= dz * h
+        elif heads is None:  # dz as (out, S, A, N)
+            dz = dz.reshape(len(dz), spec.n_states, -1, dz.shape[-1])
+            _sum(dz, 2, gw[:, :spec.n_states], 0.0)  # from +0, a scatter into zeros
+            _sum(dz, 1, gw[:, spec.n_states:], 0.0)
+        else:
+            s, a = (np.reshape(c, (len(c), -1)) for c in heads)
+            col = np.arange(gw.shape[1])[:, None, None]
+            _sum(dz[:, None] * ((col == s) | (col == spec.n_states + a)), 2, gw, 0.0)
     return out
 
 
@@ -216,16 +202,11 @@ def q_values_batch(spec: QNetSpec, thetas: np.ndarray, heads: np.ndarray,
     if not with_grad:
         return q.T
     K, n = q.shape
-    g = np.empty((n, K, spec.d))
-    cot = np.zeros((K, n))
-    for k in range(K):
-        cot[k] = 1.0
-        g[:, k] = _vjp(spec, cache, cot).T
-        cot[k] = 0.0
-    return q.T, g
+    return q.T, np.stack([_vjp(spec, cache, np.broadcast_to(e[:, None], (K, n))).T
+                          for e in np.eye(K)], axis=1)
 
 
 def max_q_by_state(spec: QNetSpec, thetas: np.ndarray) -> np.ndarray:
     """(N, S) table of max_a Q(s, a; theta_n) over thetas (N, d)."""
-    q = q_values_batch(spec, thetas, pair_heads(spec))  # (N, S*A)
-    return q.reshape(thetas.shape[0], -1, spec.n_actions).max(axis=2)
+    q = _forward(spec, np.ascontiguousarray(np.atleast_2d(thetas).T), None)[0]
+    return q.reshape(spec.n_states, spec.n_actions, -1).max(axis=1).T

@@ -28,7 +28,7 @@ import numpy as np
 from .chain import AlgoConfig, TrajectoryEnsemble, parameter_major, simulate
 from .coeffs import delay_moments, noise_cotangent, residual_moments
 from .mdp import MdpSpec
-from .qnet import QNetSpec, _forward, _vjp, max_q_by_state, pair_heads
+from .qnet import QNetSpec, _forward, _vjp, max_q_by_state
 from .rng import SIMULATE_PATH, step_noise
 
 
@@ -51,18 +51,17 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
     h = cfg.eta / cfg.rho
     amp = np.sqrt(cfg.eta * h)
     z_amp = amp * np.sqrt(cfg.delta / cfg.eta)
-    q_flat = np.asarray(q, dtype=np.float64).reshape(-1)
-    hq = h * q_flat[:, None]
-    V_flat = spec.V.reshape(-1)
-    heads = tuple(pair_heads(net).T)  # (s, a), each (K,)
+    q_col = np.asarray(q, dtype=np.float64).reshape(-1, 1)
+    hq = h * q_col
+    V2 = spec.V.reshape(-1, 1) ** 2
     noise = np.empty((d + K, n_traj))  # this substep's z, then xi
 
     def substep(x, mu, words):
         for i0 in range(0, n_traj, 512):  # in chunks, so the strided reads stay in cache
             np.copyto(noise[:, i0:i0 + 512], words[i0:i0 + 512].T)
-        Qx, cache = _forward(net, x, heads)
+        Qx, cache = _forward(net, x, None)  # every pair, in pair_heads order
         Ec, Ec2 = residual_moments(spec, Qx, *mu)
-        cot = hq * Ec + amp * noise_cotangent(q_flat, Ec, Ec2, V_flat, noise[d:])
+        cot = hq * Ec + amp * noise_cotangent(q_col, Ec, Ec2, V2, noise[d:])
         step = _vjp(net, cache, cot)  # before x moves: the cache holds views of x
         noise[:d] *= z_amp
         x += noise[:d]

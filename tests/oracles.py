@@ -9,6 +9,11 @@ over s' directly.  The single-point references below (``q_value``,
 ``q_grad``, ``max_q``, ``qbar``, ``sample_drift_bn``) are built on them;
 ``fd_grad`` differences the kernel's own values.  ``coefficient_failures``
 lists the defining identities a dense ``CoefficientSet`` violates.
+
+``loop_forward``/``loop_vjp`` are the parameter-major kernel written with
+every sum an explicit loop of elementwise updates in index order, the form
+the kernel had before its sums became reductions: it must match them bit
+for bit, at every batch size.
 """
 
 from __future__ import annotations
@@ -31,6 +36,67 @@ def _unpack(spec: QNetSpec, thetas: np.ndarray):
         biases.append(thetas[:, off:off + o].reshape(n, o))
         off += o
     return weights, biases
+
+
+def _param_major(spec: QNetSpec, thetas: np.ndarray):
+    """Views of a (d, N) parameter batch as per-layer (out, in, N) / (out, N)."""
+    layers, off, n = [], 0, thetas.shape[1]
+    for (o, i) in spec.layer_shapes:
+        layers.append((thetas[off:off + o * i].reshape(o, i, n),
+                       thetas[off + o * i:off + o * i + o]))
+        off += o * i + o
+    return layers
+
+
+def loop_forward(spec: QNetSpec, thetas: np.ndarray, s: np.ndarray, a: np.ndarray):
+    """thetas (d, N), heads s, a (K, N) -> (q (K, N), cache), every sum a loop."""
+    (w1, b1), *rest = _param_major(spec, thetas)
+    traj = np.arange(thetas.shape[1])
+    z = w1[:, s, traj] + w1[:, spec.n_states + a, traj]
+    z += b1[:, None, :]
+    acts = [1.0 / (1.0 + np.exp(-z))]  # (out, K, N)
+    for l, (w, b) in enumerate(rest):
+        h = acts[-1]
+        z = w[:, 0, None, :] * h[0]
+        for i in range(1, len(h)):
+            z += w[:, i, None, :] * h[i]
+        z += b[:, None, :]
+        acts.append(1.0 / (1.0 + np.exp(-z)) if l < len(rest) - 1 else z)
+    t = np.tanh(0.5 * acts.pop()[0])
+    return spec.bound * np.clip(t, -_SAT, _SAT), (acts, t)
+
+
+def loop_vjp(spec: QNetSpec, thetas: np.ndarray, s: np.ndarray, a: np.ndarray, cache,
+             cot: np.ndarray) -> np.ndarray:
+    """sum_k cot[k, n] grad_theta Q_k(theta_n), (d, N), from loop_forward's
+    cache; each first-layer column adds its heads' terms from 0."""
+    acts, t = cache
+    K, n = cot.shape
+    layers = _param_major(spec, thetas)
+    out = np.zeros((spec.d, n))
+    dz = (1.0 - t * t) * (0.5 * spec.bound) * cot
+    dz = dz[None]
+    for l in range(len(layers) - 1, -1, -1):
+        gw, gb = _param_major(spec, out)[l]
+        gb[:] = dz[:, 0]
+        for k in range(1, K):
+            gb += dz[:, k]
+        if l == 0:
+            traj = np.arange(n)
+            for k in range(K):
+                gw[:, s[k], traj] += dz[:, k]
+                gw[:, spec.n_states + a[k], traj] += dz[:, k]
+            return out
+        w, h = layers[l][0], acts[l - 1]
+        gw[:] = dz[:, None, 0] * h[None, :, 0]
+        for k in range(1, K):
+            gw += dz[:, None, k] * h[None, :, k]
+        dh = w[0, :, None, :] * dz[0]
+        for j in range(1, len(dz)):
+            dh += w[j, :, None, :] * dz[j]
+        dh *= h
+        dh -= dh * h
+        dz = dh
 
 
 def dense_forward(spec: QNetSpec, thetas: np.ndarray, x: np.ndarray):
@@ -118,9 +184,9 @@ def noise_matrix(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     n, K = x.shape[0], net.n_states * net.n_actions
     Qx, cache = dense_forward(net, x, pair_inputs(net, n))
     Ec, Ec2 = bellman_moments(spec, Qx, dense_max_q(net, y))
-    q_flat = np.asarray(q, dtype=np.float64).reshape(-1)
+    q_col = np.asarray(q, dtype=np.float64).reshape(-1, 1)
     cols = [dense_vjp(net, cache, noise_cotangent(
-        q_flat, Ec.T, Ec2.T, spec.V.reshape(-1), np.broadcast_to(e[:, None], (K, n))).T)
+        q_col, Ec.T, Ec2.T, spec.V.reshape(-1, 1) ** 2, np.broadcast_to(e[:, None], (K, n))).T)
         for e in np.eye(K)]
     return np.stack(cols, axis=2)
 

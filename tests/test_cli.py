@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from qsdde.cli import main
 from qsdde.coeffs import step_size_gate
 from qsdde.config import ConfigError, load_config
+from qsdde.experiments import MomentSuiteSpec, VarianceStudySpec
 from qsdde.manifest import read_ensemble_csv
 
 from conftest import make_mdp
@@ -507,6 +508,23 @@ def test_bad_study_block_is_one_error_before_the_manifest(tmp_path, section, blo
     assert f"{section} section: " in res.output, res.output
     assert all(w in res.output for w in words), res.output
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("spec_cls, overrides, message", [
+    (VarianceStudySpec, {"checkpoints": [0]}, "variance_study section: checkpoints inherited "
+     "from top-level checkpoints must be a non-empty list of steps >= 0, not all 0, got [0]"),
+    (VarianceStudySpec, {"n_traj": 1}, "variance_study section: n_traj inherited from "
+     "top-level n_traj must be an integer >= 2, got 1"),
+    (MomentSuiteSpec, {"moment_suite": {"T": 5}}, "moment_suite section: checkpoints inherited "
+     "from top-level checkpoints must be a non-empty list of steps in [0, T=5], not all 0, "
+     "got [0, 6, 12]"),
+])
+def test_inherited_study_value_is_refused_under_its_origin(spec_cls, overrides, message):
+    # a value a study block leaves out is the run's; an error on it names
+    # where it came from and shows it as the config wrote it
+    with pytest.raises(ConfigError) as err:
+        load_config(_config_doc(**overrides)).study(spec_cls)
+    assert err.value.errors == [message]
 
 
 @pytest.mark.parametrize("section, key, value, words", [

@@ -9,7 +9,7 @@ from qsdde.qnet import (DimensionError, QNetSpec, _forward, _vjp, init_theta,
                         max_q_by_state, pair_heads, q_values_batch)
 
 from conftest import saturated_theta
-from oracles import dense_jacobian, fd_grad, pair_inputs
+from oracles import dense_jacobian, fd_grad, loop_forward, loop_vjp, pair_inputs
 
 
 def _q(net, theta, s, a):
@@ -68,16 +68,65 @@ def test_vjp_matches_jacobian_contraction():
         net = QNetSpec(n_states=S, n_actions=A, hidden=hidden, bound=7.0)
         thetas = rng.standard_normal((16, net.d))
         _, jac = dense_jacobian(net, thetas, pair_inputs(net, 16))
-        _, cache = _forward(net, np.ascontiguousarray(thetas.T), tuple(pair_heads(net).T))
         cot = rng.standard_normal((16, S * A))
-        got = _vjp(net, cache, np.ascontiguousarray(cot.T)).T
         want = np.einsum("nk,nkd->nd", cot, jac)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        for heads in (None, tuple(pair_heads(net).T)):  # every pair, or listed
+            _, cache = _forward(net, np.ascontiguousarray(thetas.T), heads)
+            got = _vjp(net, cache, np.ascontiguousarray(cot.T)).T
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         for j in range(4):
             s, a = j % S, j % A
             g_fd = fd_grad(net, thetas[j], s, a)
             g = jac[j, s * A + a]
             assert np.linalg.norm(g_fd - g) / max(np.linalg.norm(g), 1e-12) < 1e-6
+
+
+@pytest.mark.parametrize("S, A, hidden", [(3, 2, (4,)), (5, 2, (9, 3)), (7, 1, (4,)),
+                                           (1, 3, (12,))])
+@pytest.mark.parametrize("n", [1, 6])
+def test_kernel_matches_the_loop_reference_bitwise(S, A, hidden, n):
+    # every pair (the outer sum and its two reductions), the listed pair_heads
+    # (the gather and the incidence product) and per-trajectory heads, three
+    # or the chain's one, all add the same terms in the same order as loops
+    net = QNetSpec(n_states=S, n_actions=A, hidden=hidden, bound=7.0)
+    rng = np.random.default_rng(14)
+    pairs = np.broadcast_to(pair_heads(net).T[:, :, None], (2, S * A, n))
+    s, a = rng.integers(S, size=(3, n)), rng.integers(A, size=(3, n))
+    for heads, (hs, ha) in 4 * ((None, pairs), (tuple(pair_heads(net).T), pairs),
+                                ((s, a), (s, a)), ((s[:1], a[:1]), (s[:1], a[:1]))):
+        thetas = rng.standard_normal((net.d, n))  # 4 draws: reordered sums can round alike
+        q, cache = _forward(net, thetas, heads)
+        q_ref, cache_ref = loop_forward(net, thetas, hs, ha)
+        assert q.tobytes() == q_ref.tobytes()
+        cot = rng.standard_normal(q.shape)
+        assert _vjp(net, cache, cot).tobytes() == \
+            loop_vjp(net, thetas, hs, ha, cache_ref, cot).tobytes()
+
+
+@pytest.mark.parametrize("heads", ["every pair", "shared", "per trajectory", "one head"])
+def test_wide_net_is_batch_independent(heads):
+    # K = 10 heads and a 9-unit layer: past the 8 terms from which
+    # np.add.reduce adds pairwise once the summed axis is the innermost one
+    # left, as it is for a single trajectory.  Each trajectory alone must
+    # reproduce its column of the 7-trajectory batch bit for bit.
+    net = QNetSpec(n_states=5, n_actions=2, hidden=(9, 3), bound=7.0)
+    rng = np.random.default_rng(15)
+    n = 7
+    K = {"one head": 1}.get(heads, 10)
+    thetas = rng.standard_normal((net.d, n))
+    s, a = rng.integers(5, size=(K, n)), rng.integers(2, size=(K, n))
+
+    def heads_of(cut):  # of the trajectories in the slice cut
+        return {"every pair": None, "shared": tuple(pair_heads(net).T)}.get(
+            heads, (s[:, cut], a[:, cut]))
+
+    cot = rng.standard_normal((K, n))
+    q, cache = _forward(net, thetas, heads_of(slice(None)))
+    g = _vjp(net, cache, cot)
+    for j in range(n):
+        q1, cache1 = _forward(net, thetas[:, j:j + 1].copy(), heads_of(slice(j, j + 1)))
+        assert q1.tobytes() == q[:, j:j + 1].tobytes()
+        assert _vjp(net, cache1, cot[:, j:j + 1]).tobytes() == g[:, j:j + 1].tobytes()
 
 
 def test_per_trajectory_heads_match_dense_oracle():

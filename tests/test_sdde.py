@@ -5,12 +5,12 @@ import pytest
 
 from qsdde.chain import AlgoConfig
 from qsdde.coeffs import exact_drift_b, noise_cotangent, sigma_matrix
-from qsdde.mdp import MdpSpec
+from qsdde.mdp import MdpSpec, uniform_q
 from qsdde.qnet import QNetSpec, init_theta
 from qsdde.rng import TrajectoryStreams, block_size
 from qsdde.sdde import run_sdde
 
-from conftest import saturated_theta
+from conftest import make_mdp, saturated_theta
 from oracles import bellman_moments, dense_jacobian, dense_max_q, pair_inputs
 
 
@@ -85,7 +85,7 @@ def test_noise_cotangent_zero_for_single_deterministic_head():
     rng = np.random.default_rng(4)
     Ec = rng.normal(0.0, 2.0, (1, 8))
     xi = rng.standard_normal((1, 8))
-    out = noise_cotangent(np.ones(1), Ec, Ec ** 2, np.zeros(1), xi)
+    out = noise_cotangent(np.ones((1, 1)), Ec, Ec ** 2, np.zeros((1, 1)), xi)
     assert np.array_equal(out, np.zeros((1, 8)))
 
 
@@ -141,7 +141,7 @@ def test_engine_matches_dense_substep_under_shared_noise(net, mdp, q_table, thet
 
 def test_engine_matches_dense_substep_two_hidden_layers(mdp, q_table):
     # the same comparison through a (3, 2) network, whose middle layer is a
-    # dense weight gradient and whose first is the one-hot scatter-add
+    # dense weight gradient and whose first is the outer sum over (s, a)
     net = QNetSpec(n_states=mdp.n_states, n_actions=mdp.n_actions, hidden=(3, 2),
                    bound=10.0)
     theta = init_theta(net, np.random.default_rng(7))
@@ -151,6 +151,22 @@ def test_engine_matches_dense_substep_two_hidden_layers(mdp, q_table):
     ref = _dense_substep_run(net, mdp, q_table, theta, cfg, n)
     assert np.abs(ens.at(cfg.T) - ref).max() <= 1e-12 * np.abs(ref).max()
     assert not np.allclose(ens.at(cfg.T), theta, atol=1e-3)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, (4,)), (5, 2, (9, 3)), (7, 1, (4,))])
+@pytest.mark.parametrize("n", [1, 5])
+def test_run_sdde_rows_do_not_depend_on_the_batch(shape, n):
+    # the first n trajectories of a 12-trajectory run, bit for bit: the desk
+    # net, a wide one (K = 10 heads, a 9-unit layer) and a single-action one
+    S, A, hidden = shape
+    mdp = make_mdp(n_states=S, n_actions=A)
+    net = QNetSpec(n_states=S, n_actions=A, hidden=hidden, bound=10.0)
+    theta = init_theta(net, np.random.default_rng(7))
+    q = uniform_q(S, A)
+    cfg = _cfg(m=2, T=4, rho=5, seed=73)
+    full = run_sdde(net, mdp, q, theta, cfg, 12, [0, 2, 4]).samples
+    part = run_sdde(net, mdp, q, theta, cfg, n, [0, 2, 4]).samples
+    assert part.tobytes() == full[:n].tobytes()
 
 
 def test_pure_sde_when_delay_window_covers_horizon(net, mdp, q_table, theta):
