@@ -11,8 +11,7 @@ from .coeffs import (AssumptionEstimates, CoefficientSet, estimate_constants,
 from .chain import AlgoConfig, TrajectoryEnsemble, run_algorithm1, run_dqn
 from .sdde import run_sdde
 from .wasserstein import W1Estimate, w1_assignment, w1_exact_1d, w1_sliced
-from .diagnostics import (Quadratic, assumption_report, generator_X,
-                          generator_gap, generator_theta)
+from .diagnostics import Quadratic, assumption_report, generator_X, generator_gap
 from .experiments import (MomentSuiteSpec, RateSweepSpec, VarianceStudySpec,
                           moment_suite, rate_sweep, variance_study, w1_bound_shape)
 from .config import ExperimentConfig, load_config
@@ -21,10 +20,9 @@ __all__ = [
     "AlgoConfig", "AssumptionEstimates", "CoefficientSet", "ExperimentConfig",
     "IdealizedReplay", "MdpSpec", "MomentSuiteSpec", "OnlineBufferReplay", "QNetSpec",
     "Quadratic", "RateSweepSpec", "TrajectoryEnsemble", "VarianceStudySpec",
-    "W1Estimate", "assumption_report",
-    "estimate_constants", "exact_drift_b", "generator_X", "generator_gap",
-    "generator_theta", "init_theta", "load_config", "load_mdp", "moment_suite",
-    "rate_sweep", "run_algorithm1", "run_dqn", "run_sdde", "sample_pairs",
-    "sigma_matrix", "step_size_gate", "uniform_q", "validate_mdp", "variance_study",
-    "w1_assignment", "w1_bound_shape", "w1_exact_1d", "w1_sliced",
+    "W1Estimate", "assumption_report", "estimate_constants", "exact_drift_b",
+    "generator_X", "generator_gap", "init_theta", "load_config", "load_mdp",
+    "moment_suite", "rate_sweep", "run_algorithm1", "run_dqn", "run_sdde",
+    "sample_pairs", "sigma_matrix", "step_size_gate", "uniform_q", "validate_mdp",
+    "variance_study", "w1_assignment", "w1_bound_shape", "w1_exact_1d", "w1_sliced",
 ]

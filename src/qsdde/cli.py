@@ -16,14 +16,15 @@ import numpy as np
 
 from .chain import run_algorithm1, run_dqn
 from .coeffs import GATE_SAFETY, sigma_matrix, step_size_gate
-from .config import ConfigError, ExperimentConfig, _floats, _index, load_config
+from .config import ConfigError, ExperimentConfig, _floats, load_config
 from .diagnostics import Quadratic, generator_gap
 from .experiments import (MomentSuiteSpec, RateSweepSpec, VarianceStudySpec, moment_suite,
                           rate_sweep, variance_study)
 from .manifest import (atomic_write_text, ensemble_to_csv, json_text, read_ensemble_csv,
                        rows_to_csv, write_manifest)
-from .mdp import OnlineBufferReplay, _convert, _json_file, _real, load_mdp, validate_mdp
-from .rng import GAP_PROBE, W1_ASSIGNMENT_PATH, W1_SLICED_PATH, spawn_generator
+from .mdp import (OnlineBufferReplay, _convert, _json_file, _known, _real, load_mdp,
+                  validate_mdp)
+from .rng import W1_ASSIGNMENT_PATH, W1_SLICED_PATH, spawn_generator
 from .wasserstein import w1_assignment_subsampled, w1_sliced
 
 
@@ -197,6 +198,10 @@ def dump_coefficients_cmd(config_path, seed_override, force, out_file, points_fi
         pts = _json_object(points_file)
         x = _vector(points_file, pts.get("x"), "x", cfg.net.d)
         y = _vector(points_file, pts.get("y", x), "y", cfg.net.d)
+        try:
+            _known(pts, ("x", "y"))
+        except ValueError as err:
+            raise click.ClickException(f"{points_file}: {err}") from err
     cs = sigma_matrix(cfg.net, cfg.mdp, cfg.q, x, y, cfg.algo.eta, cfg.algo.delta)
     payload = {"eta": cs.eta, "delta": cs.delta,
                **{k: getattr(cs, k).tolist() for k in ("b", "Sigma", "beta_bar", "sigma")},
@@ -242,7 +247,7 @@ def estimate_w1_cmd(file_a, file_b, checkpoint, method, n_proj, cap, seed, out_f
 @main.command("generator-gap")
 @_config_options
 @click.option("--points", "points_file", required=True, type=click.Path(exists=True),
-              help="JSON {\"points\": [[...], ...], \"target\": [...], \"n_mc\": n}.")
+              help="JSON {\"points\": [[...], ...], \"target\": [...], \"etas\": [...]}.")
 @click.option("--out", "out_file", type=click.Path(), default=None)
 def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
     """Pointwise |eta A_X f - A_theta f| for quadratic f at probe points."""
@@ -256,20 +261,16 @@ def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
               for i, p in enumerate(probes["points"])]
     target = _vector(points_file, probes.get("target", cfg.theta0), "target", d)
     f = Quadratic(A=np.eye(d), b=np.zeros(d))
-    eta, reports = cfg.algo.eta, []
+    eta = cfg.algo.eta
     try:
-        n_mc = _convert("n_mc", probes.get("n_mc", 100000), _index, lambda n: n >= 1000,
-                        "an integer >= 1000")
         etas = _convert("etas", probes.get("etas", [eta, eta / 2, eta / 4]),
                         lambda es: tuple(map(_real, es)),
                         lambda es: es and all(e > 0.0 for e in es),
                         "a non-empty list of positive numbers")
+        _known(probes, ("points", "target", "etas"))
         _gate(cfg, force, f"{points_file}: etas", etas, record=False)
-        for i, x in enumerate(points):
-            rng = spawn_generator(cfg.algo.seed, (GAP_PROBE, i))
-            rep = generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target, cfg.algo,
-                                n_mc, rng, etas=etas)
-            reports.append(asdict(rep))
+        reports = [asdict(generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target,
+                                        cfg.algo.delta, etas)) for x in points]
     except ConfigError:
         raise
     except (TypeError, ValueError) as err:

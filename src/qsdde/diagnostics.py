@@ -1,30 +1,31 @@
 """Generator operators and the operator-comparison diagnostic.
 
-The one-step generator of the chain is estimated by Monte Carlo,
-
-    A_theta f(x) = E[ f(one noisy update from x, frozen target) ] - f(x),
-
-while the diffusion generator is evaluated exactly from the enumerated
-coefficients,
+The one-step generator of the chain, A_theta f(x) = E[f(one noisy update
+from x, frozen target)] - f(x), and the diffusion generator
 
     A_X f(x) = 1/2 <eta Sigma(x,y) + eta beta_bar(x) + delta I, Hess f(x)>_HS
-               - <b(x,y), grad f(x)>.
+               - <b(x,y), grad f(x)>,
 
-One chain step spans time eta of the diffusion, so the comparable pointwise
-quantity is |eta * A_X f(x) - A_theta f(x)|: a higher-order remainder that
-must shrink superlinearly as eta decreases.  A full operator comparison
-would integrate this gap along the rescaled diffusion over one step; the
-pointwise value is the leading (s = 0) term, and reports label it as such.
+both follow from the enumerated coefficients.  One chain step spans time eta
+of the diffusion, so the comparable pointwise quantity is
+|eta * A_X f(x) - A_theta f(x)|.  For quadratic f (``Quadratic``) the
+step's mean x - eta b and covariance eta^2 (Sigma + beta_bar) + eta delta I
+give it exactly:
+
+    A_theta f(x) - eta * A_X f(x) = eta^2 b^T A b.
+
+A full operator comparison would integrate this gap along the rescaled
+diffusion over one step; the pointwise value is the leading (s = 0) term,
+and reports label it as such.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import AssumptionEstimates, estimate_constants, sigma_matrix
-from .chain import AlgoConfig, cumulative_tables, replay_step
+from .coeffs import AssumptionEstimates, estimate_constants, exact_drift_b, sigma_matrix
 from .mdp import MdpSpec
 from .qnet import QNetSpec
 
@@ -52,40 +53,6 @@ class Quadratic:
 
     def hess(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * self.A
-
-
-@dataclass
-class McValue:
-    estimate: float
-    stderr: float
-    n_mc: int
-
-
-def generator_theta(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
-                    target: np.ndarray, cfg: AlgoConfig, n_mc: int,
-                    rng: np.random.Generator, batch: int = 65536) -> McValue:
-    """Monte Carlo E[f(theta_1)] - f(x) for one chain step with frozen target."""
-    if n_mc < 1000:
-        raise ValueError("n_mc must be >= 1e3")
-    d = net.d
-    tables = cumulative_tables(spec, q)
-    fx = float(f.value(x[None, :])[0])
-    total, total2, done = 0.0, 0.0, 0
-    while done < n_mc:
-        nb = min(batch, n_mc - done)
-        u = rng.uniform(size=(nb, 2))
-        xi = rng.standard_normal(nb)
-        W = rng.standard_normal((nb, d))
-        theta1 = replay_step(net, spec, tables, np.broadcast_to(x[:, None], (d, nb)),
-                             np.broadcast_to(target[:, None], (d, nb)), u,
-                             np.column_stack([xi, W]), cfg.eta, cfg.delta)
-        vals = f.value(theta1.T) - fx
-        total += vals.sum()
-        total2 += (vals ** 2).sum()
-        done += nb
-    mean = total / n_mc
-    var = max(total2 / n_mc - mean ** 2, 0.0)
-    return McValue(estimate=float(mean), stderr=float(np.sqrt(var / n_mc)), n_mc=n_mc)
 
 
 def generator_X(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
@@ -120,7 +87,6 @@ class GapReport:
 
     etas: tuple[float, ...]
     gaps: tuple[float, ...]
-    stderrs: tuple[float, ...]
     theta_generator: tuple[float, ...]
     x_generator_times_eta: tuple[float, ...]
     fitted_order: float | None
@@ -129,25 +95,19 @@ class GapReport:
 
 
 def generator_gap(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
-                  target: np.ndarray, cfg: AlgoConfig, n_mc: int,
-                  rng: np.random.Generator,
-                  etas: tuple[float, ...] | None = None) -> GapReport:
-    """|eta * A_X f - A_theta f| at each eta, plus the fitted log-log order."""
-    if etas is None:
-        etas = (cfg.eta,)
-    gaps, ses, tvals, xvals = [], [], [], []
-    for eta in etas:
-        mc = generator_theta(f, net, spec, q, x, target, replace(cfg, eta=eta), n_mc, rng)
-        gx = eta * generator_X(f, net, spec, q, x, target, eta, cfg.delta)
-        gaps.append(abs(gx - mc.estimate))
-        ses.append(mc.stderr)
-        tvals.append(mc.estimate)
-        xvals.append(gx)
+                  target: np.ndarray, delta: float, etas: tuple[float, ...]) -> GapReport:
+    """|eta * A_X f - A_theta f| = eta^2 |b^T A b| for quadratic f at each eta,
+    plus the fitted log-log order."""
+    etas = tuple(etas)
+    b = exact_drift_b(net, spec, q, x, target)
+    rems = [eta ** 2 * float(b @ f.A @ b) for eta in etas]
+    xvals = [eta * generator_X(f, net, spec, q, x, target, eta, delta) for eta in etas]
+    gaps = tuple(abs(r) for r in rems)
     order = (_loglog_fit(etas, gaps)[0] if len(etas) >= 2 and all(g > 0 for g in gaps)
              else None)
-    return GapReport(etas=tuple(etas), gaps=tuple(gaps), stderrs=tuple(ses),
-                     theta_generator=tuple(tvals), x_generator_times_eta=tuple(xvals),
-                     fitted_order=order)
+    return GapReport(etas=etas, gaps=gaps,
+                     theta_generator=tuple(gx + r for gx, r in zip(xvals, rems)),
+                     x_generator_times_eta=tuple(xvals), fitted_order=order)
 
 
 def assumption_report(net: QNetSpec, spec: MdpSpec, q: np.ndarray,

@@ -35,11 +35,11 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 
 # Every stream path, named once.  Keys are (master seed, *path, ...) unless noted; i is
-# a study arm or probe point, j a trajectory.  No two consumers of one run share a key.
+# a study arm, j a trajectory.  No two consumers of one run share a key.
 SIMULATE_PATH = (0,)  # simulate-dqn (0, 0|1, j), simulate-sdde (0, j)
 CHAIN_ARM, SDDE_ARM, W1_ARM = 0, 1, 3  # arm i: (0, i, 0|1, j), (1, i, j), (3, i[, 1])
 W1_SLICED_PATH, W1_ASSIGNMENT_PATH = (3, 0), (3, 1)  # estimate-w1, under its --seed
-GAP_PROBE, BUFFER_PATH = 4, (5,)  # generator-gap (4, i); run_algorithm1 (5, 0|1, j)
+BUFFER_PATH = (5,)  # run_algorithm1 (5, 0|1, j)
 THETA0_PATH, SNAPSHOT_PATH = (8, 0), (9, 1)  # under net.init.seed; assumption report
 
 

@@ -9,6 +9,9 @@ over s' directly.  The single-point references below (``q_value``,
 ``q_grad``, ``max_q``, ``qbar``, ``sample_drift_bn``) are built on them;
 ``fd_grad`` differences the kernel's own values.  ``coefficient_failures``
 lists the defining identities a dense ``CoefficientSet`` violates.
+``generator_theta`` estimates the chain's one-step generator by Monte Carlo
+over ``replay_step`` draws, for any f: the reference for the closed form
+``qsdde.diagnostics.generator_gap`` reads for quadratic f.
 
 ``loop_forward``/``loop_vjp`` are the parameter-major kernel written with
 every sum an explicit loop of elementwise updates in index order, the form
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from qsdde.chain import AlgoConfig, cumulative_tables, replay_step
 from qsdde.coeffs import EIG_HARD_FLOOR, CoefficientSet, noise_cotangent
 from qsdde.mdp import MdpSpec
 from qsdde.qnet import QNetSpec, _SAT, q_values_batch
@@ -248,6 +252,34 @@ def enumerate_support(spec: MdpSpec, q: np.ndarray) -> list[tuple[int, int, int,
             for s in range(spec.n_states) for a in range(spec.n_actions)
             if q[s, a] != 0.0
             for sp in range(spec.n_states) if q[s, a] * spec.p[s, a, sp] > 0.0]
+
+
+def generator_theta(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
+                    target: np.ndarray, cfg: AlgoConfig, n_mc: int,
+                    rng: np.random.Generator, batch: int = 65536) -> tuple[float, float]:
+    """Monte Carlo E[f(theta_1)] - f(x) for one chain step with frozen target,
+    and its standard error."""
+    if n_mc < 1000:
+        raise ValueError("n_mc must be >= 1e3")
+    d = net.d
+    tables = cumulative_tables(spec, q)
+    fx = float(f.value(x[None, :])[0])
+    total, total2, done = 0.0, 0.0, 0
+    while done < n_mc:
+        nb = min(batch, n_mc - done)
+        u = rng.uniform(size=(nb, 2))
+        xi = rng.standard_normal(nb)
+        W = rng.standard_normal((nb, d))
+        theta1 = replay_step(net, spec, tables, np.broadcast_to(x[:, None], (d, nb)),
+                             np.broadcast_to(target[:, None], (d, nb)), u,
+                             np.column_stack([xi, W]), cfg.eta, cfg.delta)
+        vals = f.value(theta1.T) - fx
+        total += vals.sum()
+        total2 += (vals ** 2).sum()
+        done += nb
+    mean = total / n_mc
+    var = max(total2 / n_mc - mean ** 2, 0.0)
+    return float(mean), float(np.sqrt(var / n_mc))
 
 
 class GaussianBump:

@@ -30,14 +30,14 @@ def test_every_public_name_resolves():
 
 
 def test_public_api_is_the_batched_entry_points():
-    assert len(qsdde.__all__) == 38
+    assert len(qsdde.__all__) == 37
     assert sorted(qsdde.__all__) == sorted([
         "AlgoConfig", "AssumptionEstimates", "CoefficientSet", "ExperimentConfig",
         "IdealizedReplay", "MdpSpec", "MomentSuiteSpec", "OnlineBufferReplay", "QNetSpec",
         "Quadratic", "RateSweepSpec", "TrajectoryEnsemble", "VarianceStudySpec",
         "W1Estimate", "assumption_report",
         "estimate_constants", "exact_drift_b", "generator_X", "generator_gap",
-        "generator_theta", "init_theta", "load_config", "load_mdp", "moment_suite",
+        "init_theta", "load_config", "load_mdp", "moment_suite",
         "rate_sweep", "run_algorithm1", "run_dqn", "run_sdde", "sample_pairs",
         "sigma_matrix", "step_size_gate", "uniform_q", "validate_mdp", "variance_study",
         "w1_assignment", "w1_bound_shape", "w1_exact_1d", "w1_sliced",

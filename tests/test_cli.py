@@ -308,8 +308,7 @@ def test_check_assumptions_reports_a_strict_gate_refusal(tmp_path):
 
 def test_generator_gap_cli(tmp_path, config_file):
     cfg = load_config(config_file)
-    probes = {"points": [cfg.theta0.tolist()], "n_mc": 2000,
-              "etas": [0.1, 0.05]}
+    probes = {"points": [cfg.theta0.tolist()], "etas": [0.1, 0.05]}
     probes_path = tmp_path / "probes.json"
     probes_path.write_text(json.dumps(probes))
     res = CliRunner().invoke(main, ["generator-gap", "--config", str(config_file),
@@ -419,12 +418,11 @@ def test_malformed_point_files_name_the_file(tmp_path, config_file):
              ("generator-gap", {"pts": [[0.0] * d]}, f"d = {d}"),
              ("generator-gap", {"points": [[0.0] * d, [0.0] * (d + 1)]}, f"d = {d}"),
              ("generator-gap", {"points": [[0.0] * d], "target": [1.0]}, f"d = {d}"),
-             ("generator-gap", {"points": [[0.0] * d], "n_mc": 10},
-              "n_mc must be an integer >= 1000, got 10"),
-             ("generator-gap", {"points": [[0.0] * d], "n_mc": 1000.9},
-              "n_mc must be an integer >= 1000, got 1000.9"),
-             ("generator-gap", {"points": [[0.0] * d], "n_mc": "1000"},
-              "n_mc must be an integer >= 1000, got '1000'"),
+             ("generator-gap", {"points": [[0.0] * d], "n_mc": 1000},
+              "unknown keys ['n_mc']"),
+             ("generator-gap", {"points": [[0.0] * d], "etaz": [0.001]},
+              "unknown keys ['etaz']"),
+             ("dump-coefficients", {"x": [0.0] * d, "Y": [0.0] * d}, "unknown keys ['Y']"),
              ("generator-gap", [[0.0] * d], "expected a JSON object"),
              ("dump-coefficients", '{"x": [1, 2', "JSON parse error at line 1")]
     for cmd, doc, message in cases:
@@ -669,7 +667,7 @@ def _gate_run(tmp_path, cmd: str, strict: bool, run_eta: float, algo_eta: float,
     elif cmd == "generator-gap":
         points = tmp_path / "points.json"
         points.write_text(json.dumps({"points": [[0.0] * load_config(doc).net.d],
-                                      "n_mc": 1000, "etas": [run_eta]}))
+                                      "etas": [run_eta]}))
         args += ["--points", str(points)]
     else:
         assert run_eta == algo_eta
@@ -854,7 +852,7 @@ def test_out_file_in_a_missing_directory_is_one_error(tmp_path, config_file, cmd
     if cmd == "generator-gap":
         points = tmp_path / "points.json"
         points.write_text(json.dumps({"points": [load_config(config_file).theta0.tolist()],
-                                      "n_mc": 1000, "etas": [0.05]}))
+                                      "etas": [0.05]}))
         args += ["--points", str(points)]
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 1, res.output
