@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .mdp import MdpSpec, OnlineBufferReplay, next_states, sample_pairs
+from .mdp import (_COUNT, _NUMBER, MdpSpec, OnlineBufferReplay, _check, next_states,
+                  sample_pairs)
 from .qnet import QNetSpec, _forward, _vjp
 from .rng import BUFFER_PATH, SIMULATE_PATH, step_noise
 
@@ -43,7 +44,8 @@ class AlgoConfig:
     The chain and the delay diffusion read the same config: T chain steps
     of size eta span the diffusion's horizon T*eta, which ``run_sdde``
     integrates with rho Euler substeps per step.  seed keys the
-    per-trajectory noise streams.
+    per-trajectory noise streams.  eta and delta are finite and positive;
+    m, T and rho are integers >= 1.
     """
 
     eta: float
@@ -54,13 +56,11 @@ class AlgoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # eta = 0 is admitted as the chain's degenerate identity step
-        if not (self.eta >= 0.0):
-            raise ValueError("eta must be nonnegative")
-        if not (self.delta > 0.0):
-            raise ValueError("delta must be positive")
-        if self.m < 1 or self.T < 1 or self.rho < 1:
-            raise ValueError("m, T and rho must all be >= 1")
+        _check(self, "eta delta", *_NUMBER)
+        _check(self, "m T rho", *_COUNT)
+        for key in ("eta", "delta"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be positive")
 
 
 @dataclass

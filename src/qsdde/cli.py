@@ -25,6 +25,7 @@ from .manifest import (atomic_write_text, ensemble_to_csv, json_text, read_ensem
 from .mdp import (OnlineBufferReplay, _convert, _json_file, _known, _real, load_mdp,
                   validate_mdp)
 from .rng import W1_ASSIGNMENT_PATH, W1_SLICED_PATH, spawn_generator
+from .sdde import run_sdde
 from .wasserstein import w1_assignment_subsampled, w1_sliced
 
 
@@ -68,25 +69,6 @@ def _gate(cfg: ExperimentConfig, force: bool, source: str, etas, delta: float | 
             raise ConfigError([f"{msg}; pass --force to override"])
         click.echo(f"warning: {msg} [forced]", err=True)
     return rec
-
-
-def _json_object(path) -> dict:
-    """The JSON object in path, else a ClickException naming the file."""
-    try:
-        doc = _json_file(path)
-    except ValueError as err:
-        raise click.ClickException(f"{path}: {err}") from None
-    if not isinstance(doc, dict):
-        raise click.ClickException(f"{path}: expected a JSON object")
-    return doc
-
-
-def _vector(path, value, name: str, d: int) -> np.ndarray:
-    """value as a point of R^d, else a ClickException naming the file."""
-    try:
-        return _convert(name, value, *_floats(d))
-    except ValueError as err:
-        raise click.ClickException(f"{path}: {err}") from err
 
 
 def _manifest(out_dir, subcommand: str, cfg: ExperimentConfig, gate: dict,
@@ -139,14 +121,14 @@ def main():
 @click.argument("file", type=click.Path(exists=True))
 def validate_mdp_cmd(file):
     """Validate an MDP JSON document (or the mdp section of a config)."""
-    doc = _json_object(file)
     try:
+        doc = _json_file(file)
         spec, replay = load_mdp(doc.get("mdp", doc))
     except (TypeError, ValueError) as err:
         raise click.ClickException(f"{file}: {err}") from err
-    report = validate_mdp(spec, replay)
-    click.echo(str(report))
-    if not report.ok:
+    failures = validate_mdp(spec, replay)
+    click.echo("invalid:\n" + "\n".join(f"  - {f}" for f in failures) if failures else "ok")
+    if failures:
         sys.exit(1)
 
 
@@ -173,7 +155,6 @@ def simulate_dqn_cmd(config_path, seed_override, force, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def simulate_sdde_cmd(config_path, seed_override, force, out_dir):
     """Integrate the delay diffusion; write manifest plus checkpoint CSV."""
-    from .sdde import run_sdde
     cfg = load_config(config_path, seed_override=seed_override)
     gate = _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
     out = _manifest(out_dir, "simulate-sdde", cfg, gate, ["sdde.csv"])
@@ -195,10 +176,10 @@ def dump_coefficients_cmd(config_path, seed_override, force, out_file, points_fi
     _gate(cfg, force, "algo section: eta", [cfg.algo.eta], record=False)
     x = y = cfg.theta0
     if points_file:
-        pts = _json_object(points_file)
-        x = _vector(points_file, pts.get("x"), "x", cfg.net.d)
-        y = _vector(points_file, pts.get("y", x), "y", cfg.net.d)
         try:
+            pts = _json_file(points_file)
+            x = _convert("x", pts.get("x"), *_floats(cfg.net.d))
+            y = _convert("y", pts.get("y", x), *_floats(cfg.net.d))
             _known(pts, ("x", "y"))
         except ValueError as err:
             raise click.ClickException(f"{points_file}: {err}") from err
@@ -252,29 +233,25 @@ def estimate_w1_cmd(file_a, file_b, checkpoint, method, n_proj, cap, seed, out_f
 def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
     """Pointwise |eta A_X f - A_theta f| for quadratic f at probe points."""
     cfg = load_config(config_path, seed_override=seed_override)
-    probes = _json_object(points_file)
-    d = cfg.net.d
-    if not isinstance(probes.get("points"), list):
-        raise click.ClickException(f'{points_file}: "points" must be a list of '
-                                   f"points of d = {d} numbers")
-    points = [_vector(points_file, p, f"points[{i}]", d)
-              for i, p in enumerate(probes["points"])]
-    target = _vector(points_file, probes.get("target", cfg.theta0), "target", d)
-    f = Quadratic(A=np.eye(d), b=np.zeros(d))
-    eta = cfg.algo.eta
+    d, eta = cfg.net.d, cfg.algo.eta
     try:
+        probes = _json_file(points_file)
+        points = _convert("points", probes.get("points"), lambda ps: ps,
+                          lambda ps: isinstance(ps, list) and ps,
+                          f"a non-empty list of points of d = {d} numbers")
+        points = [_convert(f"points[{i}]", p, *_floats(d)) for i, p in enumerate(points)]
+        target = _convert("target", probes.get("target", cfg.theta0), *_floats(d))
         etas = _convert("etas", probes.get("etas", [eta, eta / 2, eta / 4]),
-                        lambda es: tuple(map(_real, es)),
+                        lambda es: tuple(dict.fromkeys(map(_real, es))),
                         lambda es: es and all(e > 0.0 for e in es),
                         "a non-empty list of positive numbers")
         _known(probes, ("points", "target", "etas"))
-        _gate(cfg, force, f"{points_file}: etas", etas, record=False)
-        reports = [asdict(generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target,
-                                        cfg.algo.delta, etas)) for x in points]
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise click.ClickException(f"{points_file}: {err}") from err
+    _gate(cfg, force, f"{points_file}: etas", etas, record=False)
+    f = Quadratic(A=np.eye(d), b=np.zeros(d))
+    reports = [asdict(generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target, cfg.algo.delta, etas))
+               for x in points]
     _emit({"reports": reports}, out_file)
 
 

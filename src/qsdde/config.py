@@ -142,8 +142,7 @@ def load_config(source: str | Path | dict, seed_override: int | None = None) -> 
         spec, replay = load_mdp(doc["mdp"])
     except (TypeError, ValueError) as err:
         raise ConfigError([f"mdp section: {err}"]) from err
-    report = validate_mdp(spec, replay)
-    errors.extend(report.failures)
+    errors.extend(validate_mdp(spec, replay))
     try:
         _known(doc, TOP_LEVEL)
     except ValueError as err:
@@ -166,12 +165,7 @@ def load_config(source: str | Path | dict, seed_override: int | None = None) -> 
     algo = None
     try:
         _known(algo_doc, DEFAULTS["algo"])
-        algo = AlgoConfig(eta=_convert("eta", algo_doc["eta"], *_NUMBER),
-                          delta=_convert("delta", algo_doc["delta"], *_NUMBER),
-                          **{k: _convert(k, algo_doc[k], *_COUNT) for k in ("m", "T", "rho")},
-                          seed=seed)
-        if algo.eta == 0.0:  # admitted by the chain alone; the diffusion arms need eta > 0
-            errors.append("algo section: eta must be positive")
+        algo = AlgoConfig(**algo_doc, seed=seed)
     except ValueError as err:
         errors.append(f"algo section: {err}")
 

@@ -18,19 +18,13 @@ from typing import ClassVar
 import numpy as np
 
 from .chain import AlgoConfig, run_dqn
-from .config import _COUNT, _checkpoints, _convert, _index, _real, _steps
+from .config import _COUNT, _checkpoints, _index, _real, _steps
 from .diagnostics import _loglog_fit
-from .mdp import MdpSpec
+from .mdp import MdpSpec, _check
 from .qnet import QNetSpec
 from .rng import CHAIN_ARM, SDDE_ARM, W1_ARM, spawn_generator
 from .sdde import run_sdde
 from .wasserstein import w1_assignment_subsampled, w1_sliced
-
-
-def _check(spec, keys: str, *rule) -> None:
-    """Set each of spec's (space-separated) keys to ``config._convert`` of its value."""
-    for key in keys.split():
-        object.__setattr__(spec, key, _convert(key, getattr(spec, key), *rule))
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,18 @@ lives in the Q-network.  Replay is modelled two ways: an idealized i.i.d.
 distribution q(s, a) over state-action pairs (the i.i.d. idealization), and a
 faithful online FIFO buffer driven by an epsilon-greedy policy (used by the
 full algorithm loop in ``chain``).
+
+The input rules of every module live here too: ``_json_file`` reads an input
+file, which must hold a JSON object; ``_convert`` applies one rule to one
+value and ``_check`` applies it to a dataclass's fields; ``_known`` refuses
+unknown keys.  ``validate_mdp`` returns the list of an MDP's failures.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -45,14 +50,23 @@ def _convert(key: str, given, convert, ok, need: str):
     return value
 
 
-def _json_file(path):
-    """The JSON document in path; bad JSON is a ValueError naming line and column."""
+def _check(spec, keys: str, *rule) -> None:
+    """Set each of spec's (space-separated) keys to ``_convert`` of its value."""
+    for key in keys.split():
+        object.__setattr__(spec, key, _convert(key, getattr(spec, key), *rule))
+
+
+def _json_file(path) -> dict:
+    """The JSON object in path; bad JSON is a ValueError naming line and column."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"JSON parse error at line {err.lineno}, column {err.colno}: "
                              f"{err.msg}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
+    return doc
 
 
 def _known(block: dict, keys, prefix: str = "") -> None:
@@ -128,24 +142,13 @@ class OnlineBufferReplay:
 ReplayModel = Union[IdealizedReplay, OnlineBufferReplay]
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    failures: list[str] = field(default_factory=list)
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "invalid:\n" + "\n".join(f"  - {f}" for f in self.failures)
-
-
-def validate_mdp(spec: MdpSpec, replay: ReplayModel | None = None) -> ValidationReport:
-    """Check every MdpSpec invariant; failures carry the offending indices."""
+def validate_mdp(spec: MdpSpec, replay: ReplayModel | None = None) -> list[str]:
+    """Every failed MdpSpec and replay invariant, naming the offending indices;
+    empty when the MDP is valid."""
     fails: list[str] = []
     p, R, V = spec.p, spec.R, spec.V
     if p.ndim != 3 or p.shape[0] != p.shape[2]:
-        fails.append(f"p must have shape (S, A, S), got {p.shape}")
-        return ValidationReport(False, fails)
+        return [f"p must have shape (S, A, S), got {p.shape}"]
     S, A = p.shape[0], p.shape[1]
     if R.shape != (S, A):
         fails.append(f"R must have shape ({S}, {A}), got {R.shape}")
@@ -171,17 +174,10 @@ def validate_mdp(spec: MdpSpec, replay: ReplayModel | None = None) -> Validation
                 fails.append(f"negative reward stddev V({s},{a}) = {V[s, a]}")
     if not (0.0 < spec.gamma < 1.0):
         fails.append(f"gamma must lie in (0,1), got {spec.gamma}")
-    if replay is not None:
-        fails.extend(validate_replay(replay, S, A).failures)
-    return ValidationReport(not fails, fails)
-
-
-def validate_replay(replay: ReplayModel, n_states: int, n_actions: int) -> ValidationReport:
-    fails: list[str] = []
     if isinstance(replay, IdealizedReplay):
         q = replay.q
-        if q.shape != (n_states, n_actions):
-            fails.append(f"q must have shape ({n_states}, {n_actions}), got {q.shape}")
+        if q.shape != (S, A):
+            fails.append(f"q must have shape ({S}, {A}), got {q.shape}")
         elif not np.all(np.isfinite(q)):
             fails.append("q has non-finite entries")
         else:
@@ -195,9 +191,9 @@ def validate_replay(replay: ReplayModel, n_states: int, n_actions: int) -> Valid
             fails.append(f"buffer capacity must be >= 1, got {replay.capacity}")
         if not (0.0 < replay.epsilon < 1.0):
             fails.append(f"epsilon must lie in (0,1), got {replay.epsilon}")
-    else:
+    elif replay is not None:
         fails.append(f"unknown replay model {type(replay).__name__}")
-    return ValidationReport(not fails, fails)
+    return fails
 
 
 def next_states(p_rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -37,16 +37,14 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
              stream_path: tuple[int, ...] = SIMULATE_PATH) -> TrajectoryEnsemble:
     """Integrate n_traj trajectories; checkpoints are integer multiples of eta.
 
-    cfg is the chain's AlgoConfig, which must have eta > 0.  The internal
-    step is h = eta/rho; the delay argument is the stored value of X at the
-    most recent multiple of m*eta.  Checkpoint step j records X at time
+    cfg is the chain's AlgoConfig.  The internal step is h = eta/rho; the
+    delay argument is the stored value of X at the most recent multiple of
+    m*eta.  Checkpoint step j records X at time
     j*eta, aligned with chain step j.  Each substep draws z (d) and
     xi (K), in that order, from the trajectory's stream and moves
     x -> x + sqrt(eta*h) sqrt(delta/eta) z + VJP(x; h*q*Ec + sqrt(eta*h) F xi),
     whose increment has the exact law -b h + sqrt(eta*h) sigma Z.
     """
-    if not (cfg.eta > 0.0):
-        raise ValueError("eta must be positive")
     d, K = net.d, spec.n_states * spec.n_actions
     h = cfg.eta / cfg.rho
     amp = np.sqrt(cfg.eta * h)

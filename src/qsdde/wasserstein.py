@@ -19,7 +19,7 @@ down from the caller's generator, which they require.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,9 +42,9 @@ class W1Estimate:
         return self.value >= 2.0 * self.baseline
 
     def as_dict(self) -> dict:
-        return {"value": self.value, "method": self.method, "stderr": self.stderr,
-                "n_a": self.n_a, "n_b": self.n_b, "baseline": self.baseline,
-                "reliable": self.reliable(), **{f"meta_{k}": v for k, v in self.meta.items()}}
+        fields = asdict(self)
+        meta = fields.pop("meta")
+        return {**fields, "reliable": self.reliable(), **{f"meta_{k}": v for k, v in meta.items()}}
 
 
 def projection_scale(d: int) -> float:

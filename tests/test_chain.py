@@ -61,6 +61,21 @@ def test_algo_config_validation():
         _cfg(m=0)
     with pytest.raises(ValueError):
         _cfg(T=0)
+    with pytest.raises(ValueError):
+        _cfg(rho=0)
+    # the chain and the diffusion both need eta > 0; the identity step at
+    # eta = 0 is a property of replay_step, not of a run config
+    with pytest.raises(ValueError, match="eta must be positive"):
+        _cfg(eta=0)
+    with pytest.raises(ValueError, match="eta must be a finite number, got True"):
+        _cfg(eta=True)
+    with pytest.raises(ValueError, match="m must be an integer >= 1, got 2.5"):
+        _cfg(m=2.5)
+    with pytest.raises(ValueError, match="rho must be an integer >= 1, got '5'"):
+        _cfg(rho="5")
+    # every conversion runs before the sign checks
+    with pytest.raises(ValueError, match="m must be an integer >= 1, got 0"):
+        _cfg(eta=0, m=0)
 
 
 def test_ensemble_checkpoints_strictly_increasing():
@@ -69,8 +84,9 @@ def test_ensemble_checkpoints_strictly_increasing():
 
 
 def test_dqn_step_eta_zero_is_identity(net, mdp, q_table, theta):
-    out = _step(net, mdp, q_table, theta, theta, _cfg(eta=0.0, delta=1e-300),
-                *_words(net, np.random.default_rng(0)))
+    u, z = _words(net, np.random.default_rng(0))
+    out = replay_step(net, mdp, cumulative_tables(mdp, q_table), theta[:, None],
+                      theta[:, None], u[None, :], z[None, :], 0.0, 1e-300)[:, 0]
     assert np.array_equal(out, theta)
 
 

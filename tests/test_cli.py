@@ -74,7 +74,7 @@ def test_load_config_aggregates_errors(tmp_path):
 
 
 def test_load_config_rejects_zero_eta(tmp_path):
-    # the chain alone admits eta = 0, but a config also drives the diffusion
+    # AlgoConfig refuses eta = 0: the chain and the diffusion both need eta > 0
     doc = _config_doc()
     doc["algo"]["eta"] = 0.0
     path = tmp_path / "zero.json"
@@ -424,6 +424,8 @@ def test_malformed_point_files_name_the_file(tmp_path, config_file):
               "unknown keys ['etaz']"),
              ("dump-coefficients", {"x": [0.0] * d, "Y": [0.0] * d}, "unknown keys ['Y']"),
              ("generator-gap", [[0.0] * d], "expected a JSON object"),
+             ("generator-gap", {"points": []}, "points must be a non-empty list"),
+             ("generator-gap", {"points": {"x": [0.0] * d}}, "points must be a non-empty list"),
              ("dump-coefficients", '{"x": [1, 2', "JSON parse error at line 1")]
     for cmd, doc, message in cases:
         bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -432,6 +434,32 @@ def test_malformed_point_files_name_the_file(tmp_path, config_file):
         assert res.exit_code == 1, (cmd, doc, res.output)
         assert f"{bad}:" in res.output and message in res.output
         assert isinstance(res.exception, SystemExit)
+
+
+def test_generator_gap_runs_each_eta_once(tmp_path, config_file):
+    # a repeated eta runs once, in first-seen order; one distinct eta fits no order
+    probes_path = tmp_path / "probes.json"
+    point = load_config(config_file).theta0.tolist()
+    for etas, ran in (([0.1, 0.1], [0.1]), ([0.05, 0.1, 0.05], [0.05, 0.1])):
+        probes_path.write_text(json.dumps({"points": [point], "etas": etas}))
+        res = CliRunner().invoke(main, ["generator-gap", "--config", str(config_file),
+                                        "--points", str(probes_path), "--force"])
+        assert res.exit_code == 0, res.output
+        (report,) = json.loads(res.output)["reports"]
+        assert report["etas"] == ran and len(report["gaps"]) == len(ran)
+        assert (report["fitted_order"] is None) == (len(ran) == 1)
+
+
+@pytest.mark.parametrize("top", ["[1, 2]", '"x"', "5", "null"])
+def test_config_that_is_not_a_json_object_is_one_error(tmp_path, top):
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(top)
+    res = CliRunner().invoke(main, ["simulate-dqn", "--config", str(path), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert "invalid configuration:\n  - expected a JSON object" in res.output
+    assert res.output.count("\n  - ") == 1, res.output
+    assert not out.exists()
 
 
 def test_stream_keys_unique_within_a_run(tmp_path, config_file, monkeypatch):

@@ -29,40 +29,39 @@ def _draw(spec, q, rng, n):
 def test_uniform_rows_valid():
     spec = MdpSpec(p=np.full((2, 2, 2), 0.5), R=np.zeros((2, 2)),
                    V=np.zeros((2, 2)), gamma=0.9)
-    assert validate_mdp(spec).ok
+    assert validate_mdp(spec) == []
 
 
 def test_bad_row_sum_reported():
     p = np.full((2, 2, 2), 0.5)
     p[0, 0] = [0.5, 0.4]
     spec = MdpSpec(p=p, R=np.zeros((2, 2)), V=np.zeros((2, 2)), gamma=0.9)
-    report = validate_mdp(spec)
-    assert not report.ok
-    assert any("row sum" in f and "(.|0,0)" in f for f in report.failures)
+    failures = validate_mdp(spec)
+    assert failures
+    assert any("row sum" in f and "(.|0,0)" in f for f in failures)
 
 
 def test_negative_stddev_reported():
     V = np.zeros((2, 2))
     V[1, 0] = -0.1
     spec = MdpSpec(p=np.full((2, 2, 2), 0.5), R=np.zeros((2, 2)), V=V, gamma=0.9)
-    report = validate_mdp(spec)
-    assert any("negative reward stddev" in f for f in report.failures)
+    assert any("negative reward stddev" in f for f in validate_mdp(spec))
 
 
 def test_gamma_bounds():
     spec = MdpSpec(p=np.full((2, 2, 2), 0.5), R=np.zeros((2, 2)),
                    V=np.zeros((2, 2)), gamma=1.2)
-    assert any("gamma" in f for f in validate_mdp(spec).failures)
+    assert any("gamma" in f for f in validate_mdp(spec))
 
 
 def test_replay_validation():
     spec = MdpSpec(p=np.full((2, 2, 2), 0.5), R=np.zeros((2, 2)),
                    V=np.zeros((2, 2)), gamma=0.9)
     bad_q = IdealizedReplay(np.array([[0.5, 0.4], [0.05, 0.04]]))
-    assert not validate_mdp(spec, bad_q).ok
-    assert not validate_mdp(spec, OnlineBufferReplay(capacity=0, epsilon=0.5)).ok
-    assert not validate_mdp(spec, OnlineBufferReplay(capacity=5, epsilon=1.0)).ok
-    assert validate_mdp(spec, OnlineBufferReplay(capacity=5, epsilon=0.3)).ok
+    assert validate_mdp(spec, bad_q)
+    assert validate_mdp(spec, OnlineBufferReplay(capacity=0, epsilon=0.5))
+    assert validate_mdp(spec, OnlineBufferReplay(capacity=5, epsilon=1.0))
+    assert validate_mdp(spec, OnlineBufferReplay(capacity=5, epsilon=0.3)) == []
 
 
 def test_sample_pairs_degenerate():

@@ -20,14 +20,6 @@ def _cfg(**kw):
     return AlgoConfig(**base)
 
 
-def test_run_sdde_rejects_zero_eta_and_config_rejects_zero_rho(net, mdp, q_table, theta):
-    # AlgoConfig admits the chain's eta = 0 identity step; the diffusion does not
-    with pytest.raises(ValueError, match="eta must be positive"):
-        run_sdde(net, mdp, q_table, theta, _cfg(eta=0.0), 2, [0])
-    with pytest.raises(ValueError):
-        _cfg(rho=0)
-
-
 def test_euler_step_saturated_collapses_to_scaled_brownian(net, mdp, q_table):
     # grad Q ~ 0: each substep of size h is x + sqrt(delta) sqrt(h) z, with z
     # the first d words of the substep's block in the trajectory's stream
