@@ -10,7 +10,7 @@ from .coeffs import (AssumptionEstimates, CoefficientSet, estimate_constants,
                      exact_drift_b, sigma_matrix, step_size_gate)
 from .chain import AlgoConfig, TrajectoryEnsemble, run_algorithm1, run_dqn
 from .sdde import run_sdde
-from .wasserstein import W1Estimate, w1_assignment, w1_exact_1d, w1_sliced
+from .wasserstein import W1Estimate, w1_assignment, w1_sliced
 from .diagnostics import Quadratic, assumption_report, generator_X, generator_gap
 from .experiments import (MomentSuiteSpec, RateSweepSpec, VarianceStudySpec,
                           moment_suite, rate_sweep, variance_study, w1_bound_shape)
@@ -24,5 +24,5 @@ __all__ = [
     "generator_X", "generator_gap", "init_theta", "load_config", "load_mdp",
     "moment_suite", "rate_sweep", "run_algorithm1", "run_dqn", "run_sdde",
     "sample_pairs", "sigma_matrix", "step_size_gate", "uniform_q", "validate_mdp",
-    "variance_study", "w1_assignment", "w1_bound_shape", "w1_exact_1d", "w1_sliced",
+    "variance_study", "w1_assignment", "w1_bound_shape", "w1_sliced",
 ]

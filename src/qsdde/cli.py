@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .chain import run_algorithm1, run_dqn
+from .chain import SimulationError, run_algorithm1, run_dqn
 from .coeffs import GATE_SAFETY, sigma_matrix, step_size_gate
 from .config import ConfigError, ExperimentConfig, _floats, load_config
 from .diagnostics import Quadratic, generator_gap
@@ -103,12 +103,12 @@ def _write_study(out: Path, name: str, res, plot_rows: list[dict]) -> None:
 
 
 class _Commands(click.Group):
-    """A bad config, gate refusals included, ends a command with its message."""
+    """A bad config, gate refusals included, or a diverging run ends with its message."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ConfigError as err:
+        except (ConfigError, SimulationError) as err:
             raise click.ClickException(str(err)) from err
 
 

@@ -104,7 +104,9 @@ class MomentSuiteSpec:
         _check(self, "m T rho n_traj", *_COUNT)
         _check(self, "checkpoints", *_checkpoints(self.T, 1))
         _check(self, "ic_scales", lambda ss: tuple(dict.fromkeys(map(_real, ss))),
-               lambda ss: ss and all(map(np.isfinite, ss)), "a non-empty list of finite numbers")
+               lambda ss: ss and all(np.isfinite(1.0 + 2.0 * s * s * s * s) for s in ss),
+               "a non-empty list of finite numbers s with a finite envelope 1 + 2 s^4")
+        AlgoConfig(self.eta, self.delta, self.m, self.T, self.rho)  # refused before the manifest
 
     @classmethod
     def from_block(cls, block: dict, run) -> MomentSuiteSpec:

@@ -87,8 +87,9 @@ def read_ensemble_csv(path: Path, checkpoints=None) -> tuple[list[int], dict[int
     file is absent from the dict.  The structure of the whole file is checked:
     the header, the field count of every row against the header width and an
     integer ``step`` in every row.  Only the rows of requested steps are parsed
-    as floats, so a non-numeric value at an unrequested step is not detected.
-    Malformed input raises ``ValueError`` naming the file and the line.
+    as floats, so a non-numeric value at an unrequested step is not detected;
+    a non-finite value (nan, inf) at a requested step is refused.  Malformed
+    input raises ``ValueError`` naming the file and the line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -122,15 +123,24 @@ def read_ensemble_csv(path: Path, checkpoints=None) -> tuple[list[int], dict[int
             out[step] = np.loadtxt(rows[step], delimiter=",", ndmin=2, comments=None,
                                    dtype=np.float64)
         except ValueError as err:
-            for values, no in zip(rows[step], line_nos[step]):
-                for col, value in enumerate(values.split(","), start=3):
-                    try:
-                        float(value)
-                    except ValueError:
-                        raise ValueError(f"{path}, line {no}, field {col}: "
-                                         f"{value!r} is not a number") from None
+            _refuse_bad_value(path, rows[step], line_nos[step])
             raise ValueError(f"{path}, step {step}: {err}") from None
+        if not np.isfinite(out[step]).all():
+            _refuse_bad_value(path, rows[step], line_nos[step])
     return sorted(steps), out
+
+
+def _refuse_bad_value(path: Path, rows: list[str], line_nos: list[int]) -> None:
+    """A ValueError naming the first value in rows that is not a finite number."""
+    for values, no in zip(rows, line_nos):
+        for col, value in enumerate(values.split(","), start=3):
+            try:
+                finite = np.isfinite(float(value))
+            except ValueError:
+                raise ValueError(f"{path}, line {no}, field {col}: "
+                                 f"{value!r} is not a number") from None
+            if not finite:
+                raise ValueError(f"{path}, line {no}, field {col}: {value!r} is not finite")
 
 
 def rows_to_csv(path: Path, rows: list[dict], columns: list[str]) -> None:

@@ -30,7 +30,7 @@ def test_every_public_name_resolves():
 
 
 def test_public_api_is_the_batched_entry_points():
-    assert len(qsdde.__all__) == 37
+    assert len(qsdde.__all__) == 36
     assert sorted(qsdde.__all__) == sorted([
         "AlgoConfig", "AssumptionEstimates", "CoefficientSet", "ExperimentConfig",
         "IdealizedReplay", "MdpSpec", "MomentSuiteSpec", "OnlineBufferReplay", "QNetSpec",
@@ -40,7 +40,7 @@ def test_public_api_is_the_batched_entry_points():
         "init_theta", "load_config", "load_mdp", "moment_suite",
         "rate_sweep", "run_algorithm1", "run_dqn", "run_sdde", "sample_pairs",
         "sigma_matrix", "step_size_gate", "uniform_q", "validate_mdp", "variance_study",
-        "w1_assignment", "w1_bound_shape", "w1_exact_1d", "w1_sliced",
+        "w1_assignment", "w1_bound_shape", "w1_sliced",
     ])
 
 

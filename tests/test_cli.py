@@ -258,6 +258,55 @@ def test_estimate_w1_dimension_mismatch(tmp_path, config_file):
     assert "dimension mismatch" in res.output
 
 
+@pytest.mark.parametrize("method, value", [("sliced", "nan"), ("assignment", "inf"),
+                                           ("both", "-inf")])
+def test_estimate_w1_refuses_a_non_finite_value(tmp_path, config_file, method, value):
+    path_a, path_b = _two_chains(tmp_path, config_file)
+    lines = path_a.read_text().split("\n")
+    fields = lines[3].split(",")  # line 4: trajectory 0 at step 12
+    lines[3] = ",".join(fields[:-1] + [value])
+    path_a.write_text("\n".join(lines))
+    res = CliRunner().invoke(main, ["estimate-w1", "--a", str(path_a), "--b", str(path_b),
+                                    "--checkpoint", "12", "--method", method])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert f"{path_a}, line 4, field {len(fields)}: {value!r} is not finite" in res.output
+
+
+def test_unequal_ensembles_resample_only_in_the_sliced_reading(tmp_path):
+    runner = CliRunner()
+    paths = []
+    for n_traj in (24, 16):
+        cfg = tmp_path / f"cfg{n_traj}.json"
+        cfg.write_text(json.dumps(_config_doc(n_traj=n_traj)))
+        res = runner.invoke(main, ["simulate-dqn", "--config", str(cfg),
+                                   "--out", str(tmp_path / f"out{n_traj}")])
+        assert res.exit_code == 0, res.output
+        paths.append(tmp_path / f"out{n_traj}" / "chain.csv")
+    res = runner.invoke(main, ["estimate-w1", "--a", str(paths[0]), "--b", str(paths[1]),
+                               "--checkpoint", "12", "--method", "both"])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    sliced, assignment = payload["sliced"], payload["assignment"]
+    assert (sliced["n_a"], sliced["n_b"]) == (24, 16)
+    assert (sliced["meta_resampled_to"], sliced["meta_repeats"]) == (16, 16)
+    # the assignment reading subsamples both clouds to equal counts without replacement
+    assert (assignment["n_a"], assignment["n_b"]) == (16, 16)
+    assert not any(k.startswith("meta_") for k in assignment)
+
+
+def test_diverging_simulation_is_one_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    doc = _config_doc()
+    doc["algo"]["delta"] = 1e308
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["simulate-sdde", "--config", str(path),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.output.startswith("Error: non-finite value at substep "), res.output
+
+
 def test_dump_coefficients_json(tmp_path, config_file):
     res = CliRunner().invoke(main, ["dump-coefficients", "--config",
                                     str(config_file)])
@@ -521,6 +570,9 @@ def test_stream_keys_unique_within_a_run(tmp_path, config_file, monkeypatch):
     ("rate_sweep", {"n_proj": 4.0}, ["n_proj must be an integer >= 1"], ["--force"]),
     ("moment_suite", {"checkpoints": [0]}, ["checkpoints must be", "not all 0"], []),
     ("variance_study", {"checkpoints": [0]}, ["checkpoints must be", "not all 0"], []),
+    ("moment_suite", {"eta": float("inf")}, ["eta must be a finite number, got inf"], []),
+    ("moment_suite", {"delta": float("inf")}, ["delta must be a finite number, got inf"], []),
+    ("moment_suite", {"ic_scales": [0.0, 1e100]}, ["ic_scales", "envelope", "1e+100"], []),
 ])
 def test_bad_study_block_is_one_error_before_the_manifest(tmp_path, section, block, words,
                                                           extra):

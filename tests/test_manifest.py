@@ -89,13 +89,15 @@ def test_structure_checked_at_unrequested_steps(tmp_path, bad_row, message):
         assert str(path) in str(err.value) and message in str(err.value)
 
 
-def test_non_numeric_value_rejected_only_where_parsed(tmp_path):
+@pytest.mark.parametrize("value, problem", [("oops", "is not a number"), ("nan", "is not finite"),
+                                            ("inf", "is not finite"), ("-inf", "is not finite")])
+def test_non_numeric_value_rejected_only_where_parsed(tmp_path, value, problem):
     path = tmp_path / "e.csv"
     _write_small(path)
-    _replace_line(path, 7, "1,10,0.5,oops")
+    _replace_line(path, 7, f"1,10,0.5,{value}")
     with pytest.raises(ValueError) as err:
         read_ensemble_csv(path, [10])
-    assert f"{path}, line 7, field 4: 'oops' is not a number" in str(err.value)
+    assert f"{path}, line 7, field 4: {value!r} {problem}" in str(err.value)
     with pytest.raises(ValueError):
         read_ensemble_csv(path)
     # floats of unrequested steps are not parsed, so this file reads at step 5

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsdde.wasserstein import (_cost_matrix, projection_scale, w1_assignment,
-                               w1_exact_1d, w1_sliced)
+from qsdde.wasserstein import _cost_matrix, projection_scale, w1_assignment, w1_sliced
 
 
 def brute_force_w1(A: np.ndarray, B: np.ndarray) -> float:
@@ -21,45 +20,37 @@ def brute_force_w1(A: np.ndarray, B: np.ndarray) -> float:
     return best
 
 
-def test_exact_1d_identical_samples():
+def sliced_1d(a, b):
+    """w1_sliced on two 1-D samples: every direction is +-1, so it is the
+    exact sorted coupling up to projection_scale(1), which is 1 to rounding."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return w1_sliced(a.reshape(-1, 1), b.reshape(-1, 1), 4, np.random.default_rng(0))
+
+
+def test_sliced_1d_identical_samples():
     a = np.array([0.3, -1.0, 2.0])
-    est = w1_exact_1d(a, a.copy())
+    est = sliced_1d(a, a.copy())
     assert est.value == 0.0
     assert est.stderr == 0.0
 
 
-def test_exact_1d_point_masses():
-    assert w1_exact_1d(np.zeros(2), np.ones(2)).value == 1.0
+def test_sliced_1d_point_masses():
+    assert sliced_1d(np.zeros(2), np.ones(2)).value == pytest.approx(1.0, rel=1e-12)
 
 
-def test_exact_1d_sorted_coupling_hand_case():
-    est = w1_exact_1d(np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5, 2.5]))
-    assert est.value == pytest.approx(0.5)
+def test_sliced_1d_sorted_coupling_hand_case():
+    est = sliced_1d([0.0, 1.0, 2.0], [0.5, 1.5, 2.5])
+    assert est.value == pytest.approx(0.5, rel=1e-12)
 
 
-def test_exact_1d_empty_raises():
-    with pytest.raises(ValueError):
-        w1_exact_1d(np.array([]), np.array([1.0]))
-
-
-def test_exact_1d_unequal_counts_bootstrap():
-    rng = np.random.default_rng(0)
-    a = rng.normal(0, 1, 400)
-    b = rng.normal(3, 1, 250)
-    est = w1_exact_1d(a, b, rng=np.random.default_rng(1))
-    assert est.meta["resampled_to"] == 250
-    assert est.value == pytest.approx(3.0, abs=0.5)
-
-
-@pytest.mark.parametrize("estimator, shape", [(w1_exact_1d, ()), (w1_assignment, (2,))])
-def test_unequal_counts_need_a_generator(estimator, shape):
-    # no hidden fixed seed: the bootstrap draws only from a generator the caller passes
+def test_assignment_refuses_unequal_counts():
+    # the equal counts are drawn by w1_assignment_subsampled, from the caller's rng
     rng = np.random.default_rng(4)
-    a, b = rng.normal(0, 1, (6, *shape)), rng.normal(0, 1, (4, *shape))
-    with pytest.raises(ValueError, match="pass an rng"):
-        estimator(a, b)
-    assert estimator(a, b, rng=np.random.default_rng(5)).meta["resampled_to"] == 4
-    assert estimator(a[:4], b).meta == {}
+    a, b = rng.normal(0, 1, (6, 2)), rng.normal(0, 1, (4, 2))
+    with pytest.raises(ValueError, match="sample counts 6 and 4 differ: "
+                                         "w1_assignment_subsampled"):
+        w1_assignment(a, b)
+    assert w1_assignment(a[:4], b).meta == {}
 
 
 def test_assignment_permutation_invariance():
@@ -154,8 +145,8 @@ def test_sliced_reduces_to_exact_in_1d():
     a = rng.normal(0, 1, (64, 1))
     b = rng.normal(1, 2, (64, 1))
     sl = w1_sliced(a, b, 7, np.random.default_rng(10))
-    ex = w1_exact_1d(a[:, 0], b[:, 0])
-    assert sl.value == pytest.approx(ex.value, rel=1e-12)
+    assert sl.value == pytest.approx(np.abs(np.sort(a[:, 0]) - np.sort(b[:, 0])).mean(),
+                                     rel=1e-12)
 
 
 def test_sliced_translation_recovers_shift():
@@ -218,8 +209,8 @@ def test_scaling_property_exact_methods(scale, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(0, 1, 20)
     b = rng.normal(0.5, 1.5, 20)
-    base = w1_exact_1d(a, b).value
-    assert w1_exact_1d(scale * a, scale * b).value == pytest.approx(scale * base, rel=1e-9)
+    base = sliced_1d(a, b).value
+    assert sliced_1d(scale * a, scale * b).value == pytest.approx(scale * base, rel=1e-9)
     A = rng.normal(0, 1, (16, 2))
     B = rng.normal(0.3, 1.0, (16, 2))
     base2 = w1_assignment(A, B).value
@@ -243,5 +234,5 @@ def test_symmetry_of_methods():
     A = rng.normal(0, 1, (30, 2))
     B = rng.normal(1, 1, (30, 2))
     assert w1_assignment(A, B).value == pytest.approx(w1_assignment(B, A).value, rel=1e-12)
-    assert (w1_exact_1d(A[:, 0], B[:, 0]).value
-            == pytest.approx(w1_exact_1d(B[:, 0], A[:, 0]).value, rel=1e-12))
+    assert (sliced_1d(A[:, 0], B[:, 0]).value
+            == pytest.approx(sliced_1d(B[:, 0], A[:, 0]).value, rel=1e-12))
