@@ -94,12 +94,13 @@ def _emit(obj, out_file) -> None:
         click.echo(json_text(obj), nl=False)
 
 
-def _write_study(out: Path, name: str, res, plot_rows: list[dict]) -> None:
-    """<name>.csv of res.rows, <name>.json of res, and plot_data.csv."""
-    rows = [asdict(r) for r in res.rows]
-    rows_to_csv(out / f"{name}.csv", rows, list(rows[0]))
-    _dump(out / f"{name}.json", asdict(res))
-    rows_to_csv(out / "plot_data.csv", plot_rows, ["x", "y", "err"])
+def _write_study(out: Path, name: str, res: dict, x: str, y: str, err: str) -> None:
+    """The study document res as <name>.json, its rows as <name>.csv (columns
+    in key order), and their x, y and err keys as plot_data.csv."""
+    rows_to_csv(out / f"{name}.csv", res["rows"], list(res["rows"][0]))
+    _dump(out / f"{name}.json", res)
+    rows_to_csv(out / "plot_data.csv", [{"x": r[x], "y": r[y], "err": r[err]}
+                                        for r in res["rows"]], ["x", "y", "err"])
 
 
 class _Commands(click.Group):
@@ -250,7 +251,7 @@ def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
         raise click.ClickException(f"{points_file}: {err}") from err
     _gate(cfg, force, f"{points_file}: etas", etas, record=False)
     f = Quadratic(A=np.eye(d), b=np.zeros(d))
-    reports = [asdict(generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target, cfg.algo.delta, etas))
+    reports = [generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target, cfg.algo.delta, etas)
                for x in points]
     _emit({"reports": reports}, out_file)
 
@@ -293,10 +294,9 @@ def rate_sweep_cmd(config_path, seed_override, force, threads, out_dir):
     out = _manifest(out_dir, "rate-sweep", cfg, gate,
                     ["rate_sweep.csv", "rate_sweep.json", "plot_data.csv"])
     res = rate_sweep(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, sweep, threads=threads)
-    _write_study(out, "rate_sweep", res,
-                 [{"x": r.eta, "y": r.w1_sliced, "err": r.sliced_stderr} for r in res.rows])
-    click.echo(f"slope = {res.slope:.3f} (95% CI {res.slope_ci95[0]:.3f}.."
-               f"{res.slope_ci95[1]:.3f}); wrote {out}")
+    _write_study(out, "rate_sweep", res, "eta", "w1_sliced", "sliced_stderr")
+    lo, hi = res["slope_ci95"]
+    click.echo(f"slope = {res['slope']:.3f} (95% CI {lo:.3f}..{hi:.3f}); wrote {out}")
 
 
 @main.command("variance-study")
@@ -312,9 +312,8 @@ def variance_study_cmd(config_path, seed_override, force, threads, out_dir):
                     ["variance_study.csv", "variance_study.json", "plot_data.csv"])
     res = variance_study(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, study,
                          threads=threads)
-    _write_study(out, "variance_study", res,
-                 [{"x": r.time, "y": r.trace_cov_theta, "err": r.m} for r in res.rows])
-    click.echo(f"trace ratios vs m=1 (chain): {res.ratios_theta}; wrote {out}")
+    _write_study(out, "variance_study", res, "time", "trace_cov_theta", "m")
+    click.echo(f"trace ratios vs m=1 (chain): {res['ratios_theta']}; wrote {out}")
 
 
 @main.command("moment-suite")
@@ -327,12 +326,12 @@ def moment_suite_cmd(config_path, seed_override, force, out_dir):
     gate = _gate(cfg, force, "moment_suite section: eta", [suite.eta], suite.delta)
     out = _manifest(out_dir, "moment-suite", cfg, gate, ["moment_suite.json", "plot_data.csv"])
     res = moment_suite(cfg.net, cfg.mdp, cfg.q, cfg.algo, suite)
-    _dump(out / "moment_suite.json", asdict(res))
+    _dump(out / "moment_suite.json", res)
     rows_to_csv(out / "plot_data.csv",
-                [{"x": c, "y": v, "err": s} for s in res.ic_scales
-                 for c, v in zip(res.checkpoints, res.theta_fourth[s])], ["x", "y", "err"])
-    click.echo(f"stability: theta x{res.stability_theta:.2f}, "
-               f"X x{res.stability_X:.2f}; wrote {out}")
+                [{"x": c, "y": v, "err": s} for s in res["ic_scales"]
+                 for c, v in zip(res["checkpoints"], res["theta_fourth"][s])], ["x", "y", "err"])
+    click.echo(f"stability: theta x{res['stability_theta']:.2f}, "
+               f"X x{res['stability_X']:.2f}; wrote {out}")
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ def _steps(values) -> tuple[int, ...]:
 
 
 _SEED = (_index, lambda n: n >= 0, "an integer >= 0")
+_PAIR_COUNT = (_index, lambda n: n >= 2, "an integer >= 2")  # a variance or a W1 floor needs 2
 
 
 def _checkpoints(T: int, last: int = 0):  # the rule on steps in [0, T], the last >= last

@@ -81,23 +81,10 @@ def _loglog_fit(x, y) -> tuple[float, float]:
     return float(slope), se
 
 
-@dataclass
-class GapReport:
-    """Pointwise generator gap over a grid of step sizes at one probe point."""
-
-    etas: tuple[float, ...]
-    gaps: tuple[float, ...]
-    theta_generator: tuple[float, ...]
-    x_generator_times_eta: tuple[float, ...]
-    fitted_order: float | None
-    note: str = ("pointwise surrogate at s=0 for the time-integrated operator "
-                 "comparison; captures the leading term only")
-
-
 def generator_gap(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
-                  target: np.ndarray, delta: float, etas: tuple[float, ...]) -> GapReport:
+                  target: np.ndarray, delta: float, etas: tuple[float, ...]) -> dict:
     """|eta * A_X f - A_theta f| = eta^2 |b^T A b| for quadratic f at each eta,
-    plus the fitted log-log order."""
+    plus the fitted log-log order: one probe point's report."""
     etas = tuple(etas)
     b = exact_drift_b(net, spec, q, x, target)
     rems = [eta ** 2 * float(b @ f.A @ b) for eta in etas]
@@ -105,9 +92,11 @@ def generator_gap(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     gaps = tuple(abs(r) for r in rems)
     order = (_loglog_fit(etas, gaps)[0] if len(etas) >= 2 and all(g > 0 for g in gaps)
              else None)
-    return GapReport(etas=etas, gaps=gaps,
-                     theta_generator=tuple(gx + r for gx, r in zip(xvals, rems)),
-                     x_generator_times_eta=tuple(xvals), fitted_order=order)
+    return {"etas": etas, "gaps": gaps,
+            "theta_generator": tuple(gx + r for gx, r in zip(xvals, rems)),
+            "x_generator_times_eta": tuple(xvals), "fitted_order": order,
+            "note": ("pointwise surrogate at s=0 for the time-integrated operator "
+                     "comparison; captures the leading term only")}
 
 
 def assumption_report(net: QNetSpec, spec: MdpSpec, q: np.ndarray,

@@ -6,19 +6,20 @@ share noise streams (two-sample W1 compares laws, so the ensembles must be
 independent); the physical horizon T*eta is held fixed across a sweep by
 scaling the step count; every study is reproducible from (config, master
 seed) alone.  A study takes the run's ``AlgoConfig`` plus the spec of its
-config block, and derives each arm's config with ``dataclasses.replace``.
+config block, derives each arm's config with ``dataclasses.replace``, and
+returns the JSON document that the CLI writes: a dict, its rows dicts too.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
 from .chain import AlgoConfig, run_dqn
-from .config import _COUNT, _checkpoints, _index, _real, _steps
+from .config import _COUNT, _PAIR_COUNT, _checkpoints, _real, _steps
 from .diagnostics import _loglog_fit
 from .mdp import MdpSpec, _check
 from .qnet import QNetSpec
@@ -41,7 +42,8 @@ class RateSweepSpec:
     def __post_init__(self):
         _check(self, "eta_grid", lambda g: tuple(sorted(set(map(_real, g)), reverse=True)),
                lambda g: g and all(e > 0.0 for e in g), "a non-empty list of positive steps")
-        _check(self, "n_traj n_proj assignment_cap tracked_coords", *_COUNT)
+        _check(self, "n_traj", *_PAIR_COUNT)
+        _check(self, "n_proj assignment_cap tracked_coords", *_COUNT)
 
     @classmethod
     def from_block(cls, block: dict, run) -> RateSweepSpec:
@@ -71,7 +73,7 @@ class VarianceStudySpec:
     def __post_init__(self):
         _check(self, "m_values", _steps, lambda ms: 1 in ms and ms[0] >= 1,
                "a list of target periods >= 1 that includes the undelayed m = 1")
-        _check(self, "n_traj", _index, lambda n: n >= 2, "an integer >= 2")
+        _check(self, "n_traj", *_PAIR_COUNT)
         _check(self, "checkpoints", _steps, lambda cs: cs and cs[0] >= 0 and cs[-1] > 0,
                "a non-empty list of steps >= 0, not all 0")
 
@@ -121,37 +123,6 @@ def w1_bound_shape(eta: np.ndarray, delta: float) -> np.ndarray:
     return np.sqrt(eta * delta) * (1.0 + np.abs(np.log(eta)) + delta / eta ** 0.25)
 
 
-@dataclass
-class RateSweepRow:
-    eta: float
-    delta: float
-    T: int
-    m: int
-    n_traj: int
-    w1_sliced: float
-    sliced_stderr: float
-    sliced_baseline: float
-    w1_assignment: float
-    assignment_baseline: float
-    w1_sliced_tracked: float
-    w1_assignment_tracked: float
-    reliable: bool
-
-
-@dataclass
-class RateSweepResult:
-    rows: list[RateSweepRow]
-    slope: float
-    slope_stderr: float
-    slope_ci95: tuple[float, float]
-    slope_reliable: float | None
-    bound_c_fit: float
-    bound_c_envelope: float
-    reliable_below_envelope: bool
-    tracked_coords: tuple[int, ...]
-    meta: dict = field(default_factory=dict)
-
-
 def _tracked_indices(d: int, k: int) -> tuple[int, ...]:
     idx = np.unique(np.round(np.linspace(0, d - 1, min(k, d))).astype(int))
     return tuple(int(i) for i in idx)
@@ -182,7 +153,7 @@ def _run_arms(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_traj: int, arms,
 
 
 def rate_sweep(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
-               algo: AlgoConfig, sweep: RateSweepSpec, threads: int = 1) -> RateSweepResult:
+               algo: AlgoConfig, sweep: RateSweepSpec, threads: int = 1) -> dict:
     """W1 scaling study: W1(L(theta_T), L(X_{T eta})) across a step grid.
 
     Arm i runs ``sweep.arms(algo)[i]``, all at the horizon T*eta of algo; the
@@ -207,19 +178,19 @@ def rate_sweep(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
         rng = spawn_generator(algo.seed, (W1_ARM, i, 1))
         sl_tr = w1_sliced(th, xs, sweep.n_proj, rng)
         as_tr = w1_assignment_subsampled(th, xs, sweep.assignment_cap, rng)
-        rows.append(RateSweepRow(
-            eta=c.eta, delta=c.delta, T=c.T, m=c.m, n_traj=sweep.n_traj,
-            w1_sliced=sliced.value, sliced_stderr=sliced.stderr,
-            sliced_baseline=sliced.baseline,
-            w1_assignment=assign.value, assignment_baseline=assign.baseline,
-            w1_sliced_tracked=sl_tr.value, w1_assignment_tracked=as_tr.value,
-            reliable=sliced.reliable()))
+        rows.append({
+            "eta": c.eta, "delta": c.delta, "T": c.T, "m": c.m, "n_traj": sweep.n_traj,
+            "w1_sliced": sliced.value, "sliced_stderr": sliced.stderr,
+            "sliced_baseline": sliced.baseline,
+            "w1_assignment": assign.value, "assignment_baseline": assign.baseline,
+            "w1_sliced_tracked": sl_tr.value, "w1_assignment_tracked": as_tr.value,
+            "reliable": sliced.reliable()})
 
-    ets = np.array([r.eta for r in rows])
-    vals = np.array([r.w1_sliced for r in rows])
+    ets = np.array([r["eta"] for r in rows])
+    vals = np.array([r["w1_sliced"] for r in rows])
     slope, se = _loglog_fit(ets, np.maximum(vals, 1e-300))
     ci = (slope - 1.96 * se, slope + 1.96 * se)
-    rel = np.array([r.reliable for r in rows])
+    rel = np.array([r["reliable"] for r in rows])
     slope_rel = None
     if rel.sum() >= 2:
         slope_rel = _loglog_fit(ets[rel], np.maximum(vals[rel], 1e-300))[0]
@@ -229,40 +200,21 @@ def rate_sweep(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
         c_env = float((vals[rel] / bshape[rel]).max())
     else:
         c_fit = c_env = float("nan")
-    return RateSweepResult(
-        rows=rows, slope=slope, slope_stderr=se, slope_ci95=ci,
-        slope_reliable=slope_rel, bound_c_fit=c_fit, bound_c_envelope=c_env,
-        reliable_below_envelope=bool(rel.any() and
-                                     np.all(vals[rel] <= c_env * bshape[rel] + 1e-12)),
-        tracked_coords=tracked_idx,
-        meta={"T0": algo.T, "eta0": algo.eta, "rho": algo.rho,
-              "n_proj": sweep.n_proj, "assignment_cap": sweep.assignment_cap,
-              "seed": algo.seed})
-
-
-@dataclass
-class VarianceStudyRow:
-    m: int
-    checkpoint: int
-    time: float
-    trace_cov_theta: float
-    trace_cov_X: float
-    proj_var_theta: float | None
-    proj_var_X: float | None
-
-
-@dataclass
-class VarianceStudyResult:
-    rows: list[VarianceStudyRow]
-    ratios_theta: dict[int, float]
-    ratios_X: dict[int, float]
-    meta: dict = field(default_factory=dict)
+    return {
+        "rows": rows, "slope": slope, "slope_stderr": se, "slope_ci95": ci,
+        "slope_reliable": slope_rel, "bound_c_fit": c_fit, "bound_c_envelope": c_env,
+        "reliable_below_envelope": bool(rel.any() and
+                                        np.all(vals[rel] <= c_env * bshape[rel] + 1e-12)),
+        "tracked_coords": tracked_idx,
+        "meta": {"T0": algo.T, "eta0": algo.eta, "rho": algo.rho,
+                 "n_proj": sweep.n_proj, "assignment_cap": sweep.assignment_cap,
+                 "seed": algo.seed}}
 
 
 def variance_study(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
                    algo: AlgoConfig, study: VarianceStudySpec,
                    project: np.ndarray | None = None,
-                   threads: int = 1) -> VarianceStudyResult:
+                   threads: int = 1) -> dict:
     """Delayed (m > 1) vs undelayed (m = 1) fluctuation comparison.
 
     Arm i runs algo with the study's i-th target period m.  Reports the trace
@@ -286,41 +238,25 @@ def variance_study(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarr
     for m, (chain, diff) in zip(study.m_values, arms):
         for c in study.checkpoints:
             th, xs = chain.at(c), diff.at(c)
-            rows.append(VarianceStudyRow(
-                m=m, checkpoint=c, time=c * algo.eta,
-                trace_cov_theta=float(th.var(axis=0).sum()),
-                trace_cov_X=float(xs.var(axis=0).sum()),
-                proj_var_theta=float((th @ u).var()) if u is not None else None,
-                proj_var_X=float((xs @ u).var()) if u is not None else None))
+            rows.append({
+                "m": m, "checkpoint": c, "time": c * algo.eta,
+                "trace_cov_theta": float(th.var(axis=0).sum()),
+                "trace_cov_X": float(xs.var(axis=0).sum()),
+                "proj_var_theta": float((th @ u).var()) if u is not None else None,
+                "proj_var_X": float((xs @ u).var()) if u is not None else None})
         r = rows[-1]  # the late horizon: the last checkpoint
-        late[m] = ((r.proj_var_theta, r.proj_var_X) if u is not None
-                   else (r.trace_cov_theta, r.trace_cov_X))
+        late[m] = ((r["proj_var_theta"], r["proj_var_X"]) if u is not None
+                   else (r["trace_cov_theta"], r["trace_cov_X"]))
     ratios_theta = {m: late[m][0] / late[1][0] for m in study.m_values}
     ratios_X = {m: late[m][1] / late[1][1] for m in study.m_values}
-    return VarianceStudyResult(
-        rows=rows, ratios_theta=ratios_theta, ratios_X=ratios_X,
-        meta={"eta": algo.eta, "delta": algo.delta, "T": algo.T, "n_traj": study.n_traj,
-              "rho": algo.rho, "seed": algo.seed, "projected": u is not None})
-
-
-@dataclass
-class MomentSuiteResult:
-    ic_scales: tuple[float, ...]
-    theta_fourth: dict[float, list[float]]
-    theta_ratios: dict[float, float]
-    x_second: dict[float, list[float]]
-    x_ratios: dict[float, float]
-    x_disp_fits: dict[float, float]
-    stability_theta: float
-    stability_X: float
-    max_over_fit_theta: float
-    max_over_fit_X: float
-    checkpoints: tuple[int, ...]
-    meta: dict = field(default_factory=dict)
+    return {
+        "rows": rows, "ratios_theta": ratios_theta, "ratios_X": ratios_X,
+        "meta": {"eta": algo.eta, "delta": algo.delta, "T": algo.T, "n_traj": study.n_traj,
+                 "rho": algo.rho, "seed": algo.seed, "projected": u is not None}}
 
 
 def moment_suite(net: QNetSpec, spec: MdpSpec, q: np.ndarray, algo: AlgoConfig,
-                 suite: MomentSuiteSpec) -> MomentSuiteResult:
+                 suite: MomentSuiteSpec) -> dict:
     """Moment-bound suite over initial conditions scale * e1, one per
     ``ic_scales`` entry.
 
@@ -355,18 +291,18 @@ def moment_suite(net: QNetSpec, spec: MdpSpec, q: np.ndarray, algo: AlgoConfig,
     x_ratio = {s: float(np.mean(v / x_env[s])) for s, v in x_second.items()}
     fit_t = float(np.mean(list(theta_ratio.values())))
     fit_x = float(np.mean(list(x_ratio.values())))
-    return MomentSuiteResult(
-        ic_scales=suite.ic_scales,
-        theta_fourth={s: v.tolist() for s, v in theta_fourth.items()},
-        theta_ratios=theta_ratio,
-        x_second={s: v.tolist() for s, v in x_second.items()},
-        x_ratios=x_ratio, x_disp_fits=x_disp,
-        stability_theta=max(theta_ratio.values()) / min(theta_ratio.values()),
-        stability_X=max(x_ratio.values()) / min(x_ratio.values()),
-        max_over_fit_theta=max(float(v.max()) / (theta_env[s] * fit_t)
-                               for s, v in theta_fourth.items()),
-        max_over_fit_X=max(float(v.max()) / (x_env[s] * fit_x)
-                           for s, v in x_second.items()),
-        checkpoints=suite.checkpoints,
-        meta={"eta": cfg.eta, "delta": cfg.delta, "m": cfg.m, "T": cfg.T,
-              "n_traj": suite.n_traj, "rho": cfg.rho, "seed": cfg.seed})
+    return {
+        "ic_scales": suite.ic_scales,
+        "theta_fourth": {s: v.tolist() for s, v in theta_fourth.items()},
+        "theta_ratios": theta_ratio,
+        "x_second": {s: v.tolist() for s, v in x_second.items()},
+        "x_ratios": x_ratio, "x_disp_fits": x_disp,
+        "stability_theta": max(theta_ratio.values()) / min(theta_ratio.values()),
+        "stability_X": max(x_ratio.values()) / min(x_ratio.values()),
+        "max_over_fit_theta": max(float(v.max()) / (theta_env[s] * fit_t)
+                                  for s, v in theta_fourth.items()),
+        "max_over_fit_X": max(float(v.max()) / (x_env[s] * fit_x)
+                              for s, v in x_second.items()),
+        "checkpoints": suite.checkpoints,
+        "meta": {"eta": cfg.eta, "delta": cfg.delta, "m": cfg.m, "T": cfg.T,
+                 "n_traj": suite.n_traj, "rho": cfg.rho, "seed": cfg.seed}}

@@ -10,10 +10,11 @@ Two estimators:
                  |<u, e>| so that translation-family distances are estimated
                  without the 1/sqrt(d) projection shrinkage; exact when d = 1
 
-Every estimate carries a split-half self-distance baseline: empirical W1 is
-biased upward at finite sample size, and readings below twice the baseline
-are dominated by that bias floor.  Only w1_sliced takes unequal sample
-counts: it bootstraps them down from the caller's generator.
+Every estimate carries a split-half self-distance baseline on the smaller
+cloud (A on equal counts): empirical W1 is biased upward at finite sample
+size, and readings below twice the baseline, or with no baseline (NaN, one
+point), are dominated by that bias floor.  Only w1_sliced takes unequal
+sample counts: it bootstraps them down from the caller's generator.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class W1Estimate:
     meta: dict = field(default_factory=dict)
 
     def reliable(self) -> bool:
-        """False when the reading sits inside the finite-sample bias floor."""
+        """False inside the finite-sample bias floor, or with no floor (NaN)."""
         return self.value >= 2.0 * self.baseline
 
     def as_dict(self) -> dict:
@@ -81,7 +82,7 @@ def w1_assignment(A: np.ndarray, B: np.ndarray, cap: int = ASSIGNMENT_CAP) -> W1
         raise ValueError(f"sample counts {A.shape[0]} and {B.shape[0]} differ: "
                          "w1_assignment_subsampled draws equal counts")
     value, half = _assignment_cost(A, B), A.shape[0] // 2
-    baseline = _assignment_cost(A[0:2 * half:2], A[1:2 * half:2]) if half >= 1 else 0.0
+    baseline = _assignment_cost(A[0:2 * half:2], A[1:2 * half:2]) if half else float("nan")
     return W1Estimate(value=value, method="assignment", stderr=0.0,
                       n_a=A.shape[0], n_b=B.shape[0], baseline=baseline)
 
@@ -101,8 +102,9 @@ def w1_sliced(A: np.ndarray, B: np.ndarray, n_proj: int,
     """Sliced W1: projection-mean of exact 1-D distances, sphere-rescaled.
 
     stderr comes from the spread over projection directions; the baseline is
-    the sliced self-distance of A split in half, under the same directions.
-    Unequal counts are bootstrapped from rng after the directions are drawn.
+    the sliced self-distance, under the same directions, of the smaller cloud
+    (A on equal counts) split in half.  Unequal counts are bootstrapped from
+    rng after the directions are drawn.
     """
     if n_proj < 1:
         raise ValueError("n_proj must be >= 1")
@@ -131,8 +133,9 @@ def w1_sliced(A: np.ndarray, B: np.ndarray, n_proj: int,
         meta = {"resampled_to": n, "repeats": BOOTSTRAP_REPEATS}
     value = scale * float(per_dir.mean())
     stderr = scale * float(per_dir.std() / math.sqrt(n_proj))
-    half = A.shape[0] // 2
-    baseline = (scale * float(per_direction(A[0:2 * half:2], A[1:2 * half:2]).mean())
-                if half >= 1 else 0.0)
+    S = min(A, B, key=len)  # the size the reading is taken at; A on equal counts
+    half = S.shape[0] // 2
+    baseline = (scale * float(per_direction(S[0:2 * half:2], S[1:2 * half:2]).mean())
+                if half else float("nan"))
     return W1Estimate(value=value, method="sliced", stderr=stderr,
                       n_a=A.shape[0], n_b=B.shape[0], baseline=baseline, meta=meta)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict
 
 import numpy as np
 from click.testing import CliRunner
@@ -142,13 +141,13 @@ def test_criterion_5_w1_scaling_rate_sweep():
                      RateSweepSpec(eta_grid=(0.1, 0.05, 0.025, 0.0125), n_traj=4096,
                                    n_proj=64, assignment_cap=512))
     elapsed = time.time() - t0
-    slope_ok = 0.3 <= res.slope <= 0.7
-    n_reliable = sum(r.reliable for r in res.rows)
-    envelope_ok = (n_reliable >= 1 and np.isfinite(res.bound_c_envelope)
-                   and res.bound_c_envelope > 0 and res.reliable_below_envelope)
+    slope_ok = 0.3 <= res["slope"] <= 0.7
+    n_reliable = sum(r["reliable"] for r in res["rows"])
+    envelope_ok = (n_reliable >= 1 and np.isfinite(res["bound_c_envelope"])
+                   and res["bound_c_envelope"] > 0 and res["reliable_below_envelope"])
     ok = slope_ok and envelope_ok and elapsed < 1800.0
-    detail = (f"fitted slope {res.slope:.3f} in [0.3, 0.7]; {n_reliable} reliable "
-              f"row(s) below c*bound with c = {res.bound_c_envelope:.3f}; "
+    detail = (f"fitted slope {res['slope']:.3f} in [0.3, 0.7]; {n_reliable} reliable "
+              f"row(s) below c*bound with c = {res['bound_c_envelope']:.3f}; "
               f"{elapsed / 60:.1f} min (< 30 min)")
     _verdict(5, ok, detail)
 
@@ -159,12 +158,12 @@ def test_criterion_6_moment_bounds():
                        MomentSuiteSpec(eta=0.05, delta=0.05, m=5, T=10, rho=5,
                                        n_traj=4096, checkpoints=(3, 5, 8, 10),
                                        ic_scales=(0.0, 1.0, 5.0)))
-    ok = (res.stability_theta < 3.0 and res.stability_X < 3.0
-          and res.max_over_fit_theta < 10.0 and res.max_over_fit_X < 10.0)
-    _verdict(6, ok, f"fitted constants stable x{res.stability_theta:.2f} (chain) "
-                    f"/ x{res.stability_X:.2f} (diffusion) across x in "
+    ok = (res["stability_theta"] < 3.0 and res["stability_X"] < 3.0
+          and res["max_over_fit_theta"] < 10.0 and res["max_over_fit_X"] < 10.0)
+    _verdict(6, ok, f"fitted constants stable x{res['stability_theta']:.2f} (chain) "
+                    f"/ x{res['stability_X']:.2f} (diffusion) across x in "
                     f"{{0, e1, 5e1}} (< 3x); worst checkpoint/fit "
-                    f"{max(res.max_over_fit_theta, res.max_over_fit_X):.2f} (< 10x)")
+                    f"{max(res['max_over_fit_theta'], res['max_over_fit_X']):.2f} (< 10x)")
 
 
 def criterion_7_probes() -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +183,7 @@ def test_criterion_7_generator_consistency():
     worst_ratio = 0.0
     for x in probes:
         rep = generator_gap(f, STUDY_NET, STUDY_MDP, STUDY_Q, x, target, 0.5, (0.2, 0.1))
-        worst_ratio = max(worst_ratio, rep.gaps[1] / max(rep.gaps[0], 1e-12))
+        worst_ratio = max(worst_ratio, rep["gaps"][1] / max(rep["gaps"][0], 1e-12))
     ok = worst_ratio < 0.7
     _verdict(7, ok, f"generator gap ratio on halving eta: worst "
                     f"{worst_ratio:.3f} over 10 probe points (< 0.7, exact)")
@@ -225,9 +224,9 @@ def test_criterion_9_variance_study_pipeline():
                          project=oracle["u"])
     acc_t = {1: [], m_delay: []}
     acc_x = {1: [], m_delay: []}
-    for row in res.rows:
-        acc_t[row.m].append(row.proj_var_theta)
-        acc_x[row.m].append(row.proj_var_X)
+    for row in res["rows"]:
+        acc_t[row["m"]].append(row["proj_var_theta"])
+        acc_x[row["m"]].append(row["proj_var_X"])
     sim_t = float(np.mean(acc_t[m_delay]) / np.mean(acc_t[1]))
     sim_x = float(np.mean(acc_x[m_delay]) / np.mean(acc_x[1]))
     cf_t = chain_variance_ratio(alpha, oracle["gamma"], m_delay)
@@ -239,7 +238,7 @@ def test_criterion_9_variance_study_pipeline():
             VarianceStudySpec(m_values=(1, 5), n_traj=128, checkpoints=(10, 20)))
     full_a = variance_study(STUDY_NET, STUDY_MDP, STUDY_Q, STUDY_THETA0, *args)
     full_b = variance_study(STUDY_NET, STUDY_MDP, STUDY_Q, STUDY_THETA0, *args)
-    deterministic = asdict(full_a) == asdict(full_b)
+    deterministic = full_a == full_b
     ok = (sim_t < 1.0 and sim_x < 1.0 and margin_t <= 0.10 and margin_x <= 0.10
           and deterministic)
     _verdict(9, ok, f"scalar oracle: delayed/undelayed variance "

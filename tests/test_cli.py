@@ -273,26 +273,42 @@ def test_estimate_w1_refuses_a_non_finite_value(tmp_path, config_file, method, v
     assert f"{path_a}, line 4, field {len(fields)}: {value!r} is not finite" in res.output
 
 
-def test_unequal_ensembles_resample_only_in_the_sliced_reading(tmp_path):
-    runner = CliRunner()
+def _unequal_chains(tmp_path) -> tuple[Path, Path]:
+    """chain.csv of 24 and of 16 trajectories."""
     paths = []
     for n_traj in (24, 16):
         cfg = tmp_path / f"cfg{n_traj}.json"
         cfg.write_text(json.dumps(_config_doc(n_traj=n_traj)))
-        res = runner.invoke(main, ["simulate-dqn", "--config", str(cfg),
-                                   "--out", str(tmp_path / f"out{n_traj}")])
+        res = CliRunner().invoke(main, ["simulate-dqn", "--config", str(cfg),
+                                        "--out", str(tmp_path / f"out{n_traj}")])
         assert res.exit_code == 0, res.output
         paths.append(tmp_path / f"out{n_traj}" / "chain.csv")
-    res = runner.invoke(main, ["estimate-w1", "--a", str(paths[0]), "--b", str(paths[1]),
-                               "--checkpoint", "12", "--method", "both"])
+    return paths[0], paths[1]
+
+
+def _estimate_w1(a: Path, b: Path, method: str) -> dict:
+    res = CliRunner().invoke(main, ["estimate-w1", "--a", str(a), "--b", str(b),
+                                    "--checkpoint", "12", "--method", method])
     assert res.exit_code == 0, res.output
-    payload = json.loads(res.output)
+    return json.loads(res.output)
+
+
+def test_unequal_ensembles_resample_only_in_the_sliced_reading(tmp_path):
+    payload = _estimate_w1(*_unequal_chains(tmp_path), "both")
     sliced, assignment = payload["sliced"], payload["assignment"]
     assert (sliced["n_a"], sliced["n_b"]) == (24, 16)
     assert (sliced["meta_resampled_to"], sliced["meta_repeats"]) == (16, 16)
     # the assignment reading subsamples both clouds to equal counts without replacement
     assert (assignment["n_a"], assignment["n_b"]) == (16, 16)
     assert not any(k.startswith("meta_") for k in assignment)
+
+
+def test_swapping_unequal_ensembles_gives_the_same_sliced_reading(tmp_path):
+    # the reading and its split-half floor are both taken at the smaller count
+    a, b = _unequal_chains(tmp_path)
+    ab, ba = _estimate_w1(a, b, "sliced")["sliced"], _estimate_w1(b, a, "sliced")["sliced"]
+    assert (ab.pop("n_a"), ab.pop("n_b")) == (ba.pop("n_b"), ba.pop("n_a")) == (24, 16)
+    assert ab == ba
 
 
 def test_diverging_simulation_is_one_error(tmp_path):
@@ -364,8 +380,12 @@ def test_generator_gap_cli(tmp_path, config_file):
                                     "--points", str(probes_path)])
     assert res.exit_code == 0, res.output
     payload = json.loads(res.output)
-    assert len(payload["reports"]) == 1
-    assert len(payload["reports"][0]["gaps"]) == 2
+    (report,) = payload["reports"]
+    assert list(report) == ["etas", "gaps", "theta_generator", "x_generator_times_eta",
+                            "fitted_order", "note"]
+    assert len(report["gaps"]) == 2
+    assert report["note"] == ("pointwise surrogate at s=0 for the time-integrated operator "
+                              "comparison; captures the leading term only")
 
 
 def test_unwritable_out_dir_fails_without_partial_files(tmp_path, config_file):
@@ -386,8 +406,11 @@ def test_variance_study_cli(tmp_path, config_file):
                                     "--out", str(out)])
     assert res.exit_code == 0, res.output
     rows = (out / "variance_study.csv").read_text().strip().splitlines()
-    assert rows[0].startswith("m,checkpoint,time,trace_cov_theta")
+    assert rows[0] == ("m,checkpoint,time,trace_cov_theta,trace_cov_X,proj_var_theta,"
+                       "proj_var_X")
     assert len(rows) == 1 + 2 * 3  # header + |m_values| x |checkpoints|
+    payload = json.loads((out / "variance_study.json").read_text())
+    assert list(payload) == ["rows", "ratios_theta", "ratios_X", "meta"]
 
 
 def test_variance_study_runs_an_online_buffer_config_on_uniform_q(tmp_path):
@@ -413,6 +436,9 @@ def test_moment_suite_cli(tmp_path, config_file):
                                     "--out", str(out)])
     assert res.exit_code == 0, res.output
     payload = json.loads((out / "moment_suite.json").read_text())
+    assert list(payload) == ["ic_scales", "theta_fourth", "theta_ratios", "x_second",
+                             "x_ratios", "x_disp_fits", "stability_theta", "stability_X",
+                             "max_over_fit_theta", "max_over_fit_X", "checkpoints", "meta"]
     assert payload["stability_theta"] > 0
     assert (out / "plot_data.csv").exists()
 
@@ -444,8 +470,15 @@ def test_rate_sweep_cli_small(tmp_path, grid):
     res = CliRunner().invoke(main, ["rate-sweep", "--config", str(path),
                                     "--out", str(out), "--force"])
     assert res.exit_code == 0, res.output
-    assert (out / "rate_sweep.csv").exists()
+    header = (out / "rate_sweep.csv").read_text().splitlines()[0]
+    assert header == ("eta,delta,T,m,n_traj,w1_sliced,sliced_stderr,sliced_baseline,"
+                      "w1_assignment,assignment_baseline,w1_sliced_tracked,"
+                      "w1_assignment_tracked,reliable")
     payload = json.loads((out / "rate_sweep.json").read_text())
+    assert list(payload) == ["rows", "slope", "slope_stderr", "slope_ci95", "slope_reliable",
+                             "bound_c_fit", "bound_c_envelope", "reliable_below_envelope",
+                             "tracked_coords", "meta"]
+    assert all(list(row) == header.split(",") for row in payload["rows"])
     assert [row["eta"] for row in payload["rows"]] == [0.08, 0.04]
 
 
@@ -565,6 +598,8 @@ def test_stream_keys_unique_within_a_run(tmp_path, config_file, monkeypatch):
     ("moment_suite", {"eta": "0.05"}, ["eta must be positive, got '0.05'"], []),
     ("moment_suite", {"ic_scales": [True, False]}, ["ic_scales", "[True, False]"], []),
     ("variance_study", {"n_traj": 1}, ["n_traj must be an integer >= 2, got 1"], []),
+    ("rate_sweep", {"n_traj": 1}, ["rate_sweep section: n_traj must be an integer >= 2, got 1"],
+     ["--force"]),
     ("variance_study", {"n_traj": True}, ["n_traj must be an integer >= 2, got True"], []),
     ("variance_study", {"m_values": [True]}, ["m_values", "[True]"], []),
     ("rate_sweep", {"n_proj": 4.0}, ["n_proj must be an integer >= 1"], ["--force"]),

@@ -89,13 +89,13 @@ def test_generator_gap_saturated_quadratic_zero(net, mdp, q_table):
     th = saturated_theta(net)
     f = Quadratic(A=np.eye(net.d), b=np.zeros(net.d))
     rep = generator_gap(f, net, mdp, q_table, th, th, 0.5, (0.1,))
-    assert rep.gaps == (0.0,)
+    assert rep["gaps"] == (0.0,)
 
 
 def test_generator_gap_constant_f_exactly_zero(net, mdp, q_table, theta):
     f = Quadratic(A=np.zeros((net.d, net.d)), b=np.zeros(net.d), c=1.0)
     rep = generator_gap(f, net, mdp, q_table, theta, theta, 0.5, (0.1,))
-    assert rep.gaps == (0.0,)
+    assert rep["gaps"] == (0.0,)
 
 
 def test_generator_gap_closed_form_matches_the_oracle_at_criterion_7_probes():
@@ -106,10 +106,10 @@ def test_generator_gap_closed_form_matches_the_oracle_at_criterion_7_probes():
     rng = np.random.default_rng(9)
     for x in probes:
         rep = generator_gap(f, STUDY_NET, STUDY_MDP, STUDY_Q, x, target, 0.5, (0.2, 0.1))
-        assert rep.gaps == pytest.approx(np.subtract(rep.theta_generator,
-                                                     rep.x_generator_times_eta), rel=1e-12)
-        assert rep.gaps[1] == 0.25 * rep.gaps[0] > 0.0
-        for eta, theta_gen in zip(rep.etas, rep.theta_generator):
+        assert rep["gaps"] == pytest.approx(
+            np.subtract(rep["theta_generator"], rep["x_generator_times_eta"]), rel=1e-12)
+        assert rep["gaps"][1] == 0.25 * rep["gaps"][0] > 0.0
+        for eta, theta_gen in zip(rep["etas"], rep["theta_generator"]):
             est, se = generator_theta(f, STUDY_NET, STUDY_MDP, STUDY_Q, x, target,
                                       _cfg(eta=eta), 50_000, rng)
             assert abs(est - theta_gen) < 4 * se
@@ -121,7 +121,7 @@ def test_generator_gap_fitted_order_superlinear(net, mdp, q_table):
     y = 0.8 * init_theta(net, rng)
     f = Quadratic(A=np.eye(net.d), b=np.zeros(net.d))
     rep = generator_gap(f, net, mdp, q_table, x, y, 0.5, (0.2, 0.1, 0.05))
-    assert rep.fitted_order == pytest.approx(2.0, abs=1e-9)
+    assert rep["fitted_order"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_bump_taylor_remainder_shrinks_superlinearly(net, mdp, q_table):

@@ -50,10 +50,10 @@ def test_rate_sweep_deterministic_rows(net, mdp, q_table, theta):
     sweep = RateSweepSpec(eta_grid=(0.08, 0.04), n_traj=64, n_proj=16, assignment_cap=64)
     a = rate_sweep(net, mdp, q_table, 0.3 * theta, algo, sweep)
     b = rate_sweep(net, mdp, q_table, 0.3 * theta, algo, sweep)
-    assert [asdict(r) for r in a.rows] == [asdict(r) for r in b.rows]
-    assert a.slope == b.slope
-    assert [r.eta for r in a.rows] == [0.08, 0.04]
-    assert all(r.T * r.eta == pytest.approx(0.8) for r in a.rows)
+    assert a["rows"] == b["rows"]
+    assert a["slope"] == b["slope"]
+    assert [r["eta"] for r in a["rows"]] == [0.08, 0.04]
+    assert all(r["T"] * r["eta"] == pytest.approx(0.8) for r in a["rows"])
 
 
 def test_rate_sweep_threads_equivalent(net, mdp, q_table, theta):
@@ -61,7 +61,7 @@ def test_rate_sweep_threads_equivalent(net, mdp, q_table, theta):
     sweep = RateSweepSpec(eta_grid=(0.08, 0.04), n_traj=48, n_proj=8, assignment_cap=48)
     a = rate_sweep(net, mdp, q_table, 0.3 * theta, algo, sweep, threads=1)
     b = rate_sweep(net, mdp, q_table, 0.3 * theta, algo, sweep, threads=3)
-    assert [asdict(r) for r in a.rows] == [asdict(r) for r in b.rows]
+    assert a["rows"] == b["rows"]
 
 
 def test_rate_sweep_degenerate_model_matches_baseline(net, mdp, q_table):
@@ -70,9 +70,9 @@ def test_rate_sweep_degenerate_model_matches_baseline(net, mdp, q_table):
     algo = AlgoConfig(eta=0.1, delta=0.5, m=2, T=20, rho=5, seed=9)
     sweep = RateSweepSpec(eta_grid=(0.1, 0.05), n_traj=512, n_proj=32, assignment_cap=128)
     res = rate_sweep(net, mdp, q_table, th, algo, sweep)
-    for row in res.rows:
-        assert row.w1_sliced < 2.0 * row.sliced_baseline
-        assert not row.reliable
+    for row in res["rows"]:
+        assert row["w1_sliced"] < 2.0 * row["sliced_baseline"]
+        assert not row["reliable"]
 
 
 def test_variance_study_requires_m1(net, mdp, q_table, theta):
@@ -84,10 +84,10 @@ def test_variance_study_row_count_and_determinism(net, mdp, q_table, theta):
     algo = AlgoConfig(eta=0.05, delta=0.5, m=1, T=12, rho=4, seed=3)
     study = VarianceStudySpec(m_values=(1, 3), n_traj=32, checkpoints=(6, 12))
     res = variance_study(net, mdp, q_table, 0.3 * theta, algo, study)
-    assert len(res.rows) == 2 * 2  # |m_values| x |checkpoints|
+    assert len(res["rows"]) == 2 * 2  # |m_values| x |checkpoints|
     res2 = variance_study(net, mdp, q_table, 0.3 * theta, algo, study)
-    assert asdict(res) == asdict(res2)
-    assert res.ratios_theta[1] == 1.0 and res.ratios_X[1] == 1.0
+    assert res == res2
+    assert res["ratios_theta"][1] == 1.0 and res["ratios_X"][1] == 1.0
 
 
 def test_variance_study_degenerate_model_ratio_one(net, mdp, q_table):
@@ -97,8 +97,8 @@ def test_variance_study_degenerate_model_ratio_one(net, mdp, q_table):
                          AlgoConfig(eta=0.05, delta=0.5, m=1, T=40, rho=4, seed=7),
                          VarianceStudySpec(m_values=(1, 5), n_traj=2000,
                                            checkpoints=(20, 40)))
-    assert res.ratios_theta[5] == pytest.approx(1.0, abs=0.1)
-    assert res.ratios_X[5] == pytest.approx(1.0, abs=0.1)
+    assert res["ratios_theta"][5] == pytest.approx(1.0, abs=0.1)
+    assert res["ratios_X"][5] == pytest.approx(1.0, abs=0.1)
 
 
 def test_scalar_oracle_variance_reduction_quick():
@@ -116,8 +116,8 @@ def test_scalar_oracle_variance_reduction_quick():
                                            checkpoints=checkpoints),
                          project=oracle["u"])
     by_m = {m: [] for m in (1, m_delay)}
-    for row in res.rows:
-        by_m[row.m].append(row.proj_var_theta)
+    for row in res["rows"]:
+        by_m[row["m"]].append(row["proj_var_theta"])
     sim_ratio = np.mean(by_m[m_delay]) / np.mean(by_m[1])
     cf_ratio = chain_variance_ratio(alpha, oracle["gamma"], m_delay)
     assert cf_ratio < 1.0
@@ -125,8 +125,8 @@ def test_scalar_oracle_variance_reduction_quick():
     assert sim_ratio == pytest.approx(cf_ratio, abs=0.15 * (1 - cf_ratio))
     # diffusion arm against its own closed form
     by_mx = {m: [] for m in (1, m_delay)}
-    for row in res.rows:
-        by_mx[row.m].append(row.proj_var_X)
+    for row in res["rows"]:
+        by_mx[row["m"]].append(row["proj_var_X"])
     sim_ratio_x = np.mean(by_mx[m_delay]) / np.mean(by_mx[1])
     cf_ratio_x = sdde_variance_ratio(alpha, oracle["gamma"], m_delay)
     assert sim_ratio_x == pytest.approx(cf_ratio_x, abs=0.15 * (1 - cf_ratio_x))
@@ -140,10 +140,10 @@ def test_moment_suite_stability_across_initial_conditions(net, mdp, q_table):
                        MomentSuiteSpec(eta=0.05, delta=0.05, m=5, T=10, rho=5,
                                        n_traj=1024, checkpoints=(3, 5, 8, 10),
                                        ic_scales=(0.0, 1.0, 5.0)))
-    assert res.stability_theta < 3.0
-    assert res.stability_X < 3.0
-    assert res.max_over_fit_theta < 10.0
-    assert res.max_over_fit_X < 10.0
+    assert res["stability_theta"] < 3.0
+    assert res["stability_X"] < 3.0
+    assert res["max_over_fit_theta"] < 10.0
+    assert res["max_over_fit_X"] < 10.0
 
 
 def test_moment_suite_reduces_to_envelope_ratios(net, mdp, q_table):
@@ -154,27 +154,29 @@ def test_moment_suite_reduces_to_envelope_ratios(net, mdp, q_table):
     assert all(type(s) is float for s in suite.ic_scales)
     res = moment_suite(net, mdp, q_table, AlgoConfig(eta=0.05, delta=0.5, m=2, T=8, seed=19),
                        suite)
-    for by_scale in (res.theta_fourth, res.theta_ratios, res.x_second, res.x_ratios,
-                     res.x_disp_fits):
-        assert list(by_scale) == list(res.ic_scales)
-    env_t = {s: 1.0 + 2.0 * s ** 4 for s in res.ic_scales}
-    env_x = {s: 1.0 + 2.0 * s ** 2 + 0.5 for s in res.ic_scales}
-    for s in res.ic_scales:
+    for key in ("theta_fourth", "theta_ratios", "x_second", "x_ratios", "x_disp_fits"):
+        by_scale = res[key]
+        assert list(by_scale) == list(res["ic_scales"])
+    env_t = {s: 1.0 + 2.0 * s ** 4 for s in res["ic_scales"]}
+    env_x = {s: 1.0 + 2.0 * s ** 2 + 0.5 for s in res["ic_scales"]}
+    for s in res["ic_scales"]:
         # every arm starts at x = s * e1: checkpoint 0 holds |x|^4 and |x|^2
-        assert res.theta_fourth[s][0] == pytest.approx(s ** 4)
-        assert res.x_second[s][0] == pytest.approx(s ** 2)
-        assert res.theta_ratios[s] == pytest.approx(np.mean(np.divide(res.theta_fourth[s],
-                                                                      env_t[s])))
-        assert res.x_ratios[s] == pytest.approx(np.mean(np.divide(res.x_second[s], env_x[s])))
-        assert res.theta_ratios[s] > 0 and res.x_ratios[s] > 0 and res.x_disp_fits[s] > 0
-    fit_t = np.mean(list(res.theta_ratios.values()))
-    fit_x = np.mean(list(res.x_ratios.values()))
-    assert res.max_over_fit_theta == pytest.approx(
-        max(max(v) / (env_t[s] * fit_t) for s, v in res.theta_fourth.items()))
-    assert res.max_over_fit_X == pytest.approx(
-        max(max(v) / (env_x[s] * fit_x) for s, v in res.x_second.items()))
-    ratios = list(res.theta_ratios.values())
-    assert res.stability_theta == pytest.approx(max(ratios) / min(ratios))
+        assert res["theta_fourth"][s][0] == pytest.approx(s ** 4)
+        assert res["x_second"][s][0] == pytest.approx(s ** 2)
+        assert res["theta_ratios"][s] == pytest.approx(
+            np.mean(np.divide(res["theta_fourth"][s], env_t[s])))
+        assert res["x_ratios"][s] == pytest.approx(
+            np.mean(np.divide(res["x_second"][s], env_x[s])))
+        assert (res["theta_ratios"][s] > 0 and res["x_ratios"][s] > 0
+                and res["x_disp_fits"][s] > 0)
+    fit_t = np.mean(list(res["theta_ratios"].values()))
+    fit_x = np.mean(list(res["x_ratios"].values()))
+    assert res["max_over_fit_theta"] == pytest.approx(
+        max(max(v) / (env_t[s] * fit_t) for s, v in res["theta_fourth"].items()))
+    assert res["max_over_fit_X"] == pytest.approx(
+        max(max(v) / (env_x[s] * fit_x) for s, v in res["x_second"].items()))
+    ratios = list(res["theta_ratios"].values())
+    assert res["stability_theta"] == pytest.approx(max(ratios) / min(ratios))
 
 
 def test_moment_suite_full_model(net, mdp, q_table):
@@ -182,6 +184,6 @@ def test_moment_suite_full_model(net, mdp, q_table):
                        AlgoConfig(eta=0.04, delta=0.5, m=5, T=30, rho=4, seed=17),
                        MomentSuiteSpec(eta=0.04, delta=0.5, m=5, T=30, rho=4, n_traj=512,
                                        checkpoints=(10, 30)))
-    assert set(res.theta_fourth) == {0.0, 1.0, 5.0}
-    assert all(np.isfinite(v).all() for v in map(np.asarray, res.theta_fourth.values()))
-    assert res.x_disp_fits[0.0] > 0
+    assert set(res["theta_fourth"]) == {0.0, 1.0, 5.0}
+    assert all(np.isfinite(v).all() for v in map(np.asarray, res["theta_fourth"].values()))
+    assert res["x_disp_fits"][0.0] > 0

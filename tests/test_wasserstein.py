@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsdde.manifest import json_text
 from qsdde.wasserstein import _cost_matrix, projection_scale, w1_assignment, w1_sliced
 
 
@@ -193,6 +195,17 @@ def test_sliced_baseline_and_reliability():
     assert not est.reliable()  # equal laws sit inside the bias floor
     far = w1_sliced(A, B + 5.0, 32, np.random.default_rng(17))
     assert far.reliable()
+
+
+def test_one_point_cloud_has_no_floor():
+    # no split-half baseline on one point: NaN, written as null, never reliable,
+    # also when the one-point cloud is the smaller of two (the reading's size)
+    A, B, C = np.zeros((1, 3)), np.full((1, 3), 5.0), np.full((5, 3), 5.0)
+    rng = np.random.default_rng(0)
+    for est in (w1_sliced(A, B, 8, rng), w1_assignment(A, B), w1_sliced(C, A, 8, rng)):
+        assert est.value > 0 and np.isnan(est.baseline)
+        assert not est.reliable()
+        assert json.loads(json_text(est.as_dict()))["baseline"] is None
 
 
 def test_sliced_empty_and_bad_args():
