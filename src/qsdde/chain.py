@@ -158,14 +158,14 @@ def replay_step(net: QNetSpec, spec: MdpSpec, tables, theta: np.ndarray,
                 delta: float) -> np.ndarray:
     """One idealized-replay update per row from its noise words.
 
-    theta, target: (d, N); u: (N, 2) uniforms for (s, a) and s'; z: (N, 1+d)
+    theta, target: (d, N); u: (2, N) uniforms for (s, a) and s'; z: (1 + d, N)
     standard normals, the reward noise xi then W.  tables from
     ``cumulative_tables``.  Returns theta_next (d, N).
     """
     q_cum, p_cum = tables
-    s, a, sp, k = sample_pairs(q_cum, p_cum, u[:, 0], u[:, 1], spec.n_actions)
-    r = spec.R.reshape(-1)[k] + spec.V.reshape(-1)[k] * z[:, 0]
-    return chain_increment(net, spec, theta, target, s, a, sp, r, z[:, 1:].T, eta, delta)
+    s, a, sp, k = sample_pairs(q_cum, p_cum, u[0], u[1], spec.n_actions)
+    r = spec.R.reshape(-1)[k] + spec.V.reshape(-1)[k] * z[0]
+    return chain_increment(net, spec, theta, target, s, a, sp, r, z[1:], eta, delta)
 
 
 def run_dqn(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
@@ -200,7 +200,8 @@ def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
 
     Trajectory i draws 4 uniforms per step from the Philox stream keyed
     (cfg.seed, 5, 0, i) -- explore?, random action, s', buffer slot -- and
-    1 + d normals from (cfg.seed, 5, 1, i) -- reward noise xi, then W.  All
+    1 + d normals from (cfg.seed, 5, 1, i) -- reward noise xi, then W -- and
+    a step reads them parameter-major, u (4, N) and z (1 + d, N).  All
     buffers hold min(n + 1, capacity) transitions at step n, so they share
     one ring index and live in (n_traj, min(capacity, T)) arrays.
     """
@@ -217,21 +218,21 @@ def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
 
     def step(theta, target, n, u, z):
         nonlocal state
-        action = np.minimum((u[:, 1] * A).astype(np.intp), A - 1)
-        greedy = u[:, 0] >= replay.epsilon
+        action = np.minimum((u[1] * A).astype(np.intp), A - 1)
+        greedy = u[0] >= replay.epsilon
         if greedy.any():
             qvals = _forward(net, theta[:, greedy], _all_actions(net, state[greedy]))[0]
             action[greedy] = np.argmax(qvals, axis=0)
         action_counts[rows, action] += 1
         k = state * A + action
-        state = next_states(p_cum[k], u[:, 2])
+        state = next_states(p_cum[k], u[2])
         slot = n % cap
         buf_k[:, slot], buf_sp[:, slot] = k, state
-        buf_r[:, slot] = R_flat[k] + V_flat[k] * z[:, 0]
-        pick = np.minimum((u[:, 3] * min(n + 1, cap)).astype(np.intp), cap - 1)
+        buf_r[:, slot] = R_flat[k] + V_flat[k] * z[0]
+        pick = np.minimum((u[3] * min(n + 1, cap)).astype(np.intp), cap - 1)
         bk = buf_k[rows, pick]
         return chain_increment(net, spec, theta, target, bk // A, bk % A,
-                               buf_sp[rows, pick], buf_r[rows, pick], z[:, 1:].T,
+                               buf_sp[rows, pick], buf_r[rows, pick], z[1:],
                                cfg.eta, cfg.delta)
 
     noise = ((n, *words) for n, words in enumerate(step_noise(

@@ -17,7 +17,9 @@ the streams and their draws are exactly those of the per-trajectory
 ``SeedSequence`` construction, at a fraction of its cost.
 
 Draws are served in blocks (one generator call per trajectory per block) to
-amortise per-call overhead; block size only affects speed, never values.
+amortise per-call overhead.  ``step_noise`` keeps one block resident per
+stream family and refills it in place, and hands every step fresh
+parameter-major words; the block size changes no value, only speed and memory.
 """
 
 from __future__ import annotations
@@ -140,36 +142,64 @@ class TrajectoryStreams:
         self._gens = [np.random.Generator(np.random.Philox(_PhiloxKey(k)))
                       for k in stream_keys(master_seed, path, n)]
 
-    def normal_block(self, count: int) -> np.ndarray:
-        """(n, count) standard normals, advancing every stream by count."""
-        out = np.empty((self.n, count))
+    def normal_block(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """(n, count) standard normals, advancing every stream by count; into out if given."""
+        out = self._block(count, out)
         for i, g in enumerate(self._gens):
             g.standard_normal(out=out[i])
         return out
 
-    def uniform_block(self, count: int) -> np.ndarray:
-        """(n, count) uniforms in [0, 1), advancing every stream by count."""
-        out = np.empty((self.n, count))
+    def uniform_block(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """(n, count) uniforms in [0, 1), advancing every stream by count; into out if given."""
+        out = self._block(count, out)
         for i, g in enumerate(self._gens):
             g.random(out=out[i])
         return out
 
+    def _block(self, count: int, out: np.ndarray | None) -> np.ndarray:
+        """out, checked to be (n, count), or a new (n, count) array."""
+        if out is None:
+            return np.empty((self.n, count))
+        if out.shape != (self.n, count):
+            raise ValueError(f"out must have shape {(self.n, count)}, got {out.shape}")
+        return out
+
 
 def step_noise(master_seed: int, n: int, T: int, *draws):
-    """Yield T per-step tuples of words, one (n, count) array per draw (path,
-    "uniform" | "normal", count) from the streams keyed (*path, i); step-major,
-    so blocking never changes which word feeds which step."""
-    streams = [(TrajectoryStreams(master_seed, path, n), kind, count)
-               for path, kind, count in draws]
-    blk = block_size(n, sum(count for _, _, count in draws))
+    """Yield T per-step tuples of words, one (count, n) array per draw (path,
+    "uniform" | "normal", count) from the streams keyed (*path, i).
+
+    Each stream family fills one (n, blk * count) block in place, blk steps at
+    a time, trajectory by trajectory and step-major, so blocking never changes
+    which word feeds which step.  Every yielded array is a fresh C-contiguous
+    copy that the caller may write into; only one block per family is ever
+    resident.
+    """
+    fills = [(getattr(TrajectoryStreams(master_seed, path, n), f"{kind}_block"), count)
+             for path, kind, count in draws]
+    blk = block_size(n, sum(count for _, count in fills))
+    bufs = [np.empty((n, min(blk, T) * count)) for _, count in fills]
     for start in range(0, T, blk):
         nb = min(blk, T - start)
-        blocks = [getattr(s, f"{kind}_block")(count * nb).reshape(n, nb, count)
-                  for s, kind, count in streams]
+        blocks = [fill(count * nb, out=buf[:, :count * nb]).reshape(n, nb, count)
+                  for (fill, count), buf in zip(fills, bufs)]
         for j in range(nb):
-            yield tuple(b[:, j] for b in blocks)
+            yield tuple(_transposed(b[:, j]) for b in blocks)
+
+
+def _transposed(words: np.ndarray) -> np.ndarray:
+    """A C-contiguous (count, n) copy of (n, count) words, in 512-trajectory
+    chunks so that the strided reads stay in cache."""
+    n, count = words.shape
+    out = np.empty((count, n))
+    for i0 in range(0, n, 512):
+        np.copyto(out[:, i0:i0 + 512], words[i0:i0 + 512].T)
+    return out
 
 
 def block_size(n_traj: int, per_step: int) -> int:
-    """Steps of noise to pre-draw per block: at most 64 and 16e6 words."""
+    """Steps of noise per block: at most 64 and 16e6 words.  ``step_noise``
+    keeps one block per stream family resident, n_traj * blk * per_step * 8
+    bytes over all families; the size sets the generator calls per trajectory
+    and the memory, never a value."""
     return max(1, min(64, 16_000_000 // max(1, n_traj * per_step)))

@@ -14,9 +14,10 @@ with cotangent h*q*Ec.  In place of the dense symmetric root sigma it draws
 the same Gaussian law as sqrt(delta/eta) z + G^T F xi, with z ~ N(0, I_d),
 xi ~ N(0, I_K) and F from ``noise_cotangent``, and folds G^T F xi into the
 drift's reverse pass, so each substep costs one forward pass and one VJP.
-It holds its state as (d, n_traj) and runs under the chain's loop,
-``chain.simulate``, which freezes the delay argument on the target schedule
-as the p-weighted moments of its max-Q table.
+It holds its state as (d, n_traj), reads each substep's noise as one fresh
+parameter-major (d + K, n_traj) array from ``rng.step_noise``, and runs under
+the chain's loop, ``chain.simulate``, which freezes the delay argument on the
+target schedule as the p-weighted moments of its max-Q table.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
     delay argument is the stored value of X at the most recent multiple of
     m*eta.  Checkpoint step j records X at time
     j*eta, aligned with chain step j.  Each substep draws z (d) and
-    xi (K), in that order, from the trajectory's stream and moves
+    xi (K), in that order, from the trajectory's stream, receives them as
+    its own (d + K, n_traj) array, scales z in place and moves
     x -> x + sqrt(eta*h) sqrt(delta/eta) z + VJP(x; h*q*Ec + sqrt(eta*h) F xi),
     whose increment has the exact law -b h + sqrt(eta*h) sigma Z.
     """
@@ -52,16 +54,13 @@ def run_sdde(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x0: np.ndarray,
     q_col = np.asarray(q, dtype=np.float64).reshape(-1, 1)
     hq = h * q_col
     V2 = spec.V.reshape(-1, 1) ** 2
-    noise = np.empty((d + K, n_traj))  # this substep's z, then xi
 
-    def substep(x, mu, words):
-        for i0 in range(0, n_traj, 512):  # in chunks, so the strided reads stay in cache
-            np.copyto(noise[:, i0:i0 + 512], words[i0:i0 + 512].T)
+    def substep(x, mu, noise):  # noise: this substep's (d + K, n_traj) words, z then xi
         Qx, cache = _forward(net, x, None)  # every pair, in pair_heads order
         Ec, Ec2 = residual_moments(spec, Qx, *mu)
         cot = hq * Ec + amp * noise_cotangent(q_col, Ec, Ec2, V2, noise[d:])
         step = _vjp(net, cache, cot)  # before x moves: the cache holds views of x
-        noise[:d] *= z_amp
+        noise[:d] *= z_amp  # step_noise hands each substep its own copy
         x += noise[:d]
         x += step
         return x

@@ -271,8 +271,8 @@ def generator_theta(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarra
         xi = rng.standard_normal(nb)
         W = rng.standard_normal((nb, d))
         theta1 = replay_step(net, spec, tables, np.broadcast_to(x[:, None], (d, nb)),
-                             np.broadcast_to(target[:, None], (d, nb)), u,
-                             np.column_stack([xi, W]), cfg.eta, cfg.delta)
+                             np.broadcast_to(target[:, None], (d, nb)), u.T,
+                             np.column_stack([xi, W]).T, cfg.eta, cfg.delta)
         vals = f.value(theta1.T) - fx
         total += vals.sum()
         total2 += (vals ** 2).sum()

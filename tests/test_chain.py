@@ -25,7 +25,7 @@ def _cfg(**kw):
 def _step(net, mdp, q_table, theta, target, cfg, u, z):
     """One replay_step row from (d,) theta and target and its words u (2,), z (1 + d,)."""
     return replay_step(net, mdp, cumulative_tables(mdp, q_table), theta[:, None],
-                       target[:, None], u[None, :], z[None, :], cfg.eta, cfg.delta)[:, 0]
+                       target[:, None], u[:, None], z[:, None], cfg.eta, cfg.delta)[:, 0]
 
 
 def _words(net, rng):
@@ -46,7 +46,7 @@ def _dqn_steps(net, mdp, q_table, theta, target, cfg, rng, n, check=(0, 1, -1)):
         u[i], z[i] = _words(net, rng)
     out = replay_step(net, mdp, cumulative_tables(mdp, q_table),
                       np.repeat(theta[:, None], n, axis=1),
-                      np.repeat(target[:, None], n, axis=1), u, z, cfg.eta, cfg.delta).T
+                      np.repeat(target[:, None], n, axis=1), u.T, z.T, cfg.eta, cfg.delta).T
     for i in {i % n for i in check}:
         assert np.array_equal(_step(net, mdp, q_table, theta, target, cfg, u[i], z[i]), out[i])
     return out - theta
@@ -86,7 +86,7 @@ def test_ensemble_checkpoints_strictly_increasing():
 def test_dqn_step_eta_zero_is_identity(net, mdp, q_table, theta):
     u, z = _words(net, np.random.default_rng(0))
     out = replay_step(net, mdp, cumulative_tables(mdp, q_table), theta[:, None],
-                      theta[:, None], u[None, :], z[None, :], 0.0, 1e-300)[:, 0]
+                      theta[:, None], u[:, None], z[:, None], 0.0, 1e-300)[:, 0]
     assert np.array_equal(out, theta)
 
 
@@ -255,7 +255,7 @@ def test_run_dqn_matches_dense_oracle_replay(mdp, q_table):
         for step, (u, z) in enumerate(noise):
             if step % cfg.m == 0:
                 target = theta.copy()
-            s, a, sp, k = sample_pairs(q_cum, p_cum, u[:, 0], u[:, 1], A)
+            s, a, sp, k = sample_pairs(q_cum, p_cum, u[0], u[1], A)
             x = np.zeros((n, 1, net.input_dim))
             x[rows, 0, s], x[rows, 0, S + a] = 1.0, 1.0
             Qx, g = dense_jacobian(net, theta, x)
@@ -263,9 +263,9 @@ def test_run_dqn_matches_dense_oracle_replay(mdp, q_table):
             x_next[rows[:, None], acts[None, :], sp[:, None]] = 1.0
             x_next[:, acts, S + acts] = 1.0
             maxq = dense_forward(net, target, x_next)[0].max(axis=1)
-            r = mdp.R.reshape(-1)[k] + mdp.V.reshape(-1)[k] * z[:, 0]
+            r = mdp.R.reshape(-1)[k] + mdp.V.reshape(-1)[k] * z[0]
             theta = (theta + cfg.eta * (r + mdp.gamma * maxq - Qx[:, 0])[:, None] * g[:, 0]
-                     + np.sqrt(cfg.eta * cfg.delta) * z[:, 1:])
+                     + np.sqrt(cfg.eta * cfg.delta) * z[1:].T)
             ref[step + 1] = theta
         for c in ens.checkpoints:
             assert np.abs(ens.at(c) - ref[c]).max() <= 1e-12 * np.abs(ref[c]).max()

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsdde.rng import TrajectoryStreams, _PhiloxKey, block_size, spawn_generator, stream_keys
+from qsdde.rng import (TrajectoryStreams, _PhiloxKey, block_size, spawn_generator, step_noise,
+                       stream_keys)
 
 
 def test_streams_reproducible():
@@ -53,6 +55,44 @@ def test_block_size_bounds():
     assert block_size(1, 1) == 64
     assert block_size(10 ** 9, 35) == 1
     assert 1 <= block_size(4096, 35) <= 64
+
+
+def test_step_noise_words_are_the_streams_step_by_step():
+    # three full 64-step blocks and a partial one, one uniform and one normal family
+    n, T = 5, 3 * 64 + 7
+    assert block_size(n, 2 + 3) == 64
+    u_ref = TrajectoryStreams(41, (0, 0), n).uniform_block(2 * T).reshape(n, T, 2)
+    z_ref = TrajectoryStreams(41, (0, 1), n).normal_block(3 * T).reshape(n, T, 3)
+    steps = list(step_noise(41, n, T, ((0, 0), "uniform", 2), ((0, 1), "normal", 3)))
+    assert len(steps) == T
+    for j, (u, z) in enumerate(steps):
+        assert np.array_equal(u, u_ref[:, j].T) and np.array_equal(z, z_ref[:, j].T)
+    with pytest.raises(ValueError, match="out must have shape"):
+        TrajectoryStreams(41, (0,), n).normal_block(3, out=np.empty((n, 4)))
+
+
+def test_step_noise_hands_out_fresh_words():
+    # run_sdde scales its words in place: no step may see another step's writes,
+    # across a block boundary too
+    n, T = 600, 70
+    ref = TrajectoryStreams(5, (1,), n).normal_block(4 * T).reshape(n, T, 4)
+    for j, (z,) in enumerate(step_noise(5, n, T, ((1,), "normal", 4))):
+        assert z.flags.c_contiguous and z.flags.owndata and z.shape == (4, n)
+        assert np.array_equal(z, ref[:, j].T)
+        z[:] = np.nan
+
+
+def test_step_noise_keeps_one_block_resident():
+    n, count = 256, 64
+    block_bytes = n * block_size(n, count) * count * 8
+    tracemalloc.start()
+    try:
+        for _ in step_noise(9, n, 3 * 64 + 5, ((0,), "normal", count)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block_bytes
 
 
 @pytest.mark.parametrize("seed", [0, 2024, 2 ** 32 + 5, 2 ** 64 - 1, 2 ** 96 + 7])
