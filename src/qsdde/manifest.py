@@ -11,9 +11,12 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+_CHUNK_ROWS = 1024  # ensemble CSV rows formatted per write
 
 
 def canonical_json(obj) -> str:
@@ -30,16 +33,23 @@ def json_text(obj, sort_keys: bool = False) -> str:
     return json.dumps(plain, indent=2, sort_keys=sort_keys, allow_nan=False) + "\n"
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+@contextmanager
+def atomic_writer(path: Path):
+    """A text file at path's temp sibling, renamed over path on success, removed on error."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(text)
 
 
 def write_manifest(out_dir: Path, subcommand: str, cfg_dict: dict, seed: int,
@@ -67,56 +77,56 @@ def write_manifest(out_dir: Path, subcommand: str, cfg_dict: dict, seed: int,
 def ensemble_to_csv(path: Path, ensemble) -> None:
     """One row per trajectory per checkpoint: traj_id, step, theta_0..theta_{d-1}.
 
-    Rows are trajectory-major (every checkpoint of trajectory 0, then of 1, ...)
-    and each value is Python's shortest round-trip ``repr`` of the float64, so
-    ``read_ensemble_csv`` gives back the same bits.
+    Rows are trajectory-major (every checkpoint of trajectory 0, then of 1, ...), written
+    in bounded memory, _CHUNK_ROWS at a time, and each value is Python's shortest round-trip
+    ``repr`` of the float64, so ``read_ensemble_csv`` gives back the same bits.
     """
     n, C, d = ensemble.samples.shape
     steps = ensemble.checkpoints
-    rows = np.asarray(ensemble.samples, dtype=np.float64).reshape(n * C, d).tolist()
-    lines = ["traj_id,step," + ",".join(f"theta_{i}" for i in range(d))]
-    lines += [f"{r // C},{steps[r % C]}," + ",".join(map(repr, row))
-              for r, row in enumerate(rows)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    flat = np.asarray(ensemble.samples, dtype=np.float64).reshape(n * C, d)
+    with atomic_writer(path) as fh:
+        fh.write("traj_id,step," + ",".join(f"theta_{i}" for i in range(d)) + "\n")
+        for r0 in range(0, n * C, _CHUNK_ROWS):
+            fh.write("".join(f"{r // C},{steps[r % C]}," + ",".join(map(repr, row)) + "\n"
+                             for r, row in enumerate(flat[r0:r0 + _CHUNK_ROWS].tolist(), r0)))
 
 
 def read_ensemble_csv(path: Path, checkpoints=None) -> tuple[list[int], dict[int, np.ndarray]]:
     """Returns (every step present, {step: (n_traj, d) array}) for the requested steps.
 
-    ``checkpoints=None`` requests every step; a requested step absent from the
-    file is absent from the dict.  The structure of the whole file is checked:
-    the header, the field count of every row against the header width and an
-    integer ``step`` in every row.  Only the rows of requested steps are parsed
-    as floats, so a non-numeric value at an unrequested step is not detected;
-    a non-finite value (nan, inf) at a requested step is refused.  Malformed
+    ``checkpoints=None`` requests every step; a requested step absent from the file is
+    absent from the dict.  The file is read line by line, in memory bounded by the requested
+    rows, and its whole structure is checked: the header, the field count of every row
+    against the header width and an integer ``step`` in every row.  Only the rows of
+    requested steps are parsed as floats, so a non-numeric value at an unrequested step is
+    not detected; a non-finite value (nan, inf) at a requested step is refused.  Malformed
     input raises ``ValueError`` naming the file and the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    header = lines[0].strip().split(",")
-    if header[:2] != ["traj_id", "step"] or len(header) < 3:
-        raise ValueError(f"{path} is not an ensemble CSV")
-    commas = len(header) - 1
     want = None if checkpoints is None else {int(c) for c in checkpoints}
     steps: set[int] = set()
     rows: dict[int, list[str]] = {}
     line_nos: dict[int, list[int]] = {}
-    for no, line in enumerate(lines[1:], start=2):
-        if line.count(",") != commas:
-            if not line.strip():
-                continue
-            raise ValueError(f"{path}, line {no}: {line.count(',') + 1} fields, "
-                             f"the header has {len(header)}")
-        _, step_field, values = line.split(",", 2)
-        try:
-            step = int(step_field)
-        except ValueError:
-            raise ValueError(f"{path}, line {no}: step {step_field!r} "
-                             "is not an integer") from None
-        steps.add(step)
-        if want is None or step in want:
-            rows.setdefault(step, []).append(values)
-            line_nos.setdefault(step, []).append(no)
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        if header[:2] != ["traj_id", "step"] or len(header) < 3:
+            raise ValueError(f"{path} is not an ensemble CSV")
+        commas = len(header) - 1
+        for no, line in enumerate(fh, start=2):
+            if line.count(",") != commas:
+                if not line.strip():
+                    continue
+                raise ValueError(f"{path}, line {no}: {line.count(',') + 1} fields, "
+                                 f"the header has {len(header)}")
+            _, step_field, values = line.rstrip("\n").split(",", 2)
+            try:
+                step = int(step_field)
+            except ValueError:
+                raise ValueError(f"{path}, line {no}: step {step_field!r} "
+                                 "is not an integer") from None
+            steps.add(step)
+            if want is None or step in want:
+                rows.setdefault(step, []).append(values)
+                line_nos.setdefault(step, []).append(no)
     out = {}
     for step in sorted(rows):
         try:

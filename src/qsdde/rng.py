@@ -198,8 +198,8 @@ def _transposed(words: np.ndarray) -> np.ndarray:
 
 
 def block_size(n_traj: int, per_step: int) -> int:
-    """Steps of noise per block: at most 64 and 16e6 words.  ``step_noise``
-    keeps one block per stream family resident, n_traj * blk * per_step * 8
-    bytes over all families; the size sets the generator calls per trajectory
-    and the memory, never a value."""
-    return max(1, min(64, 16_000_000 // max(1, n_traj * per_step)))
+    """Steps of noise per block: at most 64 and 5e6 words (40 MB), unless one
+    step alone is larger.  ``step_noise`` keeps one block per stream family
+    resident, n_traj * blk * per_step * 8 bytes over all families; the size
+    sets the generator calls per trajectory and the memory, never a value."""
+    return max(1, min(64, 5_000_000 // max(1, n_traj * per_step)))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qsdde.chain import TrajectoryEnsemble
-from qsdde.manifest import atomic_write_text, ensemble_to_csv, read_ensemble_csv
+from qsdde.manifest import _CHUNK_ROWS, atomic_write_text, ensemble_to_csv, read_ensemble_csv
 
 
 def oracle_ensemble_csv(path, ensemble) -> None:
@@ -52,6 +52,61 @@ def test_csv_round_trip_is_bitwise(tmp_path_factory, ens):
         only_steps, only = read_ensemble_csv(tmp / "new.csv", [step])
         assert only_steps == steps and list(only) == [step]
         assert only[step].tobytes() == by_step[step].tobytes()
+
+
+def _several_chunks(n_traj: int) -> TrajectoryEnsemble:
+    """n_traj trajectories at 3 checkpoints, d = 2, mixing special and random floats."""
+    rng = np.random.default_rng(n_traj)
+    samples = rng.standard_normal((n_traj, 3, 2)) * 10.0 ** rng.integers(-300, 300, (n_traj, 3, 2))
+    samples.reshape(-1)[:len(SPECIAL)] = SPECIAL
+    return TrajectoryEnsemble(checkpoints=(0, 40, 160), samples=samples)
+
+
+@pytest.mark.parametrize("n_traj", [_CHUNK_ROWS, 695])
+def test_chunked_writer_keeps_the_oracle_bytes(tmp_path, n_traj):
+    # 3 * n_traj rows: three whole write chunks, then two and a partial one
+    ens = _several_chunks(n_traj)
+    assert (3 * n_traj) % _CHUNK_ROWS == (0 if n_traj == _CHUNK_ROWS else 37)
+    ensemble_to_csv(tmp_path / "new.csv", ens)
+    oracle_ensemble_csv(tmp_path / "oracle.csv", ens)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    steps, by_step = read_ensemble_csv(tmp_path / "new.csv")
+    assert steps == [0, 40, 160]
+    for j, step in enumerate(steps):
+        assert by_step[step].tobytes() == np.ascontiguousarray(ens.samples[:, j]).tobytes()
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("600,0,0.5", "line 1802: 3 fields, the header has 4"),
+    ("600,O,0.5,0.25", "line 1802: step 'O' is not an integer"),
+])
+def test_streaming_reader_names_a_deep_line(tmp_path, bad_row, message):
+    path = tmp_path / "e.csv"
+    ensemble_to_csv(path, _several_chunks(695))
+    _replace_line(path, 1802, bad_row)  # trajectory 600 at step 0, in the file's second chunk
+    for checkpoints in (None, [0], [160]):
+        with pytest.raises(ValueError) as err:
+            read_ensemble_csv(path, checkpoints)
+        assert str(path) in str(err.value) and message in str(err.value)
+
+
+@pytest.mark.parametrize("variant", ["no final newline", "blank line", "CRLF"])
+def test_streaming_reader_line_ending_variants(tmp_path, variant):
+    ensemble_to_csv(tmp_path / "lf.csv", _several_chunks(695))
+    text = (tmp_path / "lf.csv").read_bytes()
+    lines = text.split(b"\n")
+    edited = {"no final newline": text[:-1],
+              "blank line": b"\n".join(lines[:1000] + [b""] + lines[1000:]),
+              "CRLF": text.replace(b"\n", b"\r\n")}[variant]
+    assert edited != text
+    (tmp_path / "v.csv").write_bytes(edited)
+    want_steps, want = read_ensemble_csv(tmp_path / "lf.csv")
+    for checkpoints in (None, [40]):
+        steps, got = read_ensemble_csv(tmp_path / "v.csv", checkpoints)
+        assert steps == want_steps == [0, 40, 160]
+        assert list(got) == (want_steps if checkpoints is None else [40])
+        for step in got:
+            assert got[step].tobytes() == want[step].tobytes()
 
 
 def _write_small(path) -> None:

@@ -57,6 +57,25 @@ def test_block_size_bounds():
     assert 1 <= block_size(4096, 35) <= 64
 
 
+@pytest.mark.parametrize("n", [1, 128, 2048, 4096, 16384])
+@pytest.mark.parametrize("per_step", [5, 32, 35])
+def test_block_size_caps_a_block_at_40_mb(n, per_step):
+    blk = block_size(n, per_step)
+    assert 1 <= blk <= 64
+    assert n * blk * per_step * 8 <= 40e6 or blk == 1
+
+
+def test_block_size_keeps_the_study_blocks():
+    # the SDDE arms of variance_study (2048 trajectories) and rate_sweep (128) draw
+    # d + K = 35 words per substep.  A cap of 32 steps at 2048 trajectories cut
+    # variance_study's peak memory from 146 to 94 MB but its wall time rose from
+    # 1.71 to 1.89 s (2-vCPU host): its two arm threads wait on each other for the
+    # interpreter lock at every per-trajectory generator call, and halving the
+    # block doubles those calls.
+    assert block_size(2048, 35) == 64
+    assert block_size(128, 35) == 64
+
+
 def test_step_noise_words_are_the_streams_step_by_step():
     # three full 64-step blocks and a partial one, one uniform and one normal family
     n, T = 5, 3 * 64 + 7
@@ -82,12 +101,14 @@ def test_step_noise_hands_out_fresh_words():
         z[:] = np.nan
 
 
-def test_step_noise_keeps_one_block_resident():
-    n, count = 256, 64
-    block_bytes = n * block_size(n, count) * count * 8
+@pytest.mark.parametrize("n, blk", [(256, 64), (2048, 38)])  # the 64-step limit, then the cap
+def test_step_noise_keeps_one_block_resident(n, blk):
+    count = 64
+    assert block_size(n, count) == blk
+    block_bytes = n * blk * count * 8
     tracemalloc.start()
     try:
-        for _ in step_noise(9, n, 3 * 64 + 5, ((0,), "normal", count)):
+        for _ in step_noise(9, n, 3 * blk + 5, ((0,), "normal", count)):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
