@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 Every subcommand is reproducible from (config, master seed): the manifest is
-written before the outputs, outputs are written atomically, and a re-run
-with identical inputs produces byte-identical CSVs on the same platform.
+written before the outputs and removed again if the run fails, outputs are
+written atomically, and a re-run with identical inputs produces
+byte-identical CSVs on the same platform.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -71,12 +73,19 @@ def _gate(cfg: ExperimentConfig, force: bool, source: str, etas, delta: float | 
     return rec
 
 
+@contextmanager
 def _manifest(out_dir, subcommand: str, cfg: ExperimentConfig, gate: dict,
-              outputs: list[str]) -> Path:
-    """Write out_dir/manifest.json before any output; returns out_dir as a Path."""
+              outputs: list[str]):
+    """Write out_dir/manifest.json before any output and yield out_dir as a
+    Path; if the block raises, the manifest is removed, so a failed run
+    leaves none."""
     out = Path(out_dir)
-    write_manifest(out, subcommand, cfg.raw, cfg.algo.seed, outputs, gate)
-    return out
+    path = write_manifest(out, subcommand, cfg.raw, cfg.algo.seed, outputs, gate)
+    try:
+        yield out
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _dump(path: Path, obj) -> None:
@@ -140,14 +149,14 @@ def simulate_dqn_cmd(config_path, seed_override, force, out_dir):
     """Simulate the noisy parameter chain; write manifest plus checkpoint CSV."""
     cfg = load_config(config_path, seed_override=seed_override)
     gate = _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
-    out = _manifest(out_dir, "simulate-dqn", cfg, gate, ["chain.csv"])
-    if isinstance(cfg.replay, OnlineBufferReplay):
-        ens = run_algorithm1(cfg.net, cfg.mdp, cfg.replay, cfg.algo, cfg.n_traj,
-                             cfg.checkpoints, cfg.theta0)
-    else:
-        ens = run_dqn(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, cfg.n_traj,
-                      cfg.checkpoints)
-    ensemble_to_csv(out / "chain.csv", ens)
+    with _manifest(out_dir, "simulate-dqn", cfg, gate, ["chain.csv"]) as out:
+        if isinstance(cfg.replay, OnlineBufferReplay):
+            ens = run_algorithm1(cfg.net, cfg.mdp, cfg.replay, cfg.algo, cfg.n_traj,
+                                 cfg.checkpoints, cfg.theta0)
+        else:
+            ens = run_dqn(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, cfg.n_traj,
+                          cfg.checkpoints)
+        ensemble_to_csv(out / "chain.csv", ens)
     click.echo(f"wrote {out / 'chain.csv'}")
 
 
@@ -158,10 +167,10 @@ def simulate_sdde_cmd(config_path, seed_override, force, out_dir):
     """Integrate the delay diffusion; write manifest plus checkpoint CSV."""
     cfg = load_config(config_path, seed_override=seed_override)
     gate = _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
-    out = _manifest(out_dir, "simulate-sdde", cfg, gate, ["sdde.csv"])
-    ens = run_sdde(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, cfg.n_traj,
-                   cfg.checkpoints)
-    ensemble_to_csv(out / "sdde.csv", ens)
+    with _manifest(out_dir, "simulate-sdde", cfg, gate, ["sdde.csv"]) as out:
+        ens = run_sdde(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, cfg.n_traj,
+                       cfg.checkpoints)
+        ensemble_to_csv(out / "sdde.csv", ens)
     click.echo(f"wrote {out / 'sdde.csv'}")
 
 
@@ -291,10 +300,10 @@ def rate_sweep_cmd(config_path, seed_override, force, threads, out_dir):
     cfg = load_config(config_path, seed_override=seed_override)
     sweep = cfg.study(RateSweepSpec)
     gate = _gate(cfg, force, "rate_sweep section: eta_grid", sweep.eta_grid, always=True)
-    out = _manifest(out_dir, "rate-sweep", cfg, gate,
-                    ["rate_sweep.csv", "rate_sweep.json", "plot_data.csv"])
-    res = rate_sweep(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, sweep, threads=threads)
-    _write_study(out, "rate_sweep", res, "eta", "w1_sliced", "sliced_stderr")
+    with _manifest(out_dir, "rate-sweep", cfg, gate,
+                   ["rate_sweep.csv", "rate_sweep.json", "plot_data.csv"]) as out:
+        res = rate_sweep(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, sweep, threads=threads)
+        _write_study(out, "rate_sweep", res, "eta", "w1_sliced", "sliced_stderr")
     lo, hi = res["slope_ci95"]
     click.echo(f"slope = {res['slope']:.3f} (95% CI {lo:.3f}..{hi:.3f}); wrote {out}")
 
@@ -308,11 +317,11 @@ def variance_study_cmd(config_path, seed_override, force, threads, out_dir):
     cfg = load_config(config_path, seed_override=seed_override)
     gate = _gate(cfg, force, "algo section: eta", [cfg.algo.eta])
     study = cfg.study(VarianceStudySpec)
-    out = _manifest(out_dir, "variance-study", cfg, gate,
-                    ["variance_study.csv", "variance_study.json", "plot_data.csv"])
-    res = variance_study(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, study,
-                         threads=threads)
-    _write_study(out, "variance_study", res, "time", "trace_cov_theta", "m")
+    with _manifest(out_dir, "variance-study", cfg, gate,
+                   ["variance_study.csv", "variance_study.json", "plot_data.csv"]) as out:
+        res = variance_study(cfg.net, cfg.mdp, cfg.q, cfg.theta0, cfg.algo, study,
+                             threads=threads)
+        _write_study(out, "variance_study", res, "time", "trace_cov_theta", "m")
     click.echo(f"trace ratios vs m=1 (chain): {res['ratios_theta']}; wrote {out}")
 
 
@@ -324,12 +333,14 @@ def moment_suite_cmd(config_path, seed_override, force, out_dir):
     cfg = load_config(config_path, seed_override=seed_override)
     suite = cfg.study(MomentSuiteSpec)
     gate = _gate(cfg, force, "moment_suite section: eta", [suite.eta], suite.delta)
-    out = _manifest(out_dir, "moment-suite", cfg, gate, ["moment_suite.json", "plot_data.csv"])
-    res = moment_suite(cfg.net, cfg.mdp, cfg.q, cfg.algo, suite)
-    _dump(out / "moment_suite.json", res)
-    rows_to_csv(out / "plot_data.csv",
-                [{"x": c, "y": v, "err": s} for s in res["ic_scales"]
-                 for c, v in zip(res["checkpoints"], res["theta_fourth"][s])], ["x", "y", "err"])
+    with _manifest(out_dir, "moment-suite", cfg, gate,
+                   ["moment_suite.json", "plot_data.csv"]) as out:
+        res = moment_suite(cfg.net, cfg.mdp, cfg.q, cfg.algo, suite)
+        _dump(out / "moment_suite.json", res)
+        rows_to_csv(out / "plot_data.csv",
+                    [{"x": c, "y": v, "err": s} for s in res["ic_scales"]
+                     for c, v in zip(res["checkpoints"], res["theta_fourth"][s])],
+                    ["x", "y", "err"])
     click.echo(f"stability: theta x{res['stability_theta']:.2f}, "
                f"X x{res['stability_X']:.2f}; wrote {out}")
 

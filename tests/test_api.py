@@ -68,19 +68,28 @@ def test_no_unused_imports():
 
 
 def test_cli_import_loads_every_traced_module_and_no_scipy():
-    # scipy.optimize is loaded at the first assignment solve, not at import;
-    # the benchmark tracer looks each traced function up in sys.modules
+    # scipy is loaded at the first assignment solve, not at import, and then
+    # only its assignment extension: scipy.optimize never is; the benchmark
+    # tracer looks each traced function up in sys.modules
     tracer = _tracer()
     homes = {f"qsdde.{home}" for home, *_ in tracer.TRACED_FUNCTIONS} | {"qsdde.rng"}
     assert len(homes) == 10
-    code = ("import json, sys, qsdde.cli; "
-            "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('qsdde', 'scipy'))))")
+    code = ("import json, sys, numpy as np, qsdde.cli\n"
+            "def mods(): return sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('qsdde', 'scipy'))\n"
+            "at_import = mods()\n"
+            "from qsdde.wasserstein import w1_assignment\n"
+            "x = np.arange(12.0).reshape(6, 2)\n"
+            "est = w1_assignment(x, x[::-1] + 1.0)\n"
+            "print(json.dumps([at_import, mods(), est.value]))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
-    loaded = set(json.loads(res.stdout))
-    assert not any(m.split(".")[0] == "scipy" for m in loaded)
-    assert homes <= loaded
+    at_import, after_solve, value = json.loads(res.stdout)
+    assert not any(m.split(".")[0] == "scipy" for m in at_import)
+    assert homes <= set(at_import)
+    assert value == np.sqrt(2.0)  # every point moves by (1, 1)
+    assert "scipy" in after_solve
+    assert not any(m.startswith("scipy.optimize") for m in after_solve), after_solve
 
 
 def test_tracer_counts_heads_of_index_rows():

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qsdde import cli
+from qsdde.chain import SimulationError
 from qsdde.cli import main
 from qsdde.coeffs import step_size_gate
 from qsdde.config import ConfigError, load_config
@@ -321,6 +323,24 @@ def test_diverging_simulation_is_one_error(tmp_path):
     assert res.exit_code == 1, res.output
     assert isinstance(res.exception, SystemExit), res.exception  # no traceback
     assert res.output.startswith("Error: non-finite value at substep "), res.output
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, target", [
+    ("simulate-dqn", "run_dqn"), ("simulate-sdde", "run_sdde"), ("rate-sweep", "rate_sweep"),
+    ("variance-study", "variance_study"), ("moment-suite", "moment_suite")])
+def test_failed_run_removes_its_manifest(tmp_path, config_file, monkeypatch, command, target):
+    # the manifest is written before the run, so a run that raises takes it back
+    def diverge(*args, **kwargs):
+        raise SimulationError("non-finite value at step 1, trajectory 0")
+
+    monkeypatch.setattr(cli, target, diverge)
+    res = CliRunner().invoke(main, [command, "--config", str(config_file), "--force",
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert res.output.endswith("Error: non-finite value at step 1, trajectory 0\n"), res.output
+    assert (tmp_path / "out").is_dir()
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_dump_coefficients_json(tmp_path, config_file):

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsdde.manifest import json_text
-from qsdde.wasserstein import _cost_matrix, projection_scale, w1_assignment, w1_sliced
+from qsdde.wasserstein import (_cost_matrix, _linear_sum_assignment, projection_scale,
+                               w1_assignment, w1_sliced)
 
 
 def brute_force_w1(A: np.ndarray, B: np.ndarray) -> float:
@@ -78,7 +83,8 @@ def test_assignment_matches_factorial_brute_force():
 
 def test_cost_matrix_matches_broadcast_formula():
     # the coordinate-by-coordinate sum agrees with the (n, n, d) broadcast to
-    # rounding, and the assignment solve picks the same matching from both
+    # rounding, the assignment solve picks the same matching from both, and
+    # the package's solver is scipy's: same rows and columns, ties included
     from scipy.optimize import linear_sum_assignment
     rng = np.random.default_rng(31)
     for n_a, n_b, d in ((1, 1, 1), (7, 7, 3), (64, 64, 29), (40, 25, 5)):
@@ -91,6 +97,45 @@ def test_cost_matrix_matches_broadcast_formula():
         rows, cols = linear_sum_assignment(cost)
         ref_rows, ref_cols = linear_sum_assignment(ref)
         assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+        own_rows, own_cols = _linear_sum_assignment()(cost)
+        assert np.array_equal(own_rows, rows) and np.array_equal(own_cols, cols)
+    flat = np.full((9, 9), 2.5)  # every matching is optimal; scipy's tie rule keeps i -> i
+    for solve in (linear_sum_assignment, _linear_sum_assignment()):
+        rows, cols = solve(flat)
+        assert np.array_equal(rows, np.arange(9)) and np.array_equal(cols, np.arange(9))
+
+
+def test_missing_assignment_extension_names_version_and_directory(tmp_path, monkeypatch):
+    import scipy
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    with pytest.raises(ImportError) as err:
+        _linear_sum_assignment.__wrapped__()  # past the per-process cache
+    assert str(err.value) == (f"scipy {scipy.__version__}: no _lsap extension in "
+                              f"{tmp_path / 'scipy' / 'optimize'}")
+
+
+def test_concurrent_loads_leave_sys_modules_as_they_were():
+    # the extension's init enters it in sys.modules; eight threads loading it
+    # together, 200 times over in a fresh process, must leave no
+    # scipy.optimize entry behind (without the loader's lock, about half of
+    # such runs do)
+    code = ("import sys, threading\n"
+            "from qsdde.wasserstein import _linear_sum_assignment\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "barrier = threading.Barrier(8)\n"
+            "def load():\n"
+            "    for _ in range(200):\n"
+            "        barrier.wait()\n"
+            "        _linear_sum_assignment.__wrapped__()\n"
+            "threads = [threading.Thread(target=load) for _ in range(8)]\n"
+            "[t.start() for t in threads]\n"
+            "[t.join(timeout=60) for t in threads]\n"
+            "print(any(t.is_alive() for t in threads), "
+            "[m for m in sys.modules if m.startswith('scipy.optimize')])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
+    assert res.stdout == "False []\n", res.stdout
 
 
 def test_assignment_cap_enforced():
