@@ -15,9 +15,10 @@ actions, an online FIFO buffer, uniform single-sample minibatches, and the
 same injected exploration noise.  Both draw transitions through
 ``mdp.sample_pairs`` / ``mdp.next_states`` from per-trajectory Philox streams.
 
-Both, like ``sdde.run_sdde``, are a step under one loop, ``simulate``: it
-freezes the lagged argument (target network, delay term) every m steps, feeds
-each step its ``rng.step_noise`` words and raises ``SimulationError``.
+Both, like ``sdde.run_sdde``, are a step under one loop, ``simulate``: it feeds
+each step its ``rng.step_noise`` words, raises ``SimulationError`` and, once per
+window of m steps, freezes the lagged argument y as its max-Q table
+max_a' Q(s', a'; y): the chain reads it at s', the diffusion its p-weighted moments.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .mdp import (_COUNT, _NUMBER, MdpSpec, OnlineBufferReplay, _check, next_states,
                   sample_pairs)
-from .qnet import QNetSpec, _forward, _vjp
+from .qnet import QNetSpec, _forward, _vjp, max_q_by_state
 from .rng import BUFFER_PATH, SIMULATE_PATH, step_noise
 
 
@@ -99,11 +100,11 @@ def parameter_major(theta0, n_traj: int, d: int) -> np.ndarray:
 
 
 def simulate(x: np.ndarray, step, noise, checkpoints: Sequence[int], T: int, m: int,
-             per_step: int = 1, freeze=lambda x: x, unit: str = "step") -> TrajectoryEnsemble:
+             freeze, per_step: int = 1, unit: str = "step") -> TrajectoryEnsemble:
     """Move the (d, n_traj) state once per item of noise, x = step(x, frozen,
-    *words), with frozen = freeze(x) before every (m * per_step)-th move (the
-    identity aliases x, so a step returns a new array).  Checkpoint c in [0, T],
-    checked before noise is read, records x after c * per_step moves."""
+    *words), with frozen = freeze(x), the max-Q table of x (or its moments),
+    before every (m * per_step)-th move.  Checkpoint c in [0, T], checked
+    before noise is read, records x after c * per_step moves."""
     checkpoints = tuple(int(c) for c in checkpoints)
     if any(c < 0 or c > T for c in checkpoints):
         raise ValueError(f"checkpoints {list(checkpoints)} must lie in [0, T={T}]")
@@ -124,23 +125,17 @@ def simulate(x: np.ndarray, step, noise, checkpoints: Sequence[int], T: int, m: 
     return ens
 
 
-def _all_actions(net: QNetSpec, states: np.ndarray):
-    """Per-trajectory heads (s_n, a) for every action a, both (A, N)."""
-    return np.broadcast_arrays(states[None, :], np.arange(net.n_actions)[:, None])
-
-
 def chain_increment(net: QNetSpec, spec: MdpSpec, theta: np.ndarray,
-                    target: np.ndarray, s, a, s_next, r, W, eta: float,
+                    maxq_y: np.ndarray, s, a, s_next, r, W, eta: float,
                     delta: float) -> np.ndarray:
     """Shared update kernel, batched over trajectories, parameter-major.
 
-    theta, target: (d, N); s, a, s_next: (N,) int; r: (N,) sampled rewards;
-    W: (d, N) standard normals.  Returns theta_next (d, N): theta plus the
-    VJP of Q(s, a; theta) with cotangent eta * bracket, then sqrt(eta*delta) W.
+    theta: (d, N); maxq_y: (N, S) frozen target max-Q table; s, a, s_next: (N,)
+    int; r: (N,) rewards; W: (d, N) standard normals.  Returns theta_next (d, N):
+    theta + VJP of Q(s, a; theta) with cotangent eta * bracket + sqrt(eta*delta) W.
     """
     Qx, cache = _forward(net, theta, (s[None, :], a[None, :]))
-    maxq = _forward(net, target, _all_actions(net, s_next))[0].max(axis=0)
-    bracket = r + spec.gamma * maxq - Qx[0]
+    bracket = r + spec.gamma * maxq_y[np.arange(len(s_next)), s_next] - Qx[0]
     out = _vjp(net, cache, eta * bracket[None, :])
     out += theta
     out += np.sqrt(eta * delta) * W
@@ -154,18 +149,18 @@ def cumulative_tables(spec: MdpSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def replay_step(net: QNetSpec, spec: MdpSpec, tables, theta: np.ndarray,
-                target: np.ndarray, u: np.ndarray, z: np.ndarray, eta: float,
+                maxq_y: np.ndarray, u: np.ndarray, z: np.ndarray, eta: float,
                 delta: float) -> np.ndarray:
     """One idealized-replay update per row from its noise words.
 
-    theta, target: (d, N); u: (2, N) uniforms for (s, a) and s'; z: (1 + d, N)
-    standard normals, the reward noise xi then W.  tables from
-    ``cumulative_tables``.  Returns theta_next (d, N).
+    theta: (d, N); maxq_y: (N, S) frozen target max-Q table; u: (2, N)
+    uniforms for (s, a) and s'; z: (1 + d, N) standard normals, the reward
+    noise xi then W.  tables from ``cumulative_tables``.  Returns (d, N).
     """
     q_cum, p_cum = tables
     s, a, sp, k = sample_pairs(q_cum, p_cum, u[0], u[1], spec.n_actions)
     r = spec.R.reshape(-1)[k] + spec.V.reshape(-1)[k] * z[0]
-    return chain_increment(net, spec, theta, target, s, a, sp, r, z[1:], eta, delta)
+    return chain_increment(net, spec, theta, maxq_y, s, a, sp, r, z[1:], eta, delta)
 
 
 def run_dqn(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
@@ -173,19 +168,19 @@ def run_dqn(net: QNetSpec, spec: MdpSpec, q: np.ndarray, theta0: np.ndarray,
             stream_path: tuple[int, ...] = SIMULATE_PATH) -> TrajectoryEnsemble:
     """Simulate n_traj independent chains, recording checkpoint slices.
 
-    The target parameter is frozen at theta_{floor(n/m) m} within each window
-    of m steps (refreshed at the pre-step index).  Trajectory i draws 2
-    uniforms per step from the stream keyed (cfg.seed, *stream_path, 0, i)
-    and 1 + d normals from (cfg.seed, *stream_path, 1, i).  The parameters
-    are held parameter-major, (d, n_traj), for the whole run.
+    The target is the max-Q table of theta_{floor(n/m) m}, frozen once per
+    window of m steps (at the pre-step index).  Trajectory i draws 2 uniforms
+    per step from the stream keyed (cfg.seed, *stream_path, 0, i) and 1 + d
+    normals from (cfg.seed, *stream_path, 1, i).  The parameters are held
+    parameter-major, (d, n_traj), for the whole run.
     """
     tables = cumulative_tables(spec, q)
     noise = step_noise(cfg.seed, n_traj, cfg.T, ((*stream_path, 0), "uniform", 2),
                        ((*stream_path, 1), "normal", 1 + net.d))
     return simulate(parameter_major(theta0, n_traj, net.d),
-                    lambda theta, target, u, z: replay_step(
-                        net, spec, tables, theta, target, u, z, cfg.eta, cfg.delta),
-                    noise, checkpoints, cfg.T, cfg.m)
+                    lambda theta, maxq_y, u, z: replay_step(
+                        net, spec, tables, theta, maxq_y, u, z, cfg.eta, cfg.delta),
+                    noise, checkpoints, cfg.T, cfg.m, freeze=lambda x: max_q_by_state(net, x.T))
 
 
 def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
@@ -195,8 +190,9 @@ def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
 
     Per step: epsilon-greedy action at the current state, environment step,
     buffer store, uniform minibatch of size 1, gradient step with the sampled
-    reward, injected sqrt(eta*delta) W noise, target sync every m steps.  The
-    first step stores before sampling, so the buffer is never empty.
+    reward against the target max-Q table frozen once per window of m steps,
+    injected sqrt(eta*delta) W noise.  The first step stores before sampling,
+    so the buffer is never empty.
 
     Trajectory i draws 4 uniforms per step from the Philox stream keyed
     (cfg.seed, 5, 0, i) -- explore?, random action, s', buffer slot -- and
@@ -216,13 +212,13 @@ def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
     p_cum = np.cumsum(spec.p.reshape(-1, spec.n_states), axis=1)
     R_flat, V_flat = spec.R.reshape(-1), spec.V.reshape(-1)
 
-    def step(theta, target, n, u, z):
+    def step(theta, maxq_y, n, u, z):
         nonlocal state
         action = np.minimum((u[1] * A).astype(np.intp), A - 1)
         greedy = u[0] >= replay.epsilon
         if greedy.any():
-            qvals = _forward(net, theta[:, greedy], _all_actions(net, state[greedy]))[0]
-            action[greedy] = np.argmax(qvals, axis=0)
+            heads = np.broadcast_arrays(state[greedy], np.arange(A)[:, None])
+            action[greedy] = np.argmax(_forward(net, theta[:, greedy], heads)[0], axis=0)
         action_counts[rows, action] += 1
         k = state * A + action
         state = next_states(p_cum[k], u[2])
@@ -231,13 +227,14 @@ def run_algorithm1(net: QNetSpec, spec: MdpSpec, replay: OnlineBufferReplay,
         buf_r[:, slot] = R_flat[k] + V_flat[k] * z[0]
         pick = np.minimum((u[3] * min(n + 1, cap)).astype(np.intp), cap - 1)
         bk = buf_k[rows, pick]
-        return chain_increment(net, spec, theta, target, bk // A, bk % A,
+        return chain_increment(net, spec, theta, maxq_y, bk // A, bk % A,
                                buf_sp[rows, pick], buf_r[rows, pick], z[1:],
                                cfg.eta, cfg.delta)
 
     noise = ((n, *words) for n, words in enumerate(step_noise(
         cfg.seed, n_traj, cfg.T, ((*BUFFER_PATH, 0), "uniform", 4),
         ((*BUFFER_PATH, 1), "normal", 1 + d))))
-    ens = simulate(parameter_major(theta0, n_traj, d), step, noise, checkpoints, cfg.T, cfg.m)
+    ens = simulate(parameter_major(theta0, n_traj, d), step, noise, checkpoints, cfg.T, cfg.m,
+                   freeze=lambda x: max_q_by_state(net, x.T))
     ens.meta["action_counts"] = action_counts
     return ens

@@ -31,9 +31,12 @@ from .sdde import run_sdde
 from .wasserstein import w1_assignment_subsampled, w1_sliced
 
 
+_INPUT = click.Path(exists=True, dir_okay=False)  # a directory is a usage error, not a traceback
+
+
 def _config_options(fn):
     fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(exists=True), help="Experiment config JSON.")(fn)
+                      type=_INPUT, help="Experiment config JSON.")(fn)
     fn = click.option("--seed", "seed_override", type=int, default=None,
                       help="Override the config master seed.")(fn)
     fn = click.option("--force", is_flag=True,
@@ -80,7 +83,10 @@ def _manifest(out_dir, subcommand: str, cfg: ExperimentConfig, gate: dict,
     Path; if the block raises, the manifest is removed, so a failed run
     leaves none."""
     out = Path(out_dir)
-    path = write_manifest(out, subcommand, cfg.raw, cfg.algo.seed, outputs, gate)
+    try:
+        path = write_manifest(out, subcommand, cfg.raw, cfg.algo.seed, outputs, gate)
+    except OSError as err:
+        raise click.ClickException(f"{out}: {err.strerror}") from err
     try:
         yield out
     except BaseException:
@@ -128,7 +134,7 @@ def main():
 
 
 @main.command("validate-mdp")
-@click.argument("file", type=click.Path(exists=True))
+@click.argument("file", type=_INPUT)
 def validate_mdp_cmd(file):
     """Validate an MDP JSON document (or the mdp section of a config)."""
     try:
@@ -178,7 +184,7 @@ def simulate_sdde_cmd(config_path, seed_override, force, out_dir):
 @_config_options
 @click.option("--out", "out_file", type=click.Path(), default=None,
               help="Output JSON path (stdout when omitted).")
-@click.option("--points", "points_file", type=click.Path(exists=True), default=None,
+@click.option("--points", "points_file", type=_INPUT, default=None,
               help="JSON {\"x\": [...], \"y\": [...]}; defaults to x = y = theta0.")
 def dump_coefficients_cmd(config_path, seed_override, force, out_file, points_file):
     """Emit (b, Sigma, beta_bar, sigma, eigenvalues) at a point pair as JSON."""
@@ -203,8 +209,8 @@ def dump_coefficients_cmd(config_path, seed_override, force, out_file, points_fi
 
 
 @main.command("estimate-w1")
-@click.option("--a", "file_a", required=True, type=click.Path(exists=True))
-@click.option("--b", "file_b", required=True, type=click.Path(exists=True))
+@click.option("--a", "file_a", required=True, type=_INPUT)
+@click.option("--b", "file_b", required=True, type=_INPUT)
 @click.option("--checkpoint", required=True, type=int)
 @click.option("--method", type=click.Choice(["sliced", "assignment", "both"]),
               default="both")
@@ -237,7 +243,7 @@ def estimate_w1_cmd(file_a, file_b, checkpoint, method, n_proj, cap, seed, out_f
 
 @main.command("generator-gap")
 @_config_options
-@click.option("--points", "points_file", required=True, type=click.Path(exists=True),
+@click.option("--points", "points_file", required=True, type=_INPUT,
               help="JSON {\"points\": [[...], ...], \"target\": [...], \"etas\": [...]}.")
 @click.option("--out", "out_file", type=click.Path(), default=None)
 def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):

@@ -19,12 +19,9 @@ import numpy as np
 _CHUNK_ROWS = 1024  # ensemble CSV rows formatted per write
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(cfg_dict: dict) -> str:
-    return hashlib.sha256(canonical_json(cfg_dict).encode("utf-8")).hexdigest()
+    text = json.dumps(cfg_dict, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def json_text(obj, sort_keys: bool = False) -> str:

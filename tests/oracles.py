@@ -26,7 +26,7 @@ import numpy as np
 from qsdde.chain import AlgoConfig, cumulative_tables, replay_step
 from qsdde.coeffs import EIG_HARD_FLOOR, CoefficientSet, noise_cotangent
 from qsdde.mdp import MdpSpec
-from qsdde.qnet import QNetSpec, _SAT, q_values_batch
+from qsdde.qnet import QNetSpec, _SAT, max_q_by_state, q_values_batch
 
 
 def _unpack(spec: QNetSpec, thetas: np.ndarray):
@@ -257,12 +257,13 @@ def enumerate_support(spec: MdpSpec, q: np.ndarray) -> list[tuple[int, int, int,
 def generator_theta(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
                     target: np.ndarray, cfg: AlgoConfig, n_mc: int,
                     rng: np.random.Generator, batch: int = 65536) -> tuple[float, float]:
-    """Monte Carlo E[f(theta_1)] - f(x) for one chain step with frozen target,
-    and its standard error."""
+    """Monte Carlo E[f(theta_1)] - f(x) for one chain step against the frozen
+    max-Q table of target, and its standard error."""
     if n_mc < 1000:
         raise ValueError("n_mc must be >= 1e3")
     d = net.d
     tables = cumulative_tables(spec, q)
+    maxq_y = max_q_by_state(net, target[None, :])
     fx = float(f.value(x[None, :])[0])
     total, total2, done = 0.0, 0.0, 0
     while done < n_mc:
@@ -271,7 +272,7 @@ def generator_theta(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarra
         xi = rng.standard_normal(nb)
         W = rng.standard_normal((nb, d))
         theta1 = replay_step(net, spec, tables, np.broadcast_to(x[:, None], (d, nb)),
-                             np.broadcast_to(target[:, None], (d, nb)), u.T,
+                             np.broadcast_to(maxq_y, (nb, spec.n_states)), u.T,
                              np.column_stack([xi, W]).T, cfg.eta, cfg.delta)
         vals = f.value(theta1.T) - fx
         total += vals.sum()

@@ -3,11 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qsdde.chain as chain_mod
+import qsdde.qnet as qnet_mod
 import qsdde.rng as rng_mod
 from qsdde.chain import (AlgoConfig, SimulationError, TrajectoryEnsemble, chain_increment,
                          cumulative_tables, replay_step, run_algorithm1, run_dqn)
 from qsdde.mdp import MdpSpec, OnlineBufferReplay, sample_pairs, uniform_q
-from qsdde.qnet import QNetSpec, init_theta
+from qsdde.qnet import QNetSpec, init_theta, max_q_by_state
 from qsdde.rng import spawn_generator, step_noise
 from qsdde.sdde import run_sdde
 
@@ -23,9 +25,11 @@ def _cfg(**kw):
 
 
 def _step(net, mdp, q_table, theta, target, cfg, u, z):
-    """One replay_step row from (d,) theta and target and its words u (2,), z (1 + d,)."""
+    """One replay_step row from (d,) theta, the max-Q table of the (d,) target
+    and its words u (2,), z (1 + d,)."""
     return replay_step(net, mdp, cumulative_tables(mdp, q_table), theta[:, None],
-                       target[:, None], u[:, None], z[:, None], cfg.eta, cfg.delta)[:, 0]
+                       max_q_by_state(net, target[None, :]), u[:, None], z[:, None],
+                       cfg.eta, cfg.delta)[:, 0]
 
 
 def _words(net, rng):
@@ -46,7 +50,8 @@ def _dqn_steps(net, mdp, q_table, theta, target, cfg, rng, n, check=(0, 1, -1)):
         u[i], z[i] = _words(net, rng)
     out = replay_step(net, mdp, cumulative_tables(mdp, q_table),
                       np.repeat(theta[:, None], n, axis=1),
-                      np.repeat(target[:, None], n, axis=1), u.T, z.T, cfg.eta, cfg.delta).T
+                      np.repeat(max_q_by_state(net, target[None, :]), n, axis=0), u.T, z.T,
+                      cfg.eta, cfg.delta).T
     for i in {i % n for i in check}:
         assert np.array_equal(_step(net, mdp, q_table, theta, target, cfg, u[i], z[i]), out[i])
     return out - theta
@@ -86,7 +91,8 @@ def test_ensemble_checkpoints_strictly_increasing():
 def test_dqn_step_eta_zero_is_identity(net, mdp, q_table, theta):
     u, z = _words(net, np.random.default_rng(0))
     out = replay_step(net, mdp, cumulative_tables(mdp, q_table), theta[:, None],
-                      theta[:, None], u[:, None], z[:, None], 0.0, 1e-300)[:, 0]
+                      max_q_by_state(net, theta[None, :]), u[:, None], z[:, None],
+                      0.0, 1e-300)[:, 0]
     assert np.array_equal(out, theta)
 
 
@@ -222,8 +228,8 @@ def test_chain_increment_matches_dense_oracle_step(mdp):
         target = rng.normal(0.0, 0.8, (n, net.d))
         s, a, sp = rng.integers(S, size=n), rng.integers(A, size=n), rng.integers(S, size=n)
         r, W = rng.standard_normal(n), rng.standard_normal((n, net.d))
-        out = chain_increment(net, mdp, theta.T.copy(), target.T.copy(), s, a, sp, r,
-                              W.T, eta, delta).T
+        out = chain_increment(net, mdp, theta.T.copy(), max_q_by_state(net, target), s, a,
+                              sp, r, W.T, eta, delta).T
         x = np.zeros((n, 1, net.input_dim))
         x[rows, 0, s], x[rows, 0, S + a] = 1.0, 1.0
         Qx, g = dense_jacobian(net, theta, x)
@@ -270,6 +276,24 @@ def test_run_dqn_matches_dense_oracle_replay(mdp, q_table):
         for c in ens.checkpoints:
             assert np.abs(ens.at(c) - ref[c]).max() <= 1e-12 * np.abs(ref[c]).max()
         assert not np.allclose(ens.at(14), ens.at(0), atol=1e-2)
+
+
+def test_run_dqn_freezes_one_max_q_table_per_window(net, mdp, q_table, theta, monkeypatch):
+    # the target reaches the chain only as its max-Q table, one every-pair forward
+    # pass per window of m steps; each step adds one pass on theta at its own head
+    listed = []
+    forward = qnet_mod._forward
+
+    def counted(spec, thetas, heads):
+        listed.append(heads is not None)
+        return forward(spec, thetas, heads)
+
+    monkeypatch.setattr(qnet_mod, "_forward", counted)  # max_q_by_state's pass
+    monkeypatch.setattr(chain_mod, "_forward", counted)
+    cfg = _cfg(m=3, T=14)
+    run_dqn(net, mdp, q_table, theta, cfg, 6, [0, 14])
+    assert listed.count(False) == -(-cfg.T // cfg.m) == 5
+    assert listed.count(True) == cfg.T
 
 
 def test_run_dqn_target_never_updates_when_m_exceeds_T(net, mdp, q_table, theta):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import stat
@@ -994,3 +995,39 @@ def test_out_file_in_a_missing_directory_is_one_error(tmp_path, config_file, cmd
     assert isinstance(res.exception, SystemExit), res.exception  # no traceback
     assert f"{missing / 'out.json'}: No such file or directory" in res.output
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("cmd", ["simulate-dqn", "simulate-sdde", "rate-sweep",
+                                 "variance-study", "moment-suite"])
+@pytest.mark.parametrize("where, err", [("file", errno.EEXIST), ("file/run", errno.ENOTDIR)],
+                         ids=["is-a-file", "under-a-file"])
+def test_out_dir_that_is_or_lies_under_a_file_is_one_error(tmp_path, config_file, cmd, where,
+                                                          err):
+    # the manifest's mkdir fails: one message naming --out, nothing written
+    (tmp_path / "file").write_text("kept\n")
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / where
+    res = CliRunner().invoke(main, [cmd, "--config", str(config_file), "--force",
+                                    "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert f"{out}: {os.strerror(err)}" in res.output
+    assert sorted(tmp_path.iterdir()) == before  # no manifest, no partial file
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate-dqn", "--config", "DIR", "--out", "OUT"],
+    ["dump-coefficients", "--config", "CFG", "--points", "DIR"],
+    ["generator-gap", "--config", "CFG", "--points", "DIR"],
+    ["estimate-w1", "--a", "DIR", "--b", "CFG", "--checkpoint", "0"],
+    ["estimate-w1", "--a", "CFG", "--b", "DIR", "--checkpoint", "0"],
+    ["validate-mdp", "DIR"]], ids=["config", "points-dump", "points-gap", "a", "b", "file"])
+def test_input_path_that_is_a_directory_is_a_usage_error(tmp_path, config_file, args):
+    # exit 2, as for a missing file: click refuses the path before the command runs
+    paths = {"DIR": tmp_path, "CFG": config_file, "OUT": tmp_path / "out"}
+    res = CliRunner().invoke(main, [str(paths.get(a, a)) for a in args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert f"'{tmp_path}' is a directory" in res.output
+    assert not (tmp_path / "out").exists()
