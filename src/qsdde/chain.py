@@ -69,9 +69,10 @@ class TrajectoryEnsemble:
     """Checkpoint slices of independent trajectories.
 
     samples has shape (n_traj, n_checkpoints, d); checkpoints are strictly
-    increasing step indices (chain) or integer multiples of eta (delay SDE).
-    meta holds what a simulator observed besides the samples: the action
-    counts of ``run_algorithm1``, the checkpoint times of ``run_sdde``.
+    increasing step indices, for the chain and the delay SDE alike (the SDE's
+    checkpoint c sits at time c * eta).  meta holds what a simulator observed
+    besides the samples: the action counts of ``run_algorithm1``, the
+    checkpoint times of ``run_sdde``.
     """
 
     checkpoints: tuple[int, ...]

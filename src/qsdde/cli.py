@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -64,7 +63,7 @@ def _gate(cfg: ExperimentConfig, force: bool, source: str, etas, delta: float | 
     verdict = step_size_gate(cfg.estimates, cfg.algo.delta if delta is None else delta, etas)
     rejected = verdict["rejected"]
     rec = {"source": source, **verdict, "enforced": enforced,
-           "forced": bool(force and enforced and rejected), "estimates": asdict(cfg.estimates)}
+           "forced": bool(force and enforced and rejected), "estimates": dict(cfg.estimates)}
     if show:
         show(rec)
     if enforced and rejected:
@@ -199,11 +198,10 @@ def dump_coefficients_cmd(config_path, seed_override, force, out_file, points_fi
             _known(pts, ("x", "y"))
         except ValueError as err:
             raise click.ClickException(f"{points_file}: {err}") from err
-    cs = sigma_matrix(cfg.net, cfg.mdp, cfg.q, x, y, cfg.algo.eta, cfg.algo.delta)
-    payload = {"eta": cs.eta, "delta": cs.delta,
-               **{k: getattr(cs, k).tolist() for k in ("b", "Sigma", "beta_bar", "sigma")},
-               "sigma_sq_eigenvalues": np.linalg.eigvalsh(cs.sigma @ cs.sigma.T).tolist()}
-    _emit(payload, out_file)
+    doc = sigma_matrix(cfg.net, cfg.mdp, cfg.q, x, y, cfg.algo.eta, cfg.algo.delta)
+    sig = doc["sigma"]
+    _emit({**{k: np.asarray(v).tolist() for k, v in doc.items()},
+           "sigma_sq_eigenvalues": np.linalg.eigvalsh(sig @ sig.T).tolist()}, out_file)
     if out_file:
         click.echo(f"wrote {out_file}")
 
@@ -283,10 +281,10 @@ def check_assumptions_cmd(config_path, seed_override, force, out_file):
     def report(rec):
         click.echo("\n".join([
             "assumption report",
-            f"  L_hat        = {e.L_hat:.6g}",
-            f"  K_hat        = {e.K_hat:.6g}",
-            f"  beta_max_hat = {e.beta_max_hat:.6g}",
-            f"  |b(0,0)|     = {e.b00_norm:.6g}",
+            f"  L_hat        = {e['L_hat']:.6g}",
+            f"  K_hat        = {e['K_hat']:.6g}",
+            f"  beta_max_hat = {e['beta_max_hat']:.6g}",
+            f"  |b(0,0)|     = {e['b00_norm']:.6g}",
             f"  gate: eta <= {rec['eta_max']:.6g} (safety x{GATE_SAFETY:g}), "
             f"delta <= 1: {'yes' if 0.0 < rec['delta'] <= 1.0 else 'NO'}",
             f"  eta = {eta:.6g}, delta = {rec['delta']:.6g} -> "

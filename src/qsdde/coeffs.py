@@ -20,8 +20,6 @@ and the symmetric root for inspection and for the reconstruction checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mdp import MdpSpec
@@ -119,24 +117,6 @@ def exact_drift_b(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     return b[0] if b.shape[0] == 1 else b
 
 
-@dataclass
-class CoefficientSet:
-    """Dense coefficients at one point pair, with their defining identities."""
-
-    b: np.ndarray
-    Sigma: np.ndarray
-    beta_bar: np.ndarray
-    sigma: np.ndarray
-    eta: float
-    delta: float
-
-    @property
-    def target(self) -> np.ndarray:
-        """The matrix sigma must square to: Sigma + beta_bar + (delta/eta) I."""
-        d = self.b.shape[0]
-        return self.Sigma + self.beta_bar + (self.delta / self.eta) * np.eye(d)
-
-
 def spd_sqrt(mat: np.ndarray, hard_floor: float = EIG_HARD_FLOOR) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
@@ -154,8 +134,11 @@ def spd_sqrt(mat: np.ndarray, hard_floor: float = EIG_HARD_FLOOR) -> np.ndarray:
 
 
 def sigma_matrix(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
-                 y: np.ndarray, eta: float, delta: float) -> CoefficientSet:
-    """Dense (b, Sigma, beta_bar, sigma) at (x, y) by exact enumeration."""
+                 y: np.ndarray, eta: float, delta: float) -> dict:
+    """The dense coefficients at (x, y) by exact enumeration, as the document
+    {eta, delta, b, Sigma, beta_bar, sigma}.  Sigma and beta_bar are symmetric
+    PSD, and sigma is the symmetric root of Sigma + beta_bar + (delta/eta) I,
+    so every eigenvalue of sigma sigma^T is at least delta/eta."""
     if not (eta > 0.0 and delta > 0.0):
         raise ValueError("eta and delta must be positive")
     _, g, Ec, Ec2 = head_stats(net, spec, x[None, :], max_q_by_state(net, y[None, :]))
@@ -170,7 +153,7 @@ def sigma_matrix(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     beta = 0.5 * (beta + beta.T)
     S = Sigma + beta + (delta / eta) * np.eye(net.d)
     sig = spd_sqrt(S, hard_floor=delta / eta + EIG_HARD_FLOOR)
-    return CoefficientSet(b=b, Sigma=Sigma, beta_bar=beta, sigma=sig, eta=eta, delta=delta)
+    return {"eta": eta, "delta": delta, "b": b, "Sigma": Sigma, "beta_bar": beta, "sigma": sig}
 
 
 def lowrank_ghat(stats, q: np.ndarray, V_flat: np.ndarray) -> np.ndarray:
@@ -186,21 +169,10 @@ def lowrank_ghat(stats, q: np.ndarray, V_flat: np.ndarray) -> np.ndarray:
     return g.transpose(0, 2, 1) @ F
 
 
-@dataclass
-class AssumptionEstimates:
-    """Empirical stand-ins for the drift/diffusion regularity constants."""
-
-    L_hat: float
-    K_hat: float
-    beta_max_hat: float
-    b00_norm: float
-    n_pairs: int
-    radius: float
-
-
 def estimate_constants(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_pairs: int,
-                       radius: float, rng: np.random.Generator) -> AssumptionEstimates:
-    """Probe-based estimates of the Lipschitz and growth constants.
+                       radius: float, rng: np.random.Generator) -> dict:
+    """Probe-based estimates of the Lipschitz and growth constants, as the
+    document {L_hat, K_hat, beta_max_hat, b00_norm, n_pairs, radius}.
 
     L_hat is the max drift difference ratio over sampled point pairs; K_hat
     bounds the per-sample drift growth sup |b_n(x,y)| / (1 + |x-y|) with the
@@ -244,25 +216,25 @@ def estimate_constants(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_pairs: int
     K_hat = float(max(growth1.max(initial=0.0), growth2.max(initial=0.0)))
     beta_max_hat = float(max(fro1.max(initial=0.0), fro2.max(initial=0.0)))
     b00 = exact_drift_b(net, spec, q, np.zeros(d), np.zeros(d))
-    return AssumptionEstimates(L_hat=L_hat, K_hat=K_hat, beta_max_hat=beta_max_hat,
-                               b00_norm=float(np.linalg.norm(b00)),
-                               n_pairs=n_pairs, radius=radius)
+    return {"L_hat": L_hat, "K_hat": K_hat, "beta_max_hat": beta_max_hat,
+            "b00_norm": float(np.linalg.norm(b00)), "n_pairs": n_pairs, "radius": radius}
 
 
-def step_size_gate(est: AssumptionEstimates, delta: float, etas=()) -> dict:
+def step_size_gate(est: dict, delta: float, etas=()) -> dict:
     """The gate's verdict on etas: eta <= min(delta, 1/(64 L), L/(8 K^2)) with
-    GATE_SAFETY-inflated constants, and 0 < delta <= 1.
+    the constants of est, the document of ``estimate_constants``, inflated by
+    GATE_SAFETY, and 0 < delta <= 1.
 
     Returns etas, delta, eta_max, constraints, the rejected etas, and binding:
     None when none is rejected, "delta" when delta is outside (0, 1], else the
     tightest constraint the largest rejected eta breaks.
     """
-    L = GATE_SAFETY * est.L_hat
-    K = GATE_SAFETY * est.K_hat
+    L = GATE_SAFETY * est["L_hat"]
+    K = GATE_SAFETY * est["K_hat"]
     constraints = {
         "delta": delta,
         "lipschitz_1_over_64L": np.inf if L == 0.0 else 1.0 / (64.0 * L),
-        "growth_L_over_8K2": np.inf if K == 0.0 else est.L_hat / (8.0 * K * K),
+        "growth_L_over_8K2": np.inf if K == 0.0 else est["L_hat"] / (8.0 * K * K),
     }
     eta_max = float(min(constraints.values()))
     delta_ok = 0.0 < delta <= 1.0

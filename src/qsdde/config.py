@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .chain import AlgoConfig
-from .coeffs import AssumptionEstimates
 from .diagnostics import assumption_report
-from .mdp import (_COUNT, _NUMBER, _OBJECT, IdealizedReplay, MdpSpec, ReplayModel,
+from .mdp import (_COUNT, _OBJECT, IdealizedReplay, MdpSpec, ReplayModel,
                   RuleError, _convert, _index, _json_file, _known, _real, load_mdp, uniform_q,
                   validate_mdp)
 from .qnet import QNetSpec, init_theta
@@ -81,8 +80,9 @@ class ExperimentConfig:
         return uniform_q(self.mdp.n_states, self.mdp.n_actions)
 
     @cached_property
-    def estimates(self) -> AssumptionEstimates:
-        """The run's one estimate of the regularity constants."""
+    def estimates(self) -> dict:
+        """The run's one estimate of the regularity constants, the document of
+        ``estimate_constants``."""
         return assumption_report(self.net, self.mdp, self.q,
                                  spawn_generator(self.algo.seed, SNAPSHOT_PATH))
 
@@ -143,7 +143,7 @@ def load_config(source: str | Path | dict, seed_override: int | None = None) -> 
         spec, replay = load_mdp(doc["mdp"])
     except (TypeError, ValueError) as err:
         raise ConfigError([f"mdp section: {err}"]) from err
-    errors.extend(validate_mdp(spec, replay))
+    errors.extend(f"mdp section: {f}" for f in validate_mdp(spec, replay))
     try:
         _known(doc, TOP_LEVEL)
     except ValueError as err:
@@ -157,8 +157,11 @@ def load_config(source: str | Path | dict, seed_override: int | None = None) -> 
         _known(net_doc, (*DEFAULTS["net"], "theta0"))
         net = QNetSpec(n_states=spec.n_states, n_actions=spec.n_actions,
                        hidden=_convert("hidden", net_doc["hidden"], lambda hs: tuple(
-                           map(_index, hs)), bool, "a non-empty list of integers"),
-                       bound=_convert("bound_C", net_doc["bound_C"], *_NUMBER))
+                           map(_index, hs)), lambda hs: hs and min(hs) >= 1,
+                           "a non-empty list of integers >= 1"),
+                       bound=_convert("bound_C", net_doc["bound_C"], _real,
+                                      lambda c: np.isfinite(c) and c > 0.0,
+                                      "a positive finite number"))
     except ValueError as err:
         errors.append(f"net section: {err}")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import AssumptionEstimates, estimate_constants, exact_drift_b, sigma_matrix
+from .coeffs import estimate_constants, exact_drift_b, sigma_matrix
 from .mdp import MdpSpec
 from .qnet import QNetSpec
 
@@ -58,11 +58,11 @@ class Quadratic:
 def generator_X(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
                 target: np.ndarray, eta: float, delta: float) -> float:
     """Exact diffusion generator from the enumerated coefficients."""
-    cs = sigma_matrix(net, spec, q, x, target, eta, delta)
+    doc = sigma_matrix(net, spec, q, x, target, eta, delta)
     grad = f.grad(x)
     hess = f.hess(x)
-    mat = eta * cs.Sigma + eta * cs.beta_bar + delta * np.eye(net.d)
-    return float(0.5 * np.sum(mat * hess) - grad @ cs.b)
+    mat = eta * doc["Sigma"] + eta * doc["beta_bar"] + delta * np.eye(net.d)
+    return float(0.5 * np.sum(mat * hess) - grad @ doc["b"])
 
 
 def _loglog_fit(x, y) -> tuple[float, float]:
@@ -100,7 +100,7 @@ def generator_gap(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
 
 
 def assumption_report(net: QNetSpec, spec: MdpSpec, q: np.ndarray,
-                      rng: np.random.Generator) -> AssumptionEstimates:
+                      rng: np.random.Generator) -> dict:
     """Regularity constants from 200 probe pairs in radius 5: the estimate that
     every step-size gate of a run reads."""
     return estimate_constants(net, spec, q, n_pairs=200, radius=5.0, rng=rng)

@@ -97,7 +97,7 @@ def read_ensemble_csv(path: Path, checkpoints=None) -> tuple[list[int], dict[int
     against the header width and an integer ``step`` in every row.  Only the rows of
     requested steps are parsed as floats, so a non-numeric value at an unrequested step is
     not detected; a non-finite value (nan, inf) at a requested step is refused.  Malformed
-    input raises ``ValueError`` naming the file and the line.
+    input raises ``ValueError`` naming the file and the line, and for a bad value its field.
     """
     want = None if checkpoints is None else {int(c) for c in checkpoints}
     steps: set[int] = set()
@@ -127,26 +127,34 @@ def read_ensemble_csv(path: Path, checkpoints=None) -> tuple[list[int], dict[int
     out = {}
     for step in sorted(rows):
         try:
-            out[step] = np.loadtxt(rows[step], delimiter=",", ndmin=2, comments=None,
-                                   dtype=np.float64)
+            out[step] = _parse(rows[step])
         except ValueError as err:
             _refuse_bad_value(path, rows[step], line_nos[step])
             raise ValueError(f"{path}, step {step}: {err}") from None
-        if not np.isfinite(out[step]).all():
+        # a blank value of a one-column file is a blank line, which the parser skips
+        if len(out[step]) != len(rows[step]) or not np.isfinite(out[step]).all():
             _refuse_bad_value(path, rows[step], line_nos[step])
     return sorted(steps), out
 
 
+def _parse(rows: list[str]) -> np.ndarray:
+    """Comma-separated value rows as a float64 array, one row per non-blank row."""
+    return np.loadtxt(rows, delimiter=",", ndmin=2, comments=None, dtype=np.float64)
+
+
 def _refuse_bad_value(path: Path, rows: list[str], line_nos: list[int]) -> None:
-    """A ValueError naming the first value in rows that is not a finite number."""
+    """A ValueError naming the first value in rows that ``_parse`` does not read as
+    a finite number: Python's float accepts 1_0 and non-ASCII digits, the parser not."""
     for values, no in zip(rows, line_nos):
         for col, value in enumerate(values.split(","), start=3):
             try:
-                finite = np.isfinite(float(value))
+                parsed = _parse([value]) if value.strip() else None  # blank: no row
             except ValueError:
+                parsed = None
+            if parsed is None:
                 raise ValueError(f"{path}, line {no}, field {col}: "
-                                 f"{value!r} is not a number") from None
-            if not finite:
+                                 f"{value!r} is not a number")
+            if not np.isfinite(parsed).all():
                 raise ValueError(f"{path}, line {no}, field {col}: {value!r} is not finite")
 
 

@@ -8,7 +8,7 @@ a dense matmul, so they share no code with the parameter-major kernel in
 over s' directly.  The single-point references below (``q_value``,
 ``q_grad``, ``max_q``, ``qbar``, ``sample_drift_bn``) are built on them;
 ``fd_grad`` differences the kernel's own values.  ``coefficient_failures``
-lists the defining identities a dense ``CoefficientSet`` violates.
+lists the defining identities a ``sigma_matrix`` document violates.
 ``generator_theta`` estimates the chain's one-step generator by Monte Carlo
 over ``replay_step`` draws, for any f: the reference for the closed form
 ``qsdde.diagnostics.generator_gap`` reads for quadratic f.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from qsdde.chain import AlgoConfig, cumulative_tables, replay_step
-from qsdde.coeffs import EIG_HARD_FLOOR, CoefficientSet, noise_cotangent
+from qsdde.coeffs import EIG_HARD_FLOOR, noise_cotangent
 from qsdde.mdp import MdpSpec
 from qsdde.qnet import QNetSpec, _SAT, max_q_by_state, q_values_batch
 
@@ -301,22 +301,24 @@ class GaussianBump:
         return float(self.value(x)[0]) * (np.outer(u, u) - np.eye(len(x)) / self.width ** 2)
 
 
-def coefficient_failures(cs: CoefficientSet, sym_tol: float = 1e-12,
+def coefficient_failures(cs: dict, sym_tol: float = 1e-12,
                          recon_tol: float = 1e-10) -> list[str]:
-    """The invariants of cs that fail (empty when all hold): symmetric PSD
-    Sigma and beta_bar, sigma sigma^T = target, lambda_min >= delta/eta."""
+    """The invariants of the ``sigma_matrix`` document cs that fail (empty when
+    all hold): symmetric PSD Sigma and beta_bar, sigma sigma^T = Sigma +
+    beta_bar + (delta/eta) I, lambda_min >= delta/eta."""
     fails = []
-    for name, m in (("Sigma", cs.Sigma), ("beta_bar", cs.beta_bar)):
+    for name in ("Sigma", "beta_bar"):
+        m = cs[name]
         if np.abs(m - m.T).max() > sym_tol:
             fails.append(f"{name} asymmetric beyond {sym_tol}")
         w = np.linalg.eigvalsh(0.5 * (m + m.T))
         if w.min() < EIG_HARD_FLOOR:
             fails.append(f"{name} eigenvalue {w.min():.3e} below {EIG_HARD_FLOOR}")
-    target = cs.target
-    err = np.linalg.norm(cs.sigma @ cs.sigma.T - target) / np.linalg.norm(target)
+    target = cs["Sigma"] + cs["beta_bar"] + (cs["delta"] / cs["eta"]) * np.eye(len(cs["b"]))
+    err = np.linalg.norm(cs["sigma"] @ cs["sigma"].T - target) / np.linalg.norm(target)
     if err > recon_tol:
         fails.append(f"sigma*sigma^T reconstruction error {err:.3e} > {recon_tol}")
-    w2 = np.linalg.eigvalsh(cs.sigma @ cs.sigma.T)
-    if w2.min() < cs.delta / cs.eta + EIG_HARD_FLOOR:
+    w2 = np.linalg.eigvalsh(cs["sigma"] @ cs["sigma"].T)
+    if w2.min() < cs["delta"] / cs["eta"] + EIG_HARD_FLOOR:
         fails.append(f"lambda_min(sigma^2) = {w2.min():.6e} below delta/eta - 1e-10")
     return fails

@@ -73,9 +73,9 @@ def test_criterion_2_diffusion_reconstruction():
         eta = float(10 ** rng.uniform(-2.5, -0.5))
         delta = float(rng.uniform(0.05, 1.0))
         cs = sigma_matrix(STUDY_NET, STUDY_MDP, STUDY_Q, x, y, eta, delta)
-        target = cs.target
-        recon = np.linalg.norm(cs.sigma @ cs.sigma.T - target) / np.linalg.norm(target)
-        floor = np.linalg.eigvalsh(cs.sigma @ cs.sigma.T).min() - delta / eta
+        target = cs["Sigma"] + cs["beta_bar"] + (delta / eta) * np.eye(STUDY_NET.d)
+        recon = np.linalg.norm(cs["sigma"] @ cs["sigma"].T - target) / np.linalg.norm(target)
+        floor = np.linalg.eigvalsh(cs["sigma"] @ cs["sigma"].T).min() - delta / eta
         worst_recon = max(worst_recon, recon)
         worst_floor = min(worst_floor, floor)
     ok = worst_recon < 1e-10 and worst_floor >= -1e-10

@@ -30,9 +30,9 @@ def test_every_public_name_resolves():
 
 
 def test_public_api_is_the_batched_entry_points():
-    assert len(qsdde.__all__) == 36
+    assert len(qsdde.__all__) == 34
     assert sorted(qsdde.__all__) == sorted([
-        "AlgoConfig", "AssumptionEstimates", "CoefficientSet", "ExperimentConfig",
+        "AlgoConfig", "ExperimentConfig",
         "IdealizedReplay", "MdpSpec", "MomentSuiteSpec", "OnlineBufferReplay", "QNetSpec",
         "Quadratic", "RateSweepSpec", "TrajectoryEnsemble", "VarianceStudySpec",
         "W1Estimate", "assumption_report",

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import errno
+import functools
 import json
+import operator
 import os
 import stat
 from pathlib import Path
@@ -15,7 +17,7 @@ from qsdde.chain import SimulationError
 from qsdde.cli import main
 from qsdde.coeffs import step_size_gate
 from qsdde.config import ConfigError, load_config
-from qsdde.experiments import MomentSuiteSpec, VarianceStudySpec
+from qsdde.experiments import MomentSuiteSpec, RateSweepSpec, VarianceStudySpec
 from qsdde.manifest import read_ensemble_csv
 
 from conftest import make_mdp
@@ -85,6 +87,70 @@ def test_load_config_rejects_zero_eta(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert err.value.errors == ["algo section: eta must be positive"]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("bound_C", 0, "bound_C must be a positive finite number, got 0"),
+    ("bound_C", -1.5, "bound_C must be a positive finite number, got -1.5"),
+    ("hidden", [4, 0], "hidden must be a non-empty list of integers >= 1, got [4, 0]"),
+    ("hidden", [-1], "hidden must be a non-empty list of integers >= 1, got [-1]"),
+])
+def test_net_error_names_the_config_key(key, value, message):
+    doc = _config_doc()
+    doc["net"][key] = value
+    with pytest.raises(ConfigError) as err:
+        load_config(doc)
+    assert err.value.errors == [f"net section: {message}"]
+
+
+def test_mdp_range_error_names_its_section():
+    doc = _config_doc()
+    doc["mdp"]["gamma"] = 1.2
+    with pytest.raises(ConfigError) as err:
+        load_config(doc)
+    assert err.value.errors == ["mdp section: gamma must lie in (0,1), got 1.2"]
+    doc = _config_doc()
+    doc["mdp"]["replay"] = {"mode": "online_buffer", "capacity": 5, "epsilon": 1.0}
+    with pytest.raises(ConfigError) as err:
+        load_config(doc)
+    assert err.value.errors == ["mdp section: epsilon must lie in (0,1), got 1.0"]
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("mdp", "gamma"), None, "mdp section: MDP document missing keys: ['gamma']"),
+    (("mdp", "states"), 3, "mdp section: p has shape (2, 2, 2), expected (3, 2, 3)"),
+    (("mdp", "R"), [[0.0, 0.0]], "mdp section: R must have shape (2, 2), got (1, 2)"),
+    (("mdp", "V"), [[0.0], [0.0]], "mdp section: V must have shape (2, 2), got (2, 1)"),
+    (("mdp", "p", 0, 0, 0), float("nan"), "mdp section: p has non-finite entries"),
+    (("mdp", "R", 1, 0), float("inf"), "mdp section: R has non-finite entries"),
+    (("mdp", "V", 0, 1), float("nan"), "mdp section: V has non-finite entries"),
+    (("mdp", "p", 0, 1), [1.5, -0.5],
+     "mdp section: negative transition probability p(1|0,1) = -0.5"),
+    (("mdp", "replay", "q"), [[0.5, 0.5]], "mdp section: q must have shape (2, 2), got (1, 2)"),
+    (("mdp", "replay", "q", 0, 0), float("nan"), "mdp section: q has non-finite entries"),
+    (("mdp", "replay", "q"), [[0.5, -0.25], [0.5, 0.25]],
+     "mdp section: negative sampling weight q(0,1) = -0.25"),
+    (("mdp",), None, "config must contain an 'mdp' section"),
+    (("net", "init", "dist"), "uniform", "net section: init.dist must be 'normal', got 'uniform'"),
+])
+def test_mdp_and_config_messages(path, value, message):
+    # value None removes the key
+    doc = _config_doc()
+    *outer, key = path
+    block = functools.reduce(operator.getitem, outer, doc)
+    if value is None:
+        del block[key]
+    else:
+        block[key] = value
+    with pytest.raises(ConfigError) as err:
+        load_config(doc)
+    assert err.value.errors == [message]
+
+
+def test_study_block_must_be_an_object():
+    with pytest.raises(ConfigError) as err:
+        load_config(_config_doc(rate_sweep=[0.05])).study(RateSweepSpec)
+    assert err.value.errors == ["rate_sweep section: must be a JSON object"]
 
 
 def test_load_config_parse_error_has_line_context(tmp_path):
@@ -245,6 +311,21 @@ def test_estimate_w1_malformed_row_names_file_and_line(tmp_path, config_file):
                                     "--checkpoint", "12"])
     assert res.exit_code == 1
     assert f"{path_a}, line 4," in res.output and "'abc' is not a number" in res.output
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661"])  # float() reads both, the parser neither
+def test_estimate_w1_names_the_line_of_a_value_the_parser_refuses(tmp_path, config_file, value):
+    path_a, path_b = _two_chains(tmp_path, config_file)
+    lines = path_a.read_text().split("\n")
+    fields = lines[3].split(",")  # line 4: trajectory 0 at step 12
+    lines[3] = ",".join(fields[:-1] + [value])
+    path_a.write_text("\n".join(lines))
+    res = CliRunner().invoke(main, ["estimate-w1", "--a", str(path_a), "--b", str(path_b),
+                                    "--checkpoint", "12"])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.output == (f"Error: {path_a}, line 4, field {len(fields)}: "
+                          f"{value!r} is not a number\n")
 
 
 def test_estimate_w1_dimension_mismatch(tmp_path, config_file):

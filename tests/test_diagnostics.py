@@ -46,7 +46,7 @@ def test_generator_X_trace_identity(net, mdp, q_table):
     b = exact_drift_b(net, mdp, q_table, x, y)
     cs = sigma_matrix(net, mdp, q_table, x, y, eta, delta)
     expected = (-2.0 * float(b @ x)
-                + eta * np.trace(cs.Sigma) + eta * np.trace(cs.beta_bar)
+                + eta * np.trace(cs["Sigma"]) + eta * np.trace(cs["beta_bar"])
                 + delta * net.d)
     assert got == pytest.approx(expected, rel=1e-10)
 
@@ -77,7 +77,7 @@ def test_generator_theta_matches_exact_quadratic_moments(net, mdp, q_table):
     f = Quadratic(A=np.eye(net.d), b=np.zeros(net.d))
     b = exact_drift_b(net, mdp, q_table, x, y)
     cs = sigma_matrix(net, mdp, q_table, x, y, cfg.eta, cfg.delta)
-    second = (cfg.eta ** 2 * (cs.Sigma + cs.beta_bar + np.outer(b, b))
+    second = (cfg.eta ** 2 * (cs["Sigma"] + cs["beta_bar"] + np.outer(b, b))
               + cfg.eta * cfg.delta * np.eye(net.d))
     expected = float(f.grad(x) @ (-cfg.eta * b) + 0.5 * np.sum(f.hess(x) * second))
     est, se = generator_theta(f, net, mdp, q_table, x, y, cfg, 300_000,
@@ -137,7 +137,7 @@ def test_bump_taylor_remainder_shrinks_superlinearly(net, mdp, q_table):
     for i, eta in enumerate(etas):
         cfg = _cfg(eta=eta, delta=0.5)
         cs = sigma_matrix(net, mdp, q_table, x, y, eta, cfg.delta)
-        second = (eta ** 2 * (cs.Sigma + cs.beta_bar + np.outer(b, b))
+        second = (eta ** 2 * (cs["Sigma"] + cs["beta_bar"] + np.outer(b, b))
                   + eta * cfg.delta * np.eye(net.d))
         taylor = float(f.grad(x) @ (-eta * b) + 0.5 * np.sum(f.hess(x) * second))
         est, _ = generator_theta(f, net, mdp, q_table, x, y, cfg, 600_000,
@@ -157,7 +157,7 @@ def test_assumption_report_saturated_passes(net, mdp, q_table):
 
 def test_assumption_report_huge_eta_fails_with_binding(net, mdp, q_table):
     est = assumption_report(net, mdp, q_table, np.random.default_rng(1))
-    assert (est.n_pairs, est.radius) == (200, 5.0)
+    assert (est["n_pairs"], est["radius"]) == (200, 5.0)
     gate = step_size_gate(est, 0.5, [50.0])
     assert gate["rejected"] == [50.0]
     assert gate["binding"] in ("delta", "lipschitz_1_over_64L", "growth_L_over_8K2")

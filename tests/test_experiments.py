@@ -1,19 +1,20 @@
 from __future__ import annotations
 
-from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qsdde.experiments as experiments
 from qsdde.chain import AlgoConfig
 from qsdde.cli import _gate
 from qsdde.coeffs import step_size_gate
-from qsdde.diagnostics import assumption_report
+from qsdde.diagnostics import _loglog_fit, assumption_report
 from qsdde.config import ConfigError
 from qsdde.experiments import (MomentSuiteSpec, RateSweepSpec,
                                VarianceStudySpec, moment_suite, rate_sweep,
                                w1_bound_shape, variance_study)
+from qsdde.wasserstein import W1Estimate
 
 from conftest import (build_scalar_oracle, chain_variance_ratio, saturated_theta,
                       sdde_variance_ratio)
@@ -40,7 +41,7 @@ def test_gate_rejects_and_force_overrides(net, mdp, q_table):
                     "eta_max": gate["eta_max"], "constraints": gate["constraints"],
                     "binding": step_size_gate(est, 0.5, [5.0])["binding"],
                     "rejected": [5.0], "enforced": True, "forced": True,
-                    "estimates": asdict(est)}
+                    "estimates": est}
     assert list(info) == ["source", "etas", "delta", "eta_max", "constraints", "binding",
                           "rejected", "enforced", "forced", "estimates"]
 
@@ -54,6 +55,21 @@ def test_rate_sweep_deterministic_rows(net, mdp, q_table, theta):
     assert a["slope"] == b["slope"]
     assert [r["eta"] for r in a["rows"]] == [0.08, 0.04]
     assert all(r["T"] * r["eta"] == pytest.approx(0.8) for r in a["rows"])
+
+
+def test_rate_sweep_fits_the_reliable_rows(net, mdp, q_table, theta, monkeypatch):
+    # sliced W1 per row, full cloud then tracked coordinates: rows 0 and 1 clear
+    # twice the 0.1 baseline, row 2 does not
+    values = iter([0.4, 0.3, 0.25, 0.2, 0.05, 0.04])
+    monkeypatch.setattr(experiments, "w1_sliced", lambda A, B, n_proj, rng: W1Estimate(
+        next(values), "sliced", 0.01, len(A), len(B), 0.1))
+    algo = AlgoConfig(eta=0.08, delta=0.5, m=2, T=10, rho=4, seed=5)
+    sweep = RateSweepSpec(eta_grid=(0.08, 0.04, 0.02), n_traj=16, n_proj=4,
+                          assignment_cap=16)
+    res = rate_sweep(net, mdp, q_table, 0.3 * theta, algo, sweep)
+    assert [r["reliable"] for r in res["rows"]] == [True, True, False]
+    assert res["slope_reliable"] == _loglog_fit([0.08, 0.04], [0.4, 0.25])[0]
+    assert res["slope_reliable"] != res["slope"]
 
 
 def test_rate_sweep_threads_equivalent(net, mdp, q_table, theta):

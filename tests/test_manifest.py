@@ -160,6 +160,15 @@ def test_non_numeric_value_rejected_only_where_parsed(tmp_path, value, problem):
     assert steps == [0, 5, 10] and by_step[5].shape == (2, 2)
 
 
+def test_blank_value_of_a_one_column_file_is_refused(tmp_path):
+    # the parser skips the blank line "" that the value row of line 3 is
+    path = tmp_path / "e.csv"
+    path.write_text("traj_id,step,theta_0\n0,0,1.0\n0,1,\n1,0,2.0\n1,1,3.0\n")
+    with pytest.raises(ValueError) as err:
+        read_ensemble_csv(path)
+    assert str(err.value) == f"{path}, line 3, field 3: '' is not a number"
+
+
 def test_rejects_non_ensemble_header(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text("x,y\n1,2\n")

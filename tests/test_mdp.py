@@ -64,6 +64,15 @@ def test_replay_validation():
     assert validate_mdp(spec, OnlineBufferReplay(capacity=5, epsilon=0.3)) == []
 
 
+def test_validate_mdp_refuses_a_non_square_p_and_an_unknown_replay():
+    spec = MdpSpec(p=np.full((2, 2, 3), 1.0 / 3.0), R=np.zeros((2, 2)),
+                   V=np.zeros((2, 2)), gamma=0.9)
+    assert validate_mdp(spec) == ["p must have shape (S, A, S), got (2, 2, 3)"]
+    spec = MdpSpec(p=np.full((2, 2, 2), 0.5), R=np.zeros((2, 2)),
+                   V=np.zeros((2, 2)), gamma=0.9)
+    assert validate_mdp(spec, "buffer") == ["unknown replay model str"]
+
+
 def test_sample_pairs_degenerate():
     # point-mass q at (0,1), deterministic next state 2, zero reward noise
     p = np.zeros((3, 2, 3))
@@ -200,6 +209,9 @@ def test_load_mdp_roundtrip(tmp_path, mdp):
     path.write_text(json.dumps(doc))
     _, replay = load_mdp(path)
     assert isinstance(replay, OnlineBufferReplay)
+    del doc["replay"]
+    _, replay = load_mdp(doc)  # no replay: idealized, uniform over the pairs
+    assert np.array_equal(replay.q, uniform_q(mdp.n_states, mdp.n_actions))
     doc["replay"] = {"mode": "bogus"}
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ def test_increment_moments_small_h(net, mdp, q_table):
     h = cfg.eta
     b = exact_drift_b(net, mdp, q_table, x, x)
     cs = sigma_matrix(net, mdp, q_table, x, x, cfg.eta, cfg.delta)
-    target_cov = cfg.eta * h * (cs.sigma @ cs.sigma)
+    target_cov = cfg.eta * h * (cs["sigma"] @ cs["sigma"])
     se_mean = inc.std(axis=0) / np.sqrt(n)
     assert np.all(np.abs(inc.mean(0) + b * h) < 4 * se_mean)
     cov = np.cov(inc.T, bias=True)
