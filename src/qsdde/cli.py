@@ -82,10 +82,7 @@ def _manifest(out_dir, subcommand: str, cfg: ExperimentConfig, gate: dict,
     Path; if the block raises, the manifest is removed, so a failed run
     leaves none."""
     out = Path(out_dir)
-    try:
-        path = write_manifest(out, subcommand, cfg.raw, cfg.algo.seed, outputs, gate)
-    except OSError as err:
-        raise click.ClickException(f"{out}: {err.strerror}") from err
+    path = write_manifest(out, subcommand, cfg.raw, cfg.algo.seed, outputs, gate)
     try:
         yield out
     except BaseException:
@@ -94,10 +91,7 @@ def _manifest(out_dir, subcommand: str, cfg: ExperimentConfig, gate: dict,
 
 
 def _dump(path: Path, obj) -> None:
-    try:
-        atomic_write_text(path, json_text(obj))
-    except OSError as err:
-        raise click.ClickException(f"{path}: {err.strerror}") from err
+    atomic_write_text(path, json_text(obj))
 
 
 def _emit(obj, out_file) -> None:
@@ -118,13 +112,18 @@ def _write_study(out: Path, name: str, res: dict, x: str, y: str, err: str) -> N
 
 
 class _Commands(click.Group):
-    """A bad config, gate refusals included, or a diverging run ends with its message."""
+    """A bad config, gate refusals included, or a diverging run ends with its message,
+    and a file that cannot be read or written with its name and the system's reason."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (ConfigError, SimulationError) as err:
             raise click.ClickException(str(err)) from err
+        except OSError as err:
+            if err.filename is None:
+                raise
+            raise click.ClickException(f"{err.filename}: {err.strerror}") from err
 
 
 @click.group(cls=_Commands)

@@ -32,15 +32,19 @@ def json_text(obj, sort_keys: bool = False) -> str:
 
 @contextmanager
 def atomic_writer(path: Path):
-    """A text file at path's temp sibling, renamed over path on success, removed on error."""
+    """A text file at path's temp sibling, renamed over path on success, removed on error.
+
+    An ``OSError`` names path, not its temp sibling."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         tmp.unlink(missing_ok=True)
+        if isinstance(err, OSError):
+            raise OSError(err.errno, err.strerror, str(path)) from err
         raise
 
 
@@ -76,15 +80,21 @@ def ensemble_to_csv(path: Path, ensemble) -> None:
 
     Rows are trajectory-major (every checkpoint of trajectory 0, then of 1, ...), written
     in bounded memory, _CHUNK_ROWS at a time, and each value is Python's shortest round-trip
-    ``repr`` of the float64, so ``read_ensemble_csv`` gives back the same bits.
+    ``repr`` of the float64, so ``read_ensemble_csv`` gives back the same bits.  A checkpoint
+    at which every trajectory holds the same bits (a shared start) is formatted once.
     """
     n, C, d = ensemble.samples.shape
     steps = ensemble.checkpoints
-    flat = np.asarray(ensemble.samples, dtype=np.float64).reshape(n * C, d)
+    samples = np.asarray(ensemble.samples, dtype=np.float64)
+    bits = samples.view(np.uint64)  # bitwise, so that 0.0 and -0.0 stay distinct
+    shared = [",".join(map(repr, samples[0, c].tolist()))
+              if n and (bits[:, c] == bits[0, c]).all() else None for c in range(C)]
+    flat = samples.reshape(n * C, d)
     with atomic_writer(path) as fh:
         fh.write("traj_id,step," + ",".join(f"theta_{i}" for i in range(d)) + "\n")
         for r0 in range(0, n * C, _CHUNK_ROWS):
-            fh.write("".join(f"{r // C},{steps[r % C]}," + ",".join(map(repr, row)) + "\n"
+            fh.write("".join(f"{r // C},{steps[r % C]},"
+                             + (shared[r % C] or ",".join(map(repr, row))) + "\n"
                              for r, row in enumerate(flat[r0:r0 + _CHUNK_ROWS].tolist(), r0)))
 
 

@@ -18,8 +18,9 @@ the streams and their draws are exactly those of the per-trajectory
 
 Draws are served in blocks (one generator call per trajectory per block) to
 amortise per-call overhead.  ``step_noise`` keeps one block resident per
-stream family and refills it in place, and hands every step fresh
-parameter-major words; the block size changes no value, only speed and memory.
+stream family and refills it in place, at most 64 steps and ``BLOCK_WORDS``
+(20 MB) over all families, and hands every step fresh parameter-major words;
+the block size changes no value, only speed and memory.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ CHAIN_ARM, SDDE_ARM, W1_ARM = 0, 1, 3  # arm i: (0, i, 0|1, j), (1, i, j), (3, i
 W1_SLICED_PATH, W1_ASSIGNMENT_PATH = (3, 0), (3, 1)  # estimate-w1, under its --seed
 BUFFER_PATH = (5,)  # run_algorithm1 (5, 0|1, j)
 THETA0_PATH, SNAPSHOT_PATH = (8, 0), (9, 1)  # under net.init.seed; assumption report
+
+# Words of noise resident per step_noise call, over all its stream families: 20 MB.
+# Halving it again cost wall time under variance_study's two arm threads, which
+# take the interpreter lock at every per-trajectory generator call.
+BLOCK_WORDS = 2_500_000
 
 
 def _words(v) -> list[int]:
@@ -198,8 +204,8 @@ def _transposed(words: np.ndarray) -> np.ndarray:
 
 
 def block_size(n_traj: int, per_step: int) -> int:
-    """Steps of noise per block: at most 64 and 5e6 words (40 MB), unless one
-    step alone is larger.  ``step_noise`` keeps one block per stream family
+    """Steps of noise per block: at most 64 and ``BLOCK_WORDS`` words (20 MB), unless
+    one step alone is larger.  ``step_noise`` keeps one block per stream family
     resident, n_traj * blk * per_step * 8 bytes over all families; the size
     sets the generator calls per trajectory and the memory, never a value."""
-    return max(1, min(64, 5_000_000 // max(1, n_traj * per_step)))
+    return max(1, min(64, BLOCK_WORDS // max(1, n_traj * per_step)))

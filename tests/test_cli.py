@@ -1097,6 +1097,24 @@ def test_out_dir_that_is_or_lies_under_a_file_is_one_error(tmp_path, config_file
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("cmd, csv", [
+    ("simulate-dqn", "chain.csv"), ("simulate-sdde", "sdde.csv"),
+    ("rate-sweep", "rate_sweep.csv"), ("variance-study", "variance_study.csv"),
+    ("moment-suite", "plot_data.csv")])
+def test_output_that_is_a_directory_is_one_error(tmp_path, config_file, cmd, csv):
+    # the run succeeds, then renaming its first CSV over a directory fails: one
+    # message naming the output, not its temp sibling, and no manifest
+    out = tmp_path / "out"
+    (out / csv).mkdir(parents=True)
+    res = CliRunner().invoke(main, [cmd, "--config", str(config_file), "--force",
+                                    "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.output.endswith(f"Error: {out / csv}: {os.strerror(errno.EISDIR)}\n"), res.output
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob("*.tmp")) and (out / csv).is_dir()
+
+
 @pytest.mark.parametrize("args", [
     ["simulate-dqn", "--config", "DIR", "--out", "OUT"],
     ["dump-coefficients", "--config", "CFG", "--points", "DIR"],

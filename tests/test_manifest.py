@@ -76,6 +76,22 @@ def test_chunked_writer_keeps_the_oracle_bytes(tmp_path, n_traj):
         assert by_step[step].tobytes() == np.ascontiguousarray(ens.samples[:, j]).tobytes()
 
 
+@pytest.mark.parametrize("start", ["shared", "per-trajectory", "signed zeros"])
+def test_shared_checkpoint_keeps_the_oracle_bytes(tmp_path, start):
+    # a checkpoint every trajectory holds bit for bit is formatted once; a start
+    # mixing 0.0 and -0.0 is equal in value but not in bits, so not shared
+    ens = _several_chunks(695)
+    x0 = ens.samples[:, 0]
+    if start == "shared":
+        x0[:] = x0[0].copy()
+    elif start == "signed zeros":
+        x0[:] = 0.0
+        x0[1::2, 1] = -0.0
+    ensemble_to_csv(tmp_path / "new.csv", ens)
+    oracle_ensemble_csv(tmp_path / "oracle.csv", ens)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
 @pytest.mark.parametrize("bad_row, message", [
     ("600,0,0.5", "line 1802: 3 fields, the header has 4"),
     ("600,O,0.5,0.25", "line 1802: step 'O' is not an integer"),

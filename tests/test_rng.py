@@ -59,20 +59,21 @@ def test_block_size_bounds():
 
 @pytest.mark.parametrize("n", [1, 128, 2048, 4096, 16384])
 @pytest.mark.parametrize("per_step", [5, 32, 35])
-def test_block_size_caps_a_block_at_40_mb(n, per_step):
+def test_block_size_caps_a_block_at_20_mb(n, per_step):
     blk = block_size(n, per_step)
     assert 1 <= blk <= 64
-    assert n * blk * per_step * 8 <= 40e6 or blk == 1
+    assert n * blk * per_step * 8 <= 20e6 or blk == 1
 
 
 def test_block_size_keeps_the_study_blocks():
     # the SDDE arms of variance_study (2048 trajectories) and rate_sweep (128) draw
-    # d + K = 35 words per substep.  A cap of 32 steps at 2048 trajectories cut
-    # variance_study's peak memory from 146 to 94 MB but its wall time rose from
-    # 1.71 to 1.89 s (2-vCPU host): its two arm threads wait on each other for the
+    # d + K = 35 words per substep.  34-step blocks at 2048 trajectories cut
+    # variance_study's peak memory from 145 to 103-110 MB with no wall time lost
+    # (CHANGES.md, the pair table of the 20 MB budget); 17-step blocks cost 4-11%
+    # of its wall time, because its two arm threads wait on each other for the
     # interpreter lock at every per-trajectory generator call, and halving the
     # block doubles those calls.
-    assert block_size(2048, 35) == 64
+    assert block_size(2048, 35) == 34
     assert block_size(128, 35) == 64
 
 
@@ -101,7 +102,7 @@ def test_step_noise_hands_out_fresh_words():
         z[:] = np.nan
 
 
-@pytest.mark.parametrize("n, blk", [(256, 64), (2048, 38)])  # the 64-step limit, then the cap
+@pytest.mark.parametrize("n, blk", [(256, 64), (2048, 19)])  # the 64-step limit, then the cap
 def test_step_noise_keeps_one_block_resident(n, blk):
     count = 64
     assert block_size(n, count) == blk

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,18 @@ def test_displacement_gaussian_walk_closed_form(net, mdp, q_table):
     assert np.all(np.diff(disp) > 0)  # monotone growth
     expected = cfg.delta * net.d * np.array(ens.meta["checkpoint_times"][1:])
     assert np.all(np.abs(disp[1:] - expected) / expected < 0.05)
+
+
+def test_run_sdde_memory_at_the_variance_study_scale(net, mdp, q_table, theta):
+    # variance_study's SDDE arm: 2048 trajectories drawing d + K = 35 words per
+    # substep.  Its 34-step noise block is 19.5 MB; a 64-step block alone was 36.7 MB.
+    n = 2048
+    cfg = _cfg(eta=0.1, delta=0.5, m=5, T=5, rho=20, seed=3)  # 100 substeps
+    assert net.d + mdp.n_states * mdp.n_actions == 35 and block_size(n, 35) == 34
+    tracemalloc.start()
+    try:
+        run_sdde(net, mdp, q_table, theta, cfg, n, [cfg.T])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak
