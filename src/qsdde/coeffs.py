@@ -16,6 +16,9 @@ that has the closed-form factor F F^T = M.  ``noise_cotangent`` applies F in
 O(K) per trajectory, so the simulator needs G only through one
 vector-Jacobian product per step.  ``sigma_matrix`` builds the dense matrices
 and the symmetric root for inspection and for the reconstruction checks.
+
+As in the network kernel, the batched functions add their heads in index
+order, so a point gets the same bits alone or in a batch of any size.
 """
 
 from __future__ import annotations
@@ -102,9 +105,12 @@ def noise_cotangent(q: np.ndarray, Ec: np.ndarray, Ec2: np.ndarray,
 
 
 def drift_from_stats(q: np.ndarray, Ec: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Exact drift b = -sum_k q_k Ec_k g_k for each batch point, shape (N, d)."""
+    """Exact drift b = -sum_k q_k Ec_k g_k for each batch point, shape (N, d).
+
+    The heads are added in index order whatever the batch, so a point's drift
+    has the same bits alone or in any batch."""
     w = np.reshape(q, -1) * Ec  # (N, K)
-    return -(w[:, None, :] @ g)[:, 0, :]
+    return -_sum(w[:, :, None] * g, 1)
 
 
 def exact_drift_b(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
@@ -117,18 +123,23 @@ def exact_drift_b(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     return b[0] if b.shape[0] == 1 else b
 
 
-def spd_sqrt(mat: np.ndarray, hard_floor: float = EIG_HARD_FLOOR) -> np.ndarray:
+def spd_sqrt(mat: np.ndarray, hard_floor: float = EIG_HARD_FLOOR,
+             scale: float = 0.0) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in [hard_floor, 0) are treated as rounding noise and clipped
-    to 0; anything below hard_floor raises (a genuinely indefinite input
-    signals a broken covariance computation upstream).
+    Negative eigenvalues down to the floor, hard_floor less the rounding
+    tolerance n eps (max |eigenvalue| + scale), are treated as rounding noise
+    and clipped to 0; anything below the floor raises (a genuinely indefinite
+    input signals a broken covariance computation upstream).  scale is the
+    size of the terms that cancelled in forming mat, 0 for an input formed
+    without cancellation.
     """
     sym = 0.5 * (mat + mat.T)
     w, v = np.linalg.eigh(sym)
-    if w.min() < hard_floor:
+    floor = hard_floor - len(w) * np.finfo(np.float64).eps * (np.abs(w).max() + scale)
+    if w.min() < floor:
         raise CoefficientError(
-            f"matrix has eigenvalue {w.min():.6e} below the {hard_floor} floor")
+            f"matrix has eigenvalue {w.min():.6e} below the {floor} floor")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
     return 0.5 * (root + root.T)
 
@@ -152,7 +163,8 @@ def sigma_matrix(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     beta = (g * (q_flat * V2)[:, None]).T @ g
     beta = 0.5 * (beta + beta.T)
     S = Sigma + beta + (delta / eta) * np.eye(net.d)
-    sig = spd_sqrt(S, hard_floor=delta / eta + EIG_HARD_FLOOR)
+    # Sigma = E[b_n b_n^T] - b b^T cancels, so its rounding scales with both terms
+    sig = spd_sqrt(S, delta / eta + EIG_HARD_FLOOR, np.trace(second) + b @ b + np.trace(beta))
     return {"eta": eta, "delta": delta, "b": b, "Sigma": Sigma, "beta_bar": beta, "sigma": sig}
 
 
@@ -187,34 +199,28 @@ def estimate_constants(net: QNetSpec, spec: MdpSpec, q: np.ndarray, n_pairs: int
     p_flat = spec.p.reshape(-1, spec.n_states)
     reachable = p_flat > 0.0
 
-    def batch(nx, ny):
-        maxq_y = max_q_by_state(net, ny)
-        Qx, g, Ec, _ = head_stats(net, spec, nx, maxq_y)
-        b = drift_from_stats(q_flat, Ec, g)
-        # exact sup over transitions of |c| per head (residual is monotone in maxQ)
-        hi = np.where(reachable[None, :, :], maxq_y[:, None, :], -np.inf).max(axis=2)
-        lo = np.where(reachable[None, :, :], maxq_y[:, None, :], np.inf).min(axis=2)
-        base = spec.R.reshape(-1)[None, :] - Qx
-        supc = np.maximum(np.abs(base + spec.gamma * hi), np.abs(base + spec.gamma * lo))
-        gnorm = np.linalg.norm(g, axis=2)
-        sup_bn = np.where(q_flat[None, :] > 0.0, supc * gnorm, 0.0).max(axis=1)
-        w = q_flat * V_flat ** 2
-        gg = np.einsum("nkd,nld->nkl", g, g)
-        beta_fro = np.sqrt(np.einsum("k,l,nkl->n", w, w, gg ** 2))
-        return b, sup_bn, beta_fro
-
-    # pair index leads so a larger n_pairs extends the probe set
-    pts = radius * rng.uniform(-1.0, 1.0, (n_pairs, 4, d))
-    x1, y1, x2, y2 = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-    b1, sup1, fro1 = batch(x1, y1)
-    b2, sup2, fro2 = batch(x2, y2)
-    denom = np.linalg.norm(x1 - x2, axis=1) + np.linalg.norm(y1 - y2, axis=1)
+    # pair index leads so a larger n_pairs extends the probe set; point 2i + j
+    # is (x, y) of half j of pair i, and all 2 n_pairs points are one batch
+    x, y = radius * rng.uniform(-1.0, 1.0, (n_pairs, 4, d)).reshape(-1, 2, d).transpose(1, 0, 2)
+    maxq_y = max_q_by_state(net, y)
+    Qx, g, Ec, _ = head_stats(net, spec, x, maxq_y)
+    b = drift_from_stats(q_flat, Ec, g)
+    # exact sup over transitions of |c| per head (residual is monotone in maxQ)
+    hi = np.where(reachable[None, :, :], maxq_y[:, None, :], -np.inf).max(axis=2)
+    lo = np.where(reachable[None, :, :], maxq_y[:, None, :], np.inf).min(axis=2)
+    base = spec.R.reshape(-1)[None, :] - Qx
+    supc = np.maximum(np.abs(base + spec.gamma * hi), np.abs(base + spec.gamma * lo))
+    gnorm = np.linalg.norm(g, axis=2)
+    sup_bn = np.where(q_flat[None, :] > 0.0, supc * gnorm, 0.0).max(axis=1)
+    w = q_flat * V_flat ** 2
+    gg = np.einsum("nkd,nld->nkl", g, g)
+    beta_fro = np.sqrt(np.einsum("k,l,nkl->n", w, w, gg ** 2))
+    denom = np.linalg.norm(x[0::2] - x[1::2], axis=1) + np.linalg.norm(y[0::2] - y[1::2], axis=1)
     ok = denom > 1e-12
-    L_hat = float((np.linalg.norm(b1 - b2, axis=1)[ok] / denom[ok]).max(initial=0.0))
-    growth1 = np.maximum(sup1, np.linalg.norm(b1, axis=1)) / (1.0 + np.linalg.norm(x1 - y1, axis=1))
-    growth2 = np.maximum(sup2, np.linalg.norm(b2, axis=1)) / (1.0 + np.linalg.norm(x2 - y2, axis=1))
-    K_hat = float(max(growth1.max(initial=0.0), growth2.max(initial=0.0)))
-    beta_max_hat = float(max(fro1.max(initial=0.0), fro2.max(initial=0.0)))
+    L_hat = float((np.linalg.norm(b[0::2] - b[1::2], axis=1)[ok] / denom[ok]).max(initial=0.0))
+    growth = np.maximum(sup_bn, np.linalg.norm(b, axis=1)) / (1.0 + np.linalg.norm(x - y, axis=1))
+    K_hat = float(growth.max(initial=0.0))
+    beta_max_hat = float(beta_fro.max(initial=0.0))
     b00 = exact_drift_b(net, spec, q, np.zeros(d), np.zeros(d))
     return {"L_hat": L_hat, "K_hat": K_hat, "beta_max_hat": beta_max_hat,
             "b00_norm": float(np.linalg.norm(b00)), "n_pairs": n_pairs, "radius": radius}

@@ -53,6 +53,10 @@ class RateSweepSpec:
 
     def arms(self, algo: AlgoConfig) -> list[AlgoConfig]:
         """algo at each eta, largest first, with T scaled to keep T * eta fixed."""
+        small = self.eta_grid[-1]
+        if not np.isfinite(algo.T * algo.eta / small):
+            raise ValueError(f"eta_grid entry {small} gives T = {algo.T} * {algo.eta} / "
+                             f"{small}, not a finite number of steps")
         Ts = [int(round(algo.T * algo.eta / eta)) for eta in self.eta_grid]
         if min(Ts) < 1:
             raise ValueError(f"eta_grid entry {self.eta_grid[0]} gives T = round({algo.T} "

@@ -104,15 +104,18 @@ def read_ensemble_csv(path: Path, checkpoints=None) -> tuple[list[int], dict[int
     ``checkpoints=None`` requests every step; a requested step absent from the file is
     absent from the dict.  The file is read line by line, in memory bounded by the requested
     rows, and its whole structure is checked: the header, the field count of every row
-    against the header width and an integer ``step`` in every row.  Only the rows of
-    requested steps are parsed as floats, so a non-numeric value at an unrequested step is
-    not detected; a non-finite value (nan, inf) at a requested step is refused.  Malformed
-    input raises ``ValueError`` naming the file and the line, and for a bad value its field.
+    against the header width, an integer ``step`` in every row and the same number of rows
+    at every step.  At a requested step ``traj_id`` must be an integer that no other row of
+    the step repeats.  Only the rows of requested steps are parsed as floats, so a
+    non-numeric value at an unrequested step is not detected; a non-finite value (nan, inf)
+    at a requested step is refused.  Malformed input raises ``ValueError`` naming the file
+    and the line, and for a bad value its field.
     """
     want = None if checkpoints is None else {int(c) for c in checkpoints}
-    steps: set[int] = set()
+    counts: dict[int, int] = {}  # rows per step
+    ends: dict[int, int] = {}  # the last line of each step
     rows: dict[int, list[str]] = {}
-    line_nos: dict[int, list[int]] = {}
+    line_nos: dict[int, dict[int, int]] = {}  # requested step -> traj_id -> its line
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["traj_id", "step"] or len(header) < 3:
@@ -124,27 +127,41 @@ def read_ensemble_csv(path: Path, checkpoints=None) -> tuple[list[int], dict[int
                     continue
                 raise ValueError(f"{path}, line {no}: {line.count(',') + 1} fields, "
                                  f"the header has {len(header)}")
-            _, step_field, values = line.rstrip("\n").split(",", 2)
+            traj_field, step_field, values = line.rstrip("\n").split(",", 2)
             try:
                 step = int(step_field)
             except ValueError:
                 raise ValueError(f"{path}, line {no}: step {step_field!r} "
                                  "is not an integer") from None
-            steps.add(step)
+            counts[step] = counts.get(step, 0) + 1
+            ends[step] = no
             if want is None or step in want:
+                try:
+                    traj = int(traj_field)
+                except ValueError:
+                    raise ValueError(f"{path}, line {no}: traj_id {traj_field!r} "
+                                     "is not an integer") from None
+                first = line_nos.setdefault(step, {}).setdefault(traj, no)
+                if first != no:
+                    raise ValueError(f"{path}, line {no}: trajectory {traj} appears twice "
+                                     f"at step {step}, first on line {first}")
                 rows.setdefault(step, []).append(values)
-                line_nos.setdefault(step, []).append(no)
+    step0, n0 = next(iter(counts.items()), (None, 0))
+    for step, n in counts.items():
+        if n != n0:
+            raise ValueError(f"{path}, line {ends[step]}: step {step} ends with {n} rows, "
+                             f"step {step0} has {n0}")
     out = {}
     for step in sorted(rows):
         try:
             out[step] = _parse(rows[step])
         except ValueError as err:
-            _refuse_bad_value(path, rows[step], line_nos[step])
+            _refuse_bad_value(path, rows[step], list(line_nos[step].values()))
             raise ValueError(f"{path}, step {step}: {err}") from None
         # a blank value of a one-column file is a blank line, which the parser skips
         if len(out[step]) != len(rows[step]) or not np.isfinite(out[step]).all():
-            _refuse_bad_value(path, rows[step], line_nos[step])
-    return sorted(steps), out
+            _refuse_bad_value(path, rows[step], list(line_nos[step].values()))
+    return sorted(counts), out
 
 
 def _parse(rows: list[str]) -> np.ndarray:

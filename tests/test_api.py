@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
 import json
 import os
@@ -105,3 +106,18 @@ def test_tracer_counts_heads_of_index_rows():
         args = (net, thetas, heads, True)
         assert tracer._qvalues_attrs(args, {}, q_values_batch(*args)) == \
             {"heads": n * K, "bytes_computed": n * K * net.d * 8}
+
+
+def test_every_traced_binding_resolves_and_is_restored():
+    # the benchmark tracer looks each traced function up by name and wraps every
+    # binding of it, so renaming or deleting one fails here, not only in a traced run
+    importlib.import_module("qsdde.cli")
+    recorder = _tracer().SpanRecorder()
+    recorder.install()
+    try:
+        wrapped = list(recorder._restore)
+        assert len(wrapped) == 44
+        assert all(getattr(owner, attr) is not orig for owner, attr, orig in wrapped)
+    finally:
+        recorder.uninstall()
+    assert all(getattr(owner, attr) is orig for owner, attr, orig in wrapped)

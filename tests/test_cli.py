@@ -357,6 +357,25 @@ def test_estimate_w1_refuses_a_non_finite_value(tmp_path, config_file, method, v
     assert f"{path_a}, line 4, field {len(fields)}: {value!r} is not finite" in res.output
 
 
+@pytest.mark.parametrize("edit, message", [
+    # rows are trajectory-major: trajectory t at step 6 is line 3 t + 3
+    (lambda lines: lines + lines[22:25], "line 75: trajectory 7 appears twice at step 6, "
+     "first on line 24"),
+    (lambda lines: lines[:11] + lines[12:], "line 71: step 6 ends with 23 rows, step 0 has 24"),
+    (lambda lines: lines[:17] + ["abc" + lines[17][1:]] + lines[18:],
+     "line 18: traj_id 'abc' is not an integer"),
+])
+def test_estimate_w1_refuses_a_file_whose_trajectories_do_not_match(tmp_path, config_file,
+                                                                      edit, message):
+    path_a, path_b = _two_chains(tmp_path, config_file)
+    path_b.write_text("".join(edit(path_b.read_text().splitlines(True))))
+    res = CliRunner().invoke(main, ["estimate-w1", "--a", str(path_a), "--b", str(path_b),
+                                    "--checkpoint", "6", "--method", "sliced"])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.output == f"Error: {path_b}, {message}\n"
+
+
 def _unequal_chains(tmp_path) -> tuple[Path, Path]:
     """chain.csv of 24 and of 16 trajectories."""
     paths = []
@@ -437,6 +456,18 @@ def test_dump_coefficients_json(tmp_path, config_file):
               + (payload["delta"] / payload["eta"]) * np.eye(d))
     assert np.allclose(sig @ sig.T, target, atol=1e-9)
     assert min(payload["sigma_sq_eigenvalues"]) >= payload["delta"] / payload["eta"] - 1e-10
+
+
+def test_dump_coefficients_at_a_large_bound(tmp_path):
+    # the floor of sigma's eigenvalues takes the rounding of terms that grow with the bound
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "desk_scale.json")
+                     .read_text())
+    doc["net"]["bound_C"] = 300.0
+    path = tmp_path / "desk_300.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["dump-coefficients", "--config", str(path)])
+    assert res.exit_code == 0, res.output
+    assert min(json.loads(res.output)["sigma_sq_eigenvalues"]) > 0.0
 
 
 def test_check_assumptions_cli(tmp_path, config_file):
@@ -693,6 +724,8 @@ def test_stream_keys_unique_within_a_run(tmp_path, config_file, monkeypatch):
     ("variance_study", {"m_values": [0, 1]}, ["m_values"], []),
     ("rate_sweep", {"eta_grid": [0.05, -0.01]}, ["eta_grid"], ["--force"]),
     ("rate_sweep", {"eta_grid": [0.05, 2.0]}, ["eta_grid", "0 steps"], ["--force"]),
+    ("rate_sweep", {"eta_grid": [0.05, 5e-324]},
+     ["eta_grid entry 5e-324", "not a finite number of steps"], ["--force"]),
     ("variance_study", {"n_traj": 0}, ["n_traj must be an integer >= 2"], []),
     ("moment_suite", {"n_trajs": 64}, ["unknown keys", "n_trajs"], []),
     ("rate_sweep", {"eta_grid": [0.08, 0.04], "n_traj": 8},

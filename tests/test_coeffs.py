@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from qsdde import coeffs
 from qsdde.coeffs import (CoefficientError, delay_moments, estimate_constants,
                           exact_drift_b, head_stats, lowrank_ghat, sigma_matrix,
                           spd_sqrt, step_size_gate)
+from qsdde.config import load_config
 from qsdde.mdp import MdpSpec, sample_pairs, uniform_q
 from qsdde.qnet import QNetSpec, init_theta, max_q_by_state
 
@@ -177,6 +182,68 @@ def test_sigma_matrix_rejects_bad_eta(net, mdp, q_table, theta):
         sigma_matrix(net, mdp, q_table, theta, theta, 0.0, 0.5)
     with pytest.raises(ValueError):
         sigma_matrix(net, mdp, q_table, theta, theta, 0.1, -0.5)
+
+
+DESK = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk_scale.json")
+
+
+@pytest.mark.parametrize("bound", [50.0, 100.0, 300.0, 1000.0])
+def test_sigma_matrix_takes_rounding_at_a_large_bound(bound):
+    # Sigma = E[b_n b_n^T] - b b^T cancels terms that grow with the bound, so the
+    # floor's rounding tolerance scales with them; an absolute one failed from 50 on
+    net = replace(DESK.net, bound=bound)
+    rng = np.random.default_rng(int(bound))
+    for x, y in 5.0 * rng.uniform(-1.0, 1.0, (300, 2, net.d)):
+        sigma_matrix(net, DESK.mdp, DESK.q, x, y, DESK.algo.eta, DESK.algo.delta)
+
+
+@pytest.mark.parametrize("bound", [7.0, 300.0])
+def test_sigma_matrix_rejects_an_indefinite_sigma(monkeypatch, bound):
+    # a drift of 2b makes Sigma = E[b_n b_n^T] - 4 b b^T indefinite along b
+    drift = coeffs.drift_from_stats
+    monkeypatch.setattr(coeffs, "drift_from_stats", lambda *a: 2.0 * drift(*a))
+    net = replace(DESK.net, bound=bound)
+    with pytest.raises(CoefficientError, match="below the"):
+        sigma_matrix(net, DESK.mdp, DESK.q, DESK.theta0, DESK.theta0, DESK.algo.eta,
+                     DESK.algo.delta)
+
+
+def test_drift_of_a_point_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(401)
+    x, y = 5.0 * rng.uniform(-1.0, 1.0, (2, 401, DESK.net.d))
+    drift = lambda i, j: exact_drift_b(DESK.net, DESK.mdp, DESK.q, x[i:j], y[i:j])  # noqa: E731
+    whole = drift(0, 401)
+    assert np.concatenate([drift(0, 200), drift(200, 400), drift(400, 401)[None]]).tobytes() \
+        == whole.tobytes()
+    assert np.stack([drift(i, i + 1) for i in range(401)]).tobytes() == whole.tobytes()
+
+
+def _in_two_batches(fn, *batched):
+    """fn evaluated on the even and on the odd rows of its positional arguments at
+    the indices batched, as two batches, with the rows of the results interleaved
+    back in the memory layout of fn's own results: the probe pairs' first and
+    second halves, as batches of their own."""
+    def weave(even, odd):
+        out = np.empty_like(even, shape=(len(even) + len(odd), *even.shape[1:]))
+        out[0::2], out[1::2] = even, odd
+        return out
+
+    def two(*args):
+        if len(args[batched[0]]) < 2:
+            return fn(*args)
+        even, odd = (fn(*(a[h::2] if i in batched else a for i, a in enumerate(args)))
+                     for h in (0, 1))
+        return tuple(map(weave, even, odd)) if isinstance(even, tuple) else weave(even, odd)
+    return two
+
+
+def test_estimate_constants_equals_a_two_batch_evaluation(monkeypatch):
+    one = estimate_constants(DESK.net, DESK.mdp, DESK.q, 200, 5.0, np.random.default_rng(9))
+    for name, batched in (("max_q_by_state", (1,)), ("head_stats", (2, 3)),
+                          ("drift_from_stats", (1, 2))):
+        monkeypatch.setattr(coeffs, name, _in_two_batches(getattr(coeffs, name), *batched))
+    two = estimate_constants(DESK.net, DESK.mdp, DESK.q, 200, 5.0, np.random.default_rng(9))
+    assert one == two
 
 
 def test_lowrank_matches_dense(net, mdp, q_table):

@@ -160,6 +160,43 @@ def test_structure_checked_at_unrequested_steps(tmp_path, bad_row, message):
         assert str(path) in str(err.value) and message in str(err.value)
 
 
+def test_every_step_must_hold_the_same_number_of_rows(tmp_path):
+    path = tmp_path / "e.csv"
+    _write_small(path)
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(lines[:2] + lines[3:]))  # trajectory 0 at step 5 goes
+    for checkpoints in (None, [0], [5], [10]):
+        with pytest.raises(ValueError) as err:
+            read_ensemble_csv(path, checkpoints)
+        assert str(err.value) == f"{path}, line 5: step 5 ends with 1 rows, step 0 has 2"
+
+
+def test_a_trajectory_twice_at_a_requested_step_is_refused(tmp_path):
+    path = tmp_path / "e.csv"
+    _write_small(path)
+    text = path.read_text()
+    path.write_text(text + "".join(text.splitlines(True)[4:7]))  # trajectory 1 again
+    for checkpoints, message in ((None, "line 8: trajectory 1 appears twice at step 0, "
+                                        "first on line 5"),
+                                 ([10], "line 10: trajectory 1 appears twice at step 10, "
+                                        "first on line 7")):
+        with pytest.raises(ValueError) as err:
+            read_ensemble_csv(path, checkpoints)
+        assert str(err.value) == f"{path}, {message}"
+
+
+def test_traj_id_must_be_an_integer_at_a_requested_step(tmp_path):
+    path = tmp_path / "e.csv"
+    _write_small(path)
+    _replace_line(path, 6, "abc,5,0.5,0.25")  # trajectory 1 at step 5
+    for checkpoints in (None, [5]):
+        with pytest.raises(ValueError) as err:
+            read_ensemble_csv(path, checkpoints)
+        assert str(err.value) == f"{path}, line 6: traj_id 'abc' is not an integer"
+    steps, by_step = read_ensemble_csv(path, [10])
+    assert steps == [0, 5, 10] and by_step[10].shape == (2, 2)
+
+
 @pytest.mark.parametrize("value, problem", [("oops", "is not a number"), ("nan", "is not finite"),
                                             ("inf", "is not finite"), ("-inf", "is not finite")])
 def test_non_numeric_value_rejected_only_where_parsed(tmp_path, value, problem):
