@@ -45,8 +45,9 @@ class AlgoConfig:
     The chain and the delay diffusion read the same config: T chain steps
     of size eta span the diffusion's horizon T*eta, which ``run_sdde``
     integrates with rho Euler substeps per step.  seed keys the
-    per-trajectory noise streams.  eta and delta are finite and positive;
-    m, T and rho are integers >= 1.
+    per-trajectory noise streams.  eta and delta are finite and positive,
+    and so large a noise ratio that delta/eta overflows is refused; m, T and
+    rho are integers >= 1.
     """
 
     eta: float
@@ -62,6 +63,9 @@ class AlgoConfig:
         for key in ("eta", "delta"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"{key} must be positive")
+        if not np.isfinite(self.delta / self.eta):
+            raise ValueError(f"eta must leave delta/eta finite, got {self.eta!r} at delta = "
+                             f"{self.delta!r}")
 
 
 @dataclass

@@ -246,7 +246,7 @@ def estimate_w1_cmd(file_a, file_b, checkpoint, method, n_proj, cap, seed, out_f
 def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
     """Pointwise |eta A_X f - A_theta f| for quadratic f at probe points."""
     cfg = load_config(config_path, seed_override=seed_override)
-    d, eta = cfg.net.d, cfg.algo.eta
+    d, eta, delta = cfg.net.d, cfg.algo.eta, cfg.algo.delta
     try:
         probes = _json_file(points_file)
         points = _convert("points", probes.get("points"), lambda ps: ps,
@@ -256,14 +256,15 @@ def generator_gap_cmd(config_path, seed_override, force, points_file, out_file):
         target = _convert("target", probes.get("target", cfg.theta0), *_floats(d))
         etas = _convert("etas", probes.get("etas", [eta, eta / 2, eta / 4]),
                         lambda es: tuple(dict.fromkeys(map(_real, es))),
-                        lambda es: es and all(e > 0.0 for e in es),
-                        "a non-empty list of positive numbers")
+                        lambda es: es and all(e > 0.0 and np.isfinite(delta / e) for e in es),
+                        f"a non-empty list of positive numbers with delta/eta finite at "
+                        f"delta = {delta!r}")
         _known(probes, ("points", "target", "etas"))
     except ValueError as err:
         raise click.ClickException(f"{points_file}: {err}") from err
     _gate(cfg, force, f"{points_file}: etas", etas, record=False)
     f = Quadratic(A=np.eye(d), b=np.zeros(d))
-    reports = [generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target, cfg.algo.delta, etas)
+    reports = [generator_gap(f, cfg.net, cfg.mdp, cfg.q, x, target, delta, etas)
                for x in points]
     _emit({"reports": reports}, out_file)
 

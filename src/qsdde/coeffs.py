@@ -150,8 +150,8 @@ def sigma_matrix(net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
     {eta, delta, b, Sigma, beta_bar, sigma}.  Sigma and beta_bar are symmetric
     PSD, and sigma is the symmetric root of Sigma + beta_bar + (delta/eta) I,
     so every eigenvalue of sigma sigma^T is at least delta/eta."""
-    if not (eta > 0.0 and delta > 0.0):
-        raise ValueError("eta and delta must be positive")
+    if not (eta > 0.0 and delta > 0.0 and np.isfinite(delta / eta)):
+        raise ValueError("eta and delta must be positive, with delta/eta finite")
     _, g, Ec, Ec2 = head_stats(net, spec, x[None, :], max_q_by_state(net, y[None, :]))
     q_flat = np.reshape(q, -1)
     b = drift_from_stats(q_flat, Ec, g)[0]

@@ -23,7 +23,7 @@ from .diagnostics import assumption_report
 from .mdp import (_COUNT, _OBJECT, IdealizedReplay, MdpSpec, ReplayModel,
                   RuleError, _convert, _index, _json_file, _known, _real, load_mdp, uniform_q,
                   validate_mdp)
-from .qnet import QNetSpec, init_theta
+from .qnet import _BOUND, _HIDDEN, QNetSpec, init_theta
 from .rng import SNAPSHOT_PATH, THETA0_PATH, spawn_generator
 
 DEFAULTS = {
@@ -156,12 +156,8 @@ def load_config(source: str | Path | dict, seed_override: int | None = None) -> 
     try:
         _known(net_doc, (*DEFAULTS["net"], "theta0"))
         net = QNetSpec(n_states=spec.n_states, n_actions=spec.n_actions,
-                       hidden=_convert("hidden", net_doc["hidden"], lambda hs: tuple(
-                           map(_index, hs)), lambda hs: hs and min(hs) >= 1,
-                           "a non-empty list of integers >= 1"),
-                       bound=_convert("bound_C", net_doc["bound_C"], _real,
-                                      lambda c: np.isfinite(c) and c > 0.0,
-                                      "a positive finite number"))
+                       hidden=_convert("hidden", net_doc["hidden"], *_HIDDEN),
+                       bound=_convert("bound_C", net_doc["bound_C"], *_BOUND))
     except ValueError as err:
         errors.append(f"net section: {err}")
 

@@ -81,17 +81,27 @@ def _loglog_fit(x, y) -> tuple[float, float]:
     return float(slope), se
 
 
+def _square(eta: float) -> float:
+    """eta ** 2, or inf where the square overflows (a float power raises there)."""
+    try:
+        return eta ** 2
+    except OverflowError:
+        return np.inf
+
+
 def generator_gap(f, net: QNetSpec, spec: MdpSpec, q: np.ndarray, x: np.ndarray,
                   target: np.ndarray, delta: float, etas: tuple[float, ...]) -> dict:
     """|eta * A_X f - A_theta f| = eta^2 |b^T A b| for quadratic f at each eta,
-    plus the fitted log-log order: one probe point's report."""
+    plus the fitted log-log order: one probe point's report.  A reading that
+    overflows is inf, and the order is fitted only when every gap is finite
+    and positive."""
     etas = tuple(etas)
     b = exact_drift_b(net, spec, q, x, target)
-    rems = [eta ** 2 * float(b @ f.A @ b) for eta in etas]
+    rems = [_square(eta) * float(b @ f.A @ b) for eta in etas]
     xvals = [eta * generator_X(f, net, spec, q, x, target, eta, delta) for eta in etas]
     gaps = tuple(abs(r) for r in rems)
-    order = (_loglog_fit(etas, gaps)[0] if len(etas) >= 2 and all(g > 0 for g in gaps)
-             else None)
+    order = (_loglog_fit(etas, gaps)[0]
+             if len(etas) >= 2 and all(0.0 < g < np.inf for g in gaps) else None)
     return {"etas": etas, "gaps": gaps,
             "theta_generator": tuple(gx + r for gx, r in zip(xvals, rems)),
             "x_generator_times_eta": tuple(xvals), "fitted_order": order,

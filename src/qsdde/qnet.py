@@ -27,12 +27,20 @@ from functools import cached_property
 
 import numpy as np
 
+from .mdp import _COUNT, _check, _index, _real
+
 # keeps |Q| strictly below the bound even where tanh saturates to 1.0 in float
 _SAT = 1.0 - 2.0 ** -53
 
 
 class DimensionError(ValueError):
     pass
+
+
+# the rules on hidden and bound, which the config reads as net.hidden and net.bound_C
+_HIDDEN = (lambda hs: tuple(map(_index, hs)), lambda hs: hs and min(hs) >= 1,
+           "a non-empty list of integers >= 1")
+_BOUND = (_real, lambda c: np.isfinite(c) and c > 0.0, "a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -50,13 +58,9 @@ class QNetSpec:
     bound: float = 10.0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.n_states < 1 or self.n_actions < 1:
-            raise ValueError("need at least one state and one action")
-        if len(self.hidden) == 0 or any(h < 1 for h in self.hidden):
-            raise ValueError("hidden sizes must be a nonempty list of positive ints")
-        if not (self.bound > 0.0 and np.isfinite(self.bound)):
-            raise ValueError("bound must be a positive finite real")
+        _check(self, "n_states n_actions", *_COUNT)
+        _check(self, "hidden", *_HIDDEN)
+        _check(self, "bound", *_BOUND)
 
     @property
     def input_dim(self) -> int:

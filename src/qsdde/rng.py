@@ -8,13 +8,14 @@ parallel execution: trajectory i sees the same noise whether the ensemble
 holds 10 or 10000 trajectories, and adding arms to an experiment never
 perturbs existing ones.
 
-``TrajectoryStreams`` derives all n Philox keys in one vectorised pass of
-the ``SeedSequence`` hash (``stream_keys``): the words shared by every
-trajectory are mixed once, and only the final index word is mixed per
-trajectory.  Each key equals ``SeedSequence(...).generate_state(2,
-np.uint64)`` bit for bit and reaches ``Philox`` through ``_PhiloxKey``, so
-the streams and their draws are exactly those of the per-trajectory
-``SeedSequence`` construction, at a fraction of its cost.
+``TrajectoryStreams`` derives all n Philox keys in one vectorised pass
+(``stream_keys``): numpy's ``SeedSequence(master seed, spawn_key=path)``
+mixes the words every trajectory shares, and the package hashes only the
+final index word, for all n trajectories at once.  Each key equals
+``SeedSequence(...).generate_state(2, np.uint64)`` bit for bit and reaches
+``Philox`` through ``_PhiloxKey``, so the streams and their draws are
+exactly those of the per-trajectory ``SeedSequence`` construction, at a
+fraction of its cost.
 
 Draws are served in blocks (one generator call per trajectory per block) to
 amortise per-call overhead.  ``step_noise`` keeps one block resident per
@@ -24,8 +25,6 @@ the block size changes no value, only speed and memory.
 """
 
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -51,21 +50,13 @@ THETA0_PATH, SNAPSHOT_PATH = (8, 0), (9, 1)  # under net.init.seed; assumption r
 BLOCK_WORDS = 2_500_000
 
 
-def _words(v) -> list[int]:
-    """The uint32 words of a nonnegative integer, least significant first."""
-    v = operator.index(v)
-    if v < 0:
-        raise ValueError(f"seed and path entries must be nonnegative, got {v}")
-    out = [v & _MASK32]
-    v >>= 32
-    while v:
-        out.append(v & _MASK32)
-        v >>= 32
-    return out
+def _n_words(v) -> int:
+    """How many uint32 words numpy's SeedSequence reads from the integer v."""
+    return max(1, (int(v).bit_length() + 31) // 32)
 
 
 def _hashmix(value, hc: int):
-    """SeedSequence's hashmix on an int or a uint64 array; returns (value, next hc)."""
+    """SeedSequence's hashmix on a uint64 array of words; returns (value, next hc)."""
     value = value ^ hc
     hc = (hc * _MULT_A) & _MASK32
     value = (value * hc) & _MASK32
@@ -81,29 +72,21 @@ def stream_keys(master_seed: int, path: tuple[int, ...], n: int) -> np.ndarray:
     """(n, 2) uint64 Philox keys; row i is
     ``SeedSequence(master_seed, spawn_key=(*path, i)).generate_state(2, np.uint64)``.
 
-    The entropy is the seed's words (zero-padded to the pool size, since the
-    spawn key is never empty), then the path's words, then the index i, one
-    word for every i < 2**32.  Everything before the index is mixed once on
-    Python ints; the index word is mixed into all n pools at once.
+    numpy mixes the words every i shares: the pool of
+    ``SeedSequence(master_seed, spawn_key=path)`` holds the seed's words
+    (zero-padded to the pool size, since the spawn key is never empty) and
+    the path's, after one hashmix per pool entry per word.  Only the index i,
+    one word for every i < 2**32, is hashed here, into all n pools at once.
     """
     if not 0 <= n <= 2 ** 32:
         raise ValueError(f"stream count must lie in [0, 2**32], got {n}")
-    run = _words(master_seed)
-    entropy = run + [0] * (_POOL - len(run)) + [w for p in path for w in _words(p)]
-    hc = _INIT_A
-    pool = []
-    for i in range(_POOL):
-        v, hc = _hashmix(entropy[i], hc)
-        pool.append(v)
-    for i_src in range(_POOL):
-        for i_dst in range(_POOL):
-            if i_src != i_dst:
-                v, hc = _hashmix(pool[i_src], hc)
-                pool[i_dst] = _mix(pool[i_dst], v)
-    for word in [*entropy[_POOL:], np.arange(n, dtype=np.uint64)]:
-        for i_dst in range(_POOL):
-            v, hc = _hashmix(word, hc)
-            pool[i_dst] = _mix(pool[i_dst], v)
+    pool = np.random.SeedSequence(master_seed, spawn_key=path).pool.tolist()
+    shared = max(_POOL, _n_words(master_seed)) + sum(map(_n_words, path))
+    hc = _INIT_A * pow(_MULT_A, _POOL * shared, 2 ** 32) & _MASK32
+    index = np.arange(n, dtype=np.uint64)
+    for i_dst in range(_POOL):
+        v, hc = _hashmix(index, hc)
+        pool[i_dst] = _mix(pool[i_dst], v)
     # generate_state(2, uint64): four uint32 words, paired little-endian
     hc = _INIT_B
     words = []

@@ -415,15 +415,17 @@ def test_swapping_unequal_ensembles_gives_the_same_sliced_reading(tmp_path):
 
 
 def test_diverging_simulation_is_one_error(tmp_path):
+    # the noise scale sqrt(eta * delta) overflows at the first step; the config
+    # refuses an overflowing delta/eta, so that can no longer be the divergence
     path = tmp_path / "cfg.json"
     doc = _config_doc()
-    doc["algo"]["delta"] = 1e308
+    doc["algo"].update(eta=1e200, delta=1e200)
     path.write_text(json.dumps(doc))
-    res = CliRunner().invoke(main, ["simulate-sdde", "--config", str(path),
+    res = CliRunner().invoke(main, ["simulate-dqn", "--config", str(path),
                                     "--out", str(tmp_path / "out")])
     assert res.exit_code == 1, res.output
     assert isinstance(res.exception, SystemExit), res.exception  # no traceback
-    assert res.output.startswith("Error: non-finite value at substep "), res.output
+    assert res.output.startswith("Error: non-finite value at step "), res.output
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
@@ -519,6 +521,26 @@ def test_generator_gap_cli(tmp_path, config_file):
     assert len(report["gaps"]) == 2
     assert report["note"] == ("pointwise surrogate at s=0 for the time-integrated operator "
                               "comparison; captures the leading term only")
+
+
+def test_generator_gap_at_an_overflowing_eta_is_null(tmp_path):
+    # eta = 1e200 squares past the float range: that gap is inf, written as null,
+    # and no order is fitted; the finite eta's gap is that of a run without it
+    path = tmp_path / "desk.json"
+    path.write_text((Path(__file__).resolve().parent.parent / "configs" / "desk_scale.json")
+                    .read_text())
+    d = load_config(path).net.d
+    gaps = []
+    for etas in ([1e200, 1e-3], [1e-3]):
+        probes_path = tmp_path / "probes.json"
+        probes_path.write_text(json.dumps({"points": [[0.0] * d], "etas": etas}))
+        res = CliRunner().invoke(main, ["generator-gap", "--config", str(path),
+                                        "--points", str(probes_path), "--force"])
+        assert res.exit_code == 0, res.output
+        (report,) = json.loads(res.output, parse_constant=pytest.fail)["reports"]
+        assert report["fitted_order"] is None
+        gaps.append(report["gaps"])
+    assert gaps[0][0] is None and gaps[0][1] == gaps[1][0] > 0.0
 
 
 def test_unwritable_out_dir_fails_without_partial_files(tmp_path, config_file):
@@ -641,6 +663,8 @@ def test_malformed_point_files_name_the_file(tmp_path, config_file):
              ("generator-gap", [[0.0] * d], "expected a JSON object"),
              ("generator-gap", {"points": []}, "points must be a non-empty list"),
              ("generator-gap", {"points": {"x": [0.0] * d}}, "points must be a non-empty list"),
+             ("generator-gap", {"points": [[0.0] * d], "etas": [1e-320, 1e-3]},
+              "etas must be a non-empty list of positive numbers with delta/eta finite"),
              ("dump-coefficients", '{"x": [1, 2', "JSON parse error at line 1")]
     for cmd, doc, message in cases:
         bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -742,6 +766,7 @@ def test_stream_keys_unique_within_a_run(tmp_path, config_file, monkeypatch):
     ("variance_study", {"checkpoints": [0]}, ["checkpoints must be", "not all 0"], []),
     ("moment_suite", {"eta": float("inf")}, ["eta must be a finite number, got inf"], []),
     ("moment_suite", {"delta": float("inf")}, ["delta must be a finite number, got inf"], []),
+    ("moment_suite", {"eta": 1e-320}, ["eta must leave delta/eta finite, got 1e-320"], []),
     ("moment_suite", {"ic_scales": [0.0, 1e100]}, ["ic_scales", "envelope", "1e+100"], []),
 ])
 def test_bad_study_block_is_one_error_before_the_manifest(tmp_path, section, block, words,
@@ -786,6 +811,9 @@ def test_inherited_study_value_is_refused_under_its_origin(spec_cls, overrides, 
     ("algo", "m", 2.7, ["algo section: m must be an integer >= 1, got 2.7"]),
     ("algo", "m", "5", ["algo section: m must be an integer >= 1, got '5'"]),
     ("algo", "eta", True, ["algo section: eta must be a finite number, got True"]),
+    ("algo", "eta", 1e-320, ["algo section: eta must leave delta/eta finite, got 1e-320"]),
+    ("algo", "delta", 1e308, ["algo section: eta must leave delta/eta finite",
+                              "at delta = 1e+308"]),
     ("net", "hidden", [4.6], ["net section: hidden must be a non-empty list of integers",
                               "got [4.6]"]),
     ("algo", "T", 0, ["algo section: T must be an integer >= 1, got 0"]),

@@ -245,11 +245,22 @@ def test_dimension_mismatch_raises(net):
         _grad(net, np.zeros(3), 0, 0)
 
 
-def test_degenerate_net_rejected():
-    with pytest.raises(ValueError):
-        QNetSpec(n_states=2, n_actions=2, hidden=(), bound=1.0)
-    with pytest.raises(ValueError):
-        QNetSpec(n_states=2, n_actions=2, hidden=(0,), bound=1.0)
-    with pytest.raises(ValueError):
-        QNetSpec(n_states=2, n_actions=2, hidden=(2,), bound=-1.0)
+@pytest.mark.parametrize("args, field", [
+    ((2, 2, (), 1.0), "hidden"), ((2, 2, (0,), 1.0), "hidden"), ((2, 2, (2,), -1.0), "bound"),
+    ((3, 2, (4.7,), 1.0), "hidden"), ((3, 2, (True,), 1.0), "hidden"),
+    ((3, 2, (4,), True), "bound"), ((3, 2, (4,), float("inf")), "bound"),
+    ((3, 2, (4,), "5"), "bound"), ((2.5, 2, (4,), 1.0), "n_states"),
+    ((0, 2, (4,), 1.0), "n_states"), ((2, True, (4,), 1.0), "n_actions"),
+    ((2, 2, 4, 1.0), "hidden"),
+])
+def test_degenerate_net_rejected(args, field):
+    # the config's rules: no truncation to an integer, no bool as a number
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        QNetSpec(*args)
+
+
+def test_net_spec_normalises_its_fields():
+    net = QNetSpec(np.int64(3), 2, [np.int32(4)], 7)
+    assert (net.n_states, net.hidden, net.bound) == (3, (4,), 7.0)
+    assert type(net.n_states) is int and type(net.hidden[0]) is int
 

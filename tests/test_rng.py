@@ -117,17 +117,21 @@ def test_step_noise_keeps_one_block_resident(n, blk):
     assert peak < 1.5 * block_bytes
 
 
-@pytest.mark.parametrize("seed", [0, 2024, 2 ** 32 + 5, 2 ** 64 - 1, 2 ** 96 + 7])
+@pytest.mark.parametrize("seed", [0, 2024, 2 ** 32 + 5, 2 ** 64 - 1, 2 ** 96 + 7, 2 ** 128,
+                                  2 ** 200 + 3, np.uint64(2 ** 63 + 1), np.int32(7)])
 def test_stream_keys_equal_seed_sequence(seed):
-    # multi-word seeds, paths of length 0-3 (one entry >= 2**32), first and last index
+    # seeds of one to seven words (longer than the pool too), numpy integers, paths
+    # of length 0-3 with entries of up to three words, first and last index
     n = 70
-    for path in ((), (3,), (1, 2 ** 32 + 9), (5, 1, 0)):
+    for path in ((), (3,), (1, 2 ** 32 + 9), (5, 1, 0), (2 ** 70,), (np.int64(4), np.uint8(2))):
         keys = stream_keys(seed, path, n)
         assert keys.shape == (n, 2) and keys.dtype == np.uint64
         for i in (0, 1, n - 1):
             want = np.random.SeedSequence(seed, spawn_key=(*path, i)).generate_state(
                 2, np.uint64)
             assert np.array_equal(keys[i], want)
+        empty = stream_keys(seed, path, 0)
+        assert empty.shape == (0, 2) and empty.dtype == np.uint64
 
 
 def test_stream_draws_equal_spawned_generators():
